@@ -15,9 +15,9 @@ halves of the deal:
   workload) fast-forward beats the kernel by at least 5x wall clock.
   Clean dev-box runs sit near 10x; the floor absorbs runner noise.
 
-Measurement note: the kernel report is dropped and the collector run
-before the fast-forward leg, so the second measurement never pays GC
-pressure from a million dead records of the first.
+Measurement note: the kernel leg holds a million completion records
+while it runs; its report is dropped and the collector run before the
+fast-forward leg, so the second measurement never pays for them.
 """
 
 import gc
@@ -129,8 +129,8 @@ def test_fastforward_speedup_floor(benchmark, once, capsys):
     kernel_wall = kernel.wall_seconds
     kernel_summary = _summary(kernel)
     kernel_events = kernel.events_processed
-    # Drop the million kernel records before timing the fast-forward
-    # leg so its record build never pays the first run's GC debt.
+    # Drop the kernel report before timing the fast-forward leg so
+    # the second measurement never pays the first run's GC debt.
     del kernel
     gc.collect()
 

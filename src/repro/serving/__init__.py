@@ -53,6 +53,7 @@ from repro.serving.events import (
     ShardUp,
 )
 from repro.serving.metrics import (
+    RequestColumns,
     RequestRecord,
     ScaleEvent,
     ServingReport,
@@ -157,6 +158,7 @@ __all__ = [
     "POLICIES",
     "PolicyTick",
     "Request",
+    "RequestColumns",
     "RequestRecord",
     "Restore",
     "RoundRobin",

@@ -29,10 +29,12 @@ module computes it batch-granularly:
 * **completion accounting** replays the shard timeline scalar ops in
   dispatch order — ``start = max(at, busy_until)``, per-round
   ``completed = start + r * per_image`` and the telescoping-but-not-
-  in-floats ``busy_delta`` accumulation — then bulk-builds the
-  per-request records as numpy arrays: ``completed = start +
+  in-floats ``busy_delta`` accumulation — then computes the
+  per-request columns as numpy arrays: ``completed = start +
   (position // NI + 1) * per_image`` elementwise is IEEE-identical to
-  the kernel's per-record arithmetic.
+  the kernel's per-record arithmetic.  The arrays go to the report as
+  its :class:`~repro.serving.metrics.RequestColumns` unchanged; no
+  per-request Python object is built.
 
 The kernel is the oracle: every field of the resulting
 :class:`~repro.serving.metrics.ServingReport` except the wall-clock
@@ -50,7 +52,6 @@ the same :class:`~repro.errors.ServingError` the kernel raises.
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 from typing import List, Optional
@@ -58,7 +59,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.metrics import RequestRecord, ServingReport, ShardUsage
+from repro.serving.metrics import RequestColumns, ServingReport, ShardUsage
 from repro.serving.scheduler import (
     LeastLoaded,
     RoundRobin,
@@ -114,23 +115,25 @@ def ineligible_reason(server, source, scenario) -> Optional[str]:
 
 
 def _arrival_stream(source):
-    """``(arrivals, indices)`` in kernel delivery order.
+    """``(arrivals, indices)`` in kernel delivery order, ``arrivals``
+    as one float64 array.
 
     Both eligible sources prime arrivals sorted by ``(arrival,
     index)``; ``indices`` is ``None`` when they are simply
     ``0..N-1`` (the trace case), saving the argsort.
     """
     if type(source) is TraceSource:
-        return [float(value) for value in source.arrivals], None
+        return np.asarray(source.arrivals, dtype=np.float64), None
     requests = source.requests  # already (arrival, index)-sorted
     return (
-        [request.arrival for request in requests],
+        np.asarray(
+            [request.arrival for request in requests], dtype=np.float64
+        ),
         [request.index for request in requests],
     )
 
 
-def _form_batches(arrivals: List[float], max_batch: int,
-                  max_wait_s: float):
+def _form_batches(array: np.ndarray, max_batch: int, max_wait_s: float):
     """The head-jump scan: ``(heads, sizes, flush_times)``.
 
     Replays the batcher exactly: a size flush takes ``B`` requests at
@@ -141,12 +144,11 @@ def _form_batches(arrivals: List[float], max_batch: int,
     batch head is exactly why the equivalent event count below adds
     one ``Flush`` per batch (stale size-trigger wakeups still pop).
     """
-    count = len(arrivals)
+    count = len(array)
     if max_batch == 1:
         # Degenerate per-request dispatch: every arrival size-flushes
         # instantly and the batcher schedules no wakeups at all.
-        return list(range(count)), [1] * count, list(arrivals)
-    array = np.asarray(arrivals, dtype=np.float64)
+        return list(range(count)), [1] * count, array.tolist()
     if max_wait_s == 0.0:
         # Zero wait budget means a batch can never outlive its head's
         # instant, so batches never span runs of equal arrivals: each
@@ -183,6 +185,8 @@ def _form_batches(arrivals: List[float], max_batch: int,
     limits = np.searchsorted(
         array, array + max_wait_s, side="right"
     ).tolist()
+    # Scalar reads below: Python floats keep the kernel's float ops.
+    arrivals = array.tolist()
     heads: List[int] = []
     sizes: List[int] = []
     flush_times: List[float] = []
@@ -350,7 +354,7 @@ def fastforward_serve(
             "- runaway event loop?"
         )
 
-    # Bulk-build the per-request view.  Every elementwise op below is
+    # The per-request columns.  Every elementwise op below is
     # the kernel's per-record scalar op (int // int + 1, int * float,
     # float + float) applied across the whole array.
     size_array = np.asarray(sizes, dtype=np.int64)
@@ -372,49 +376,21 @@ def fastforward_serve(
         position // instance_array[request_shard] + 1
     ) * per_image_array[request_shard]
 
-    name_array = np.asarray(
-        [shard.name for shard in shards], dtype=object
-    )
-    arrival_array = np.asarray(arrivals, dtype=np.float64)
     index_array = (
         np.arange(count, dtype=np.int64) if indices is None
         else np.asarray(indices, dtype=np.int64)
     )
     if indices is not None:
-        # The report sorts records by request index; trace indices are
+        # The report holds requests in index order; trace indices are
         # already 0..N-1, open-loop indices need the argsort.
         order = np.argsort(index_array, kind="stable")
         index_array = index_array[order]
-        arrival_array = arrival_array[order]
+        arrivals = arrivals[order]
         dispatched = dispatched[order]
         started = started[order]
         completed = completed[order]
         request_shard = request_shard[order]
         batch_size = batch_size[order]
-    # map() with positional args is the cheapest way to mint a million
-    # frozen-slots dataclasses — the constructor cost dominates this
-    # whole function on large replays.  The records hold only atomic
-    # fields and form no cycles, so pausing the cyclic collector for
-    # the allocation storm is safe and avoids re-scanning every other
-    # live report while this one is born.
-    collector_was_enabled = gc.isenabled()
-    if collector_was_enabled:
-        gc.disable()
-    try:
-        records = list(map(
-            RequestRecord,
-            index_array.tolist(),
-            arrival_array.tolist(),
-            dispatched.tolist(),
-            started.tolist(),
-            completed.tolist(),
-            name_array[request_shard].tolist(),
-            batch_size.tolist(),
-        ))
-    finally:
-        if collector_was_enabled:
-            gc.enable()
-
     total_ops = sum(
         shard.ops_per_image * usage_requests[j]
         for j, shard in enumerate(shards)
@@ -442,7 +418,18 @@ def fastforward_serve(
 
     wall = time.perf_counter() - wall_start
     return ServingReport(
-        records=records,
+        records=RequestColumns(
+            index=index_array,
+            arrival=arrivals,
+            dispatched=dispatched,
+            started=started,
+            completed=completed,
+            shard=request_shard,
+            shard_names=[shard.name for shard in shards],
+            batch_size=batch_size,
+            tenant=np.zeros(count, dtype=np.int64),
+            tenant_names=[DEFAULT_TENANT],
+        ),
         shards=usage,
         total_ops=total_ops,
         events_processed=equivalent,

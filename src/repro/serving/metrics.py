@@ -1,4 +1,4 @@
-"""Serving metrics: per-request records and the aggregate report.
+"""Serving metrics: per-request columns and the aggregate report.
 
 The paper reports makespan-based throughput ("CNN Perf. (GOPS)",
 Table 4); a serving system additionally cares *when each request* got
@@ -9,13 +9,21 @@ its answer.  A :class:`ServingReport` therefore carries both views:
   :class:`~repro.runtime.batch.BatchResult`;
 * **per-request** — queueing delay and end-to-end latency percentiles
   (nearest-rank), the quantities a latency-vs-throughput policy trades.
+
+The per-request view is stored as :class:`RequestColumns` — one numpy
+array per lifecycle field — and every statistic is a column operation.
+Both engines hand the report the same columns, so a million-request
+replay never mints a million Python objects unless a caller iterates
+``report.records``.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,9 +40,8 @@ class RequestRecord:
     (``> dispatched`` when the shard was still draining earlier work);
     ``completed`` -> the image's round-robin slot finished.
 
-    ``tenant`` stays the *last* field: the fast-forward engine builds
-    records positionally in bulk and default-tenant replays must not
-    pay for the tag.
+    ``tenant`` stays the *last* field, so a record built without one
+    lands in the default tenant.
     """
 
     index: int
@@ -68,7 +75,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     comparison-dependent, and preserving the legacy result exactly
     matters more than speed on a degenerate sample.
     """
-    if not values:
+    if len(values) == 0:
         raise ServingError("percentile of an empty sample")
     if not 0 <= q <= 100:
         raise ServingError(f"percentile must be in [0, 100], got {q}")
@@ -76,8 +83,167 @@ def percentile(values: Sequence[float], q: float) -> float:
     k = min(rank, len(values)) - 1
     array = np.asarray(values, dtype=np.float64)
     if np.isnan(array).any():
-        return sorted(values)[k]
+        return sorted(array.tolist())[k]
     return float(np.partition(array, k)[k])
+
+
+def _column(values, dtype) -> np.ndarray:
+    """A read-only view of ``values`` (the caller's array keeps its
+    own flags)."""
+    array = np.asarray(values, dtype=dtype).view()
+    array.flags.writeable = False
+    return array
+
+
+def _encode(labels) -> Tuple[List[int], Tuple[str, ...]]:
+    """``(codes, names)`` for a label sequence, names in first-seen
+    order."""
+    names: Dict[str, int] = {}
+    codes = [names.setdefault(label, len(names)) for label in labels]
+    return codes, tuple(names)
+
+
+def _decode(codes: np.ndarray, names: Tuple[str, ...]) -> List[str]:
+    return np.asarray(names, dtype=object)[codes].tolist()
+
+
+def _same_labels(codes: np.ndarray, names: Tuple[str, ...],
+                 other_codes: np.ndarray,
+                 other_names: Tuple[str, ...]) -> bool:
+    """Label columns compare by name: two code columns over differently
+    ordered name tuples still match when they decode alike."""
+    if names == other_names:
+        return bool(np.array_equal(codes, other_codes))
+    lookup = {name: code for code, name in enumerate(other_names)}
+    translate = np.asarray(
+        [lookup.get(name, -1) for name in names], dtype=np.int64
+    )
+    return bool(np.array_equal(translate[codes], other_codes))
+
+
+class RequestColumns(collections.abc.Sequence):
+    """The per-request view of a run as columns, one entry per served
+    request in request-index order.
+
+    ``index``/``batch_size`` are int64 arrays and ``arrival``/
+    ``dispatched``/``started``/``completed`` float64 arrays (see
+    :class:`RequestRecord` for their meaning); ``shard`` and ``tenant``
+    are integer codes into the ``shard_names``/``tenant_names`` tuples.
+    The arrays are read-only.
+
+    The object is also a read-only sequence of :class:`RequestRecord`:
+    indexing or iterating it builds every record once, on first use,
+    and caches the list.  Equality compares the columns exactly (labels
+    by name, not by code).
+    """
+
+    __slots__ = (
+        "index", "arrival", "dispatched", "started", "completed",
+        "shard", "shard_names", "batch_size", "tenant", "tenant_names",
+        "_records",
+    )
+
+    def __init__(self, index, arrival, dispatched, started, completed,
+                 shard, shard_names: Sequence[str], batch_size, tenant,
+                 tenant_names: Sequence[str]):
+        self.index = _column(index, np.int64)
+        self.arrival = _column(arrival, np.float64)
+        self.dispatched = _column(dispatched, np.float64)
+        self.started = _column(started, np.float64)
+        self.completed = _column(completed, np.float64)
+        self.shard = _column(shard, np.int64)
+        self.shard_names = tuple(shard_names)
+        self.batch_size = _column(batch_size, np.int64)
+        self.tenant = _column(tenant, np.int64)
+        self.tenant_names = tuple(tenant_names)
+        self._records: Optional[List[RequestRecord]] = None
+        count = len(self.index)
+        if any(
+            len(column) != count
+            for column in (self.arrival, self.dispatched, self.started,
+                           self.completed, self.shard, self.batch_size,
+                           self.tenant)
+        ):
+            raise ServingError("request columns differ in length")
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[RequestRecord]
+    ) -> "RequestColumns":
+        """Columns holding ``records`` in the order given."""
+        records = list(records)
+        shard, shard_names = _encode(map(attrgetter("shard"), records))
+        tenant, tenant_names = _encode(map(attrgetter("tenant"), records))
+
+        def values(name):
+            return list(map(attrgetter(name), records))
+
+        return cls(
+            index=values("index"),
+            arrival=values("arrival"),
+            dispatched=values("dispatched"),
+            started=values("started"),
+            completed=values("completed"),
+            shard=shard,
+            shard_names=shard_names,
+            batch_size=values("batch_size"),
+            tenant=tenant,
+            tenant_names=tenant_names,
+        )
+
+    @property
+    def latency(self) -> np.ndarray:
+        """End-to-end latency per request (arrival to completion)."""
+        return self.completed - self.arrival
+
+    @property
+    def queue_seconds(self) -> np.ndarray:
+        """Per-request wait before the shard started the batch."""
+        return self.started - self.arrival
+
+    def _materialised(self) -> List[RequestRecord]:
+        if self._records is None:
+            self._records = list(map(
+                RequestRecord,
+                self.index.tolist(),
+                self.arrival.tolist(),
+                self.dispatched.tolist(),
+                self.started.tolist(),
+                self.completed.tolist(),
+                _decode(self.shard, self.shard_names),
+                self.batch_size.tolist(),
+                _decode(self.tenant, self.tenant_names),
+            ))
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, item):
+        return self._materialised()[item]
+
+    def __iter__(self) -> Iterator[RequestRecord]:
+        return iter(self._materialised())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple)):
+            return self._materialised() == list(other)
+        if not isinstance(other, RequestColumns):
+            return NotImplemented
+        return (
+            all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("index", "arrival", "dispatched", "started",
+                             "completed", "batch_size")
+            )
+            and _same_labels(self.shard, self.shard_names,
+                             other.shard, other.shard_names)
+            and _same_labels(self.tenant, self.tenant_names,
+                             other.tenant, other.tenant_names)
+        )
+
+    def __repr__(self) -> str:
+        return f"RequestColumns({len(self)} requests)"
 
 
 @dataclass(frozen=True)
@@ -208,9 +374,13 @@ class ServingReport:
     machine the simulation ran on, so they are excluded from equality
     (two runs of the same scenario compare equal even though their
     wall clocks differ).
+
+    ``records`` accepts any sequence of :class:`RequestRecord` and is
+    stored as :class:`RequestColumns`, which the statistics below read
+    column-wise; it still reads back as a sequence of records.
     """
 
-    records: List[RequestRecord]
+    records: Sequence[RequestRecord]
     shards: List[ShardUsage]
     total_ops: int
     shed: int = 0
@@ -234,6 +404,10 @@ class ServingReport:
     wall_seconds: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.records, RequestColumns):
+            object.__setattr__(
+                self, "records", RequestColumns.from_records(self.records)
+            )
         if self.shed < 0 or self.rerouted < 0 or self.unserved < 0:
             raise ServingError(
                 "negative shed/reroute/unserved counts: "
@@ -255,10 +429,10 @@ class ServingReport:
     def makespan_seconds(self) -> float:
         """First arrival to last completion — the Table-4 span
         (0.0 when nothing completed)."""
-        if not self.records:
+        if not self.count:
             return 0.0
-        start = min(r.arrival for r in self.records)
-        end = max(r.completed for r in self.records)
+        start = float(self.records.arrival.min())
+        end = float(self.records.completed.max())
         return end - start
 
     @property
@@ -280,25 +454,35 @@ class ServingReport:
 
     # -- per-request view -------------------------------------------------
 
+    # Means sum ``column.tolist()`` with the builtin ``sum``: numpy's
+    # pairwise summation rounds differently in the last place, and the
+    # builtin keeps every mean bit-identical to a left-to-right walk
+    # over the records on every Python version.
+
     def latencies(self) -> List[float]:
-        return [r.latency for r in self.records]
+        return self.records.latency.tolist()
 
     def latency_percentile(self, q: float) -> float:
-        if not self.records:
+        if not self.count:
             return float("nan")
-        return percentile(self.latencies(), q)
+        return percentile(self.records.latency, q)
 
     @property
     def mean_latency(self) -> float:
-        if not self.records:
+        if not self.count:
             return float("nan")
         return sum(self.latencies()) / self.count
 
     @property
     def mean_queue_seconds(self) -> float:
-        if not self.records:
+        if not self.count:
             return float("nan")
-        return sum(r.queue_seconds for r in self.records) / self.count
+        return sum(self.records.queue_seconds.tolist()) / self.count
+
+    def served_within(self, target_s: float) -> int:
+        """How many served requests finished within ``target_s`` of
+        their arrival."""
+        return int(np.count_nonzero(self.records.latency <= target_s))
 
     def per_shard(self) -> Dict[str, ShardUsage]:
         return {usage.name: usage for usage in self.shards}
@@ -306,7 +490,7 @@ class ServingReport:
     def tenants(self) -> List[str]:
         """Every tenant the run touched (served, shed or stranded), in
         deterministic sorted order with the default tenant first."""
-        names = {record.tenant for record in self.records}
+        names = set(self._latencies_by_tenant())
         names.update(self.shed_by_tenant)
         names.update(self.unserved_by_tenant)
         names.update(self.tenant_slo_targets)
@@ -321,44 +505,55 @@ class ServingReport:
         tenant's own SLO attainment.  Sums are exhaustive — every
         tenant's ``count``/``shed``/``unserved`` adds up to the global
         accounting."""
-        grouped: Dict[str, List[float]] = {}
-        for record in self.records:
-            grouped.setdefault(record.tenant, []).append(record.latency)
+        grouped = self._latencies_by_tenant()
+        empty = np.empty(0, dtype=np.float64)
         breakdowns = {}
         for name in self.tenants():
-            latencies = grouped.get(name, [])
+            latencies = grouped.get(name, empty)
+            served = len(latencies)
             target = self.tenant_slo_targets.get(name)
             shed = self.shed_by_tenant.get(name, 0)
             unserved = self.unserved_by_tenant.get(name, 0)
             attainment = None
             if target is not None:
-                issued = len(latencies) + shed + unserved
+                issued = served + shed + unserved
                 attainment = (
-                    sum(1 for value in latencies if value <= target)
-                    / issued if issued else 0.0
+                    int(np.count_nonzero(latencies <= target)) / issued
+                    if issued else 0.0
                 )
             breakdowns[name] = TenantBreakdown(
                 tenant=name,
-                count=len(latencies),
+                count=served,
                 shed=shed,
                 admission_shed=self.admission_shed_by_tenant.get(name, 0),
                 unserved=unserved,
                 mean_latency_s=(
-                    sum(latencies) / len(latencies)
-                    if latencies else float("nan")
+                    sum(latencies.tolist()) / served
+                    if served else float("nan")
                 ),
                 p50_latency_s=(
-                    percentile(latencies, 50)
-                    if latencies else float("nan")
+                    percentile(latencies, 50) if served else float("nan")
                 ),
                 p99_latency_s=(
-                    percentile(latencies, 99)
-                    if latencies else float("nan")
+                    percentile(latencies, 99) if served else float("nan")
                 ),
                 slo_target_s=target,
                 slo_attainment=attainment,
             )
         return breakdowns
+
+    def _latencies_by_tenant(self) -> Dict[str, np.ndarray]:
+        """``tenant -> latency column`` over the served tenants, each in
+        request-index order."""
+        columns = self.records
+        served = np.flatnonzero(np.bincount(
+            columns.tenant, minlength=len(columns.tenant_names)
+        ))
+        latency = columns.latency
+        return {
+            columns.tenant_names[code]: latency[columns.tenant == code]
+            for code in served
+        }
 
     def slo_attainment(self, target_s: float) -> float:
         """The fraction of *issued* requests served within ``target_s``.
@@ -374,8 +569,7 @@ class ServingReport:
         issued = self.count + self.shed + self.unserved
         if issued == 0:
             return 0.0
-        within = sum(1 for r in self.records if r.latency <= target_s)
-        return within / issued
+        return self.served_within(target_s) / issued
 
     def survival(self, target_s: float,
                  multiples: Sequence[float] = (1.0, 2.0, 4.0, 8.0)
@@ -504,7 +698,7 @@ class ServingReport:
     # -- rendering --------------------------------------------------------
 
     def describe(self) -> str:
-        if not self.records:
+        if not self.count:
             reasons = []
             if self.shed:
                 slo_shed = self.shed - self.admission_shed
@@ -536,7 +730,7 @@ class ServingReport:
                     "the p99 SLO was never evaluated"
                 )
             return text
-        latencies = self.latencies()
+        latency = self.records.latency
         lines = [
             f"served {self.count} requests over "
             f"{len(self.shards)} shard(s) in "
@@ -545,10 +739,10 @@ class ServingReport:
             f"  throughput: {self.images_per_second:.1f} img/s, "
             f"{self.throughput_gops:.1f} GOPS aggregate",
             f"  latency ms: mean {self.mean_latency * 1e3:.2f}, "
-            f"p50 {percentile(latencies, 50) * 1e3:.2f}, "
-            f"p90 {percentile(latencies, 90) * 1e3:.2f}, "
-            f"p99 {percentile(latencies, 99) * 1e3:.2f}, "
-            f"max {max(latencies) * 1e3:.2f} "
+            f"p50 {percentile(latency, 50) * 1e3:.2f}, "
+            f"p90 {percentile(latency, 90) * 1e3:.2f}, "
+            f"p99 {percentile(latency, 99) * 1e3:.2f}, "
+            f"max {float(latency.max()) * 1e3:.2f} "
             f"(queue {self.mean_queue_seconds * 1e3:.2f} mean)",
         ]
         if self.wall_seconds > 0.0:

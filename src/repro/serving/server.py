@@ -61,7 +61,12 @@ from repro.serving.events import (
 )
 from repro.serving.chaos import ChaosScenario
 from repro.serving.fastforward import fastforward_serve, ineligible_reason
-from repro.serving.metrics import RequestRecord, ServingReport, ShardUsage
+from repro.serving.metrics import (
+    RequestColumns,
+    RequestRecord,
+    ServingReport,
+    ShardUsage,
+)
 from repro.serving.scenarios import FailureScenario
 from repro.serving.scheduler import (
     Scheduler,
@@ -444,6 +449,7 @@ class _ServeRun:
         self, events_processed: int = 0, wall_seconds: float = 0.0
     ) -> ServingReport:
         self.records.sort(key=lambda record: record.index)
+        columns = RequestColumns.from_records(self.records)
         unserved = sum(len(batch) for batch in self.parked)
         unserved_by_tenant: Dict[str, int] = {}
         for batch in self.parked:
@@ -455,10 +461,10 @@ class _ServeRun:
             # Clip the provisioned timeline to the makespan window, so
             # the bill is directly comparable to a fixed pool's
             # shards * makespan and the reported spans sum to it.
-            start = min((r.arrival for r in self.records), default=0.0)
-            end = max(
-                (r.completed for r in self.records),
-                default=self.kernel.now,
+            start, end = (
+                (float(columns.arrival.min()),
+                 float(columns.completed.max()))
+                if len(columns) else (0.0, self.kernel.now)
             )
             shard_seconds = 0.0
             for name, intervals in self.autoscaler.usage_spans(
@@ -483,7 +489,7 @@ class _ServeRun:
             for shard in self.server.pool
         ]
         return ServingReport(
-            records=self.records,
+            records=columns,
             shards=usage,
             total_ops=self.total_ops,
             shed=self.shed,

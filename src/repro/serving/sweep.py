@@ -324,12 +324,8 @@ class _SweepState:
             max_events=options.event_budget,
         ))
         issued = len(requests)
-        latencies = report.latencies()
         within = {
-            f"{multiple:g}x": sum(
-                1 for latency in latencies
-                if latency <= multiple * target
-            )
+            f"{multiple:g}x": report.served_within(multiple * target)
             for multiple in SURVIVAL_MULTIPLES
         }
         return {
