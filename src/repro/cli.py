@@ -55,11 +55,12 @@ def _cmd_models(_args) -> int:
     return 0
 
 
-def _session(args) -> PipelineSession:
+def _session(args, pack_data: bool = True) -> PipelineSession:
     """One shared pipeline session for the model-evaluating commands.
 
     Model / device specs are resolved by the session itself (zoo name or
-    JSON path, catalog name).
+    JSON path, catalog name).  ``pack_data=False`` compiles timing-only
+    (see :class:`CompilerOptions`).
     """
     options = DseOptions(
         objective=args.objective,
@@ -73,7 +74,9 @@ def _session(args) -> PipelineSession:
         args.model,
         get_device(args.device),
         options,
-        compiler_options=CompilerOptions(quantize=not args.exact),
+        compiler_options=CompilerOptions(
+            quantize=not args.exact, pack_data=pack_data
+        ),
         seed=args.seed,
         store=args.cache_dir,
     )
@@ -121,7 +124,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with _session(args) as session:
+    # Timing does not depend on the data: without --functional, compile
+    # timing-only so VGG16's weights are neither drawn nor packed.
+    with _session(args, pack_data=args.functional) as session:
         network = session.network
         sim = session.simulate(functional=args.functional)
     ops = sum(i.ops for i in network.compute_layers())

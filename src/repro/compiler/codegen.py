@@ -23,7 +23,7 @@ heterogeneous task-partitioning story of the paper's introduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,8 +106,12 @@ class CompilerOptions:
     functional-equivalence tests so the accelerator output can be
     compared bit-for-bit against the float reference.
 
-    ``pack_data=False`` skips materialising weight images (group
-    directories are still computed); only valid for timing-only runs.
+    ``pack_data=False`` compiles timing-only: it reads only the
+    parameters' shapes (a deferred
+    :class:`~repro.runtime.params.ParameterSet` is never drawn), leaves
+    weight images empty (group directories are still computed) and
+    makes bias images zeros of the right length.  Cycles and
+    instructions are identical to a packed compile.
     """
 
     quantize: bool = True
@@ -515,19 +519,44 @@ def _emit_layer(
     )
 
 
+def _kernel_shape(layer, info, weight_shape: Tuple[int, ...]):
+    """The ``(K, C, R, S)`` kernel shape a layer's weights pack as.
+
+    Dense ``(M, N)`` matrices pack as ``(M, N, 1, 1)``.
+    """
+    if isinstance(layer, Dense):
+        kernel_shape = (layer.out_features, info.input_shape.size, 1, 1)
+        if int(np.prod(weight_shape)) != int(np.prod(kernel_shape)):
+            raise CompileError(
+                f"{layer.name}: weights {tuple(weight_shape)} do not fit "
+                f"{layer.out_features}x{info.input_shape.size}"
+            )
+        return kernel_shape
+    if len(weight_shape) != 4:
+        raise CompileError(
+            f"{layer.name}: weights {tuple(weight_shape)} are not (K, C, R, S)"
+        )
+    return tuple(weight_shape)
+
+
 def compile_network(
     network: Network,
     cfg: AcceleratorConfig,
     mapping: NetworkMapping,
-    params: Dict[str, dict],
+    params: Mapping[str, Mapping[str, np.ndarray]],
     options: Optional[CompilerOptions] = None,
 ) -> CompiledModel:
     """Compile ``network`` for one accelerator instance.
 
     ``params`` maps layer name -> ``{"weights": (K,C,R,S) or (M,N),
-    "bias": (K,)}`` arrays (see :mod:`repro.runtime.params` for the
-    seeded synthetic generator).
+    "bias": (K,)}`` arrays: a plain dict or a deferred
+    :class:`~repro.runtime.params.ParameterSet`.  Under
+    ``options.pack_data=False`` only their shapes are read, so a
+    ParameterSet is never drawn.
     """
+    # Imported here: the repro.runtime package imports this module.
+    from repro.runtime.params import parameter_shapes
+
     options = options or CompilerOptions()
     mapping.validate_against(network)
     weight_type = cfg.weight_type if options.quantize else None
@@ -592,23 +621,26 @@ def compile_network(
             )
             partitions[layer.name] = partition
 
-            layer_params = params.get(layer.name, {})
-            kernels = layer_params.get("weights")
-            if kernels is None:
+            weight_shape, bias_shape = parameter_shapes(params, layer.name)
+            if weight_shape is None:
                 raise CompileError(f"missing weights for {layer.name!r}")
-            kernels = np.asarray(kernels, dtype=np.float64)
-            if isinstance(layer, Dense):
-                kernels = kernels.reshape(
-                    layer.out_features, info.input_shape.size, 1, 1
-                )
+            kernel_shape = _kernel_shape(layer, info, weight_shape)
+            if options.pack_data:
+                layer_params = params[layer.name]
+                kernels = np.asarray(
+                    layer_params["weights"], dtype=np.float64
+                ).reshape(kernel_shape)
+                bias = layer_params.get("bias")
+            else:
+                # Timing-only: read shapes, never values.
+                kernels = kernel_shape
+                bias = None if bias_shape is None else np.zeros(bias_shape)
             packed = pack_weights(
                 cfg, partition, kernels, weight_type,
                 data=options.pack_data,
             )
             weights[layer.name] = packed
-            biases[layer.name] = pack_bias(
-                partition, layer_params.get("bias")
-            )
+            biases[layer.name] = pack_bias(partition, bias)
 
             dst_layout = _consumer_layout(
                 network, pool_info.index if pool > 1 else index, mapping

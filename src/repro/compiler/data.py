@@ -11,7 +11,7 @@ DNN parameters to 8 bits, Table 4 footnote).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def _scale_per_position(
 def pack_weights(
     cfg: AcceleratorConfig,
     partition: LayerPartition,
-    kernels: np.ndarray,
+    kernels: Union[np.ndarray, Tuple[int, int, int, int]],
     weight_type: Optional[DataType],
     data: bool = True,
 ) -> PackedWeights:
@@ -106,13 +106,15 @@ def pack_weights(
     values (used by functional equivalence tests).  ``data=False``
     computes only the group directory (offsets/sizes) without
     materialising the image — enough for timing-only simulation of
-    large sweeps.
+    large sweeps — and then ``kernels`` may be just the shape tuple.
     """
-    kernels = np.asarray(kernels, dtype=np.float64)
-    k, c, r, s = kernels.shape
+    if data:
+        kernels = np.asarray(kernels, dtype=np.float64)
+    shape = kernels if isinstance(kernels, tuple) else np.shape(kernels)
+    k, c, r, s = shape
     if (k, c) != (partition.out_channels, partition.channels):
         raise CompileError(
-            f"{partition.layer_name}: kernels {kernels.shape} do not match "
+            f"{partition.layer_name}: kernels {shape} do not match "
             f"partition K={partition.out_channels} C={partition.channels}"
         )
     if (r, s) != partition.kernel:

@@ -8,7 +8,7 @@ accelerator only ever sees CONV/FC (+ ReLU/pool) layers.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -58,7 +58,10 @@ def fold_batchnorm(
 
 
 def fold_batchnorm_params(
-    params: Dict[str, dict], layer_name: str, bn: dict, eps: float = 1e-5
+    params: Mapping[str, Mapping[str, np.ndarray]],
+    layer_name: str,
+    bn: dict,
+    eps: float = 1e-5,
 ) -> Dict[str, dict]:
     """Fold a BN record into ``params[layer_name]``; returns new dict.
 

@@ -29,7 +29,7 @@ get both ends for free.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -66,8 +66,10 @@ class PipelineSession:
     compiler_options:
         Forwarded to :func:`repro.compiler.compile_network`.
     params:
-        Pre-generated parameter dict; defaults to
-        ``generate_parameters(network, seed=seed)`` on first use.
+        Parameters as ``{layer: {"weights": ndarray, "bias": ndarray}}``
+        (a plain dict or a :class:`~repro.runtime.params.ParameterSet`);
+        defaults to ``generate_parameters(network, seed=seed)`` on first
+        use, whose values are drawn only if something reads them.
     seed:
         Parameter-generation seed (ignored when ``params`` is given).
     cache:
@@ -88,7 +90,7 @@ class PipelineSession:
         cfg: Optional[AcceleratorConfig] = None,
         mapping: Optional[NetworkMapping] = None,
         compiler_options=None,
-        params: Optional[Dict[str, np.ndarray]] = None,
+        params: Optional[Mapping[str, Mapping[str, np.ndarray]]] = None,
         seed: int = 2020,
         cache: Optional[EvaluationCache] = None,
         store: Optional[Union[EvaluationStore, str, Path]] = None,
@@ -201,8 +203,13 @@ class PipelineSession:
 
     # -- deployment stages ----------------------------------------------
 
-    def parameters(self) -> Dict[str, np.ndarray]:
-        """Model parameters (generated once from :attr:`seed`)."""
+    def parameters(self) -> Mapping[str, Mapping[str, np.ndarray]]:
+        """Model parameters (generated once from :attr:`seed`).
+
+        The generated :class:`~repro.runtime.params.ParameterSet` draws
+        its values on first read; a timing-only compile reads shapes
+        only, so it never does.
+        """
         if self._params is None:
             from repro.runtime.params import generate_parameters
 
@@ -263,7 +270,9 @@ class PipelineSession:
         already computed — candidates, DSE result, mapping, estimate,
         parameters and the compiled model — plus the evaluation cache
         and the resolved calibration, so deploying N shards of one
-        design costs one DSE + one compilation, not N.  It gets fresh
+        design costs one DSE + one compilation, not N.  Parameters are
+        always shared: building the set is cheap (values are drawn on
+        first read), so every clone reads one set.  It gets fresh
         runtime / simulation slots because a
         :class:`~repro.runtime.host.HostRuntime` owns mutable DRAM
         state that two shards must never share.  Clones are not
@@ -281,7 +290,7 @@ class PipelineSession:
             cfg=self._cfg,
             mapping=self._mapping if self._cfg is not None else None,
             compiler_options=self.compiler_options,
-            params=self._params,
+            params=self.parameters(),
             seed=self.seed,
             cache=self.cache,
         )

@@ -8,21 +8,22 @@ Public API
 ----------
 ``HostRuntime``
     Deploys a :class:`~repro.compiler.CompiledModel` and runs inference.
-``generate_parameters``
+``generate_parameters`` / ``ParameterSet``
     Seeded synthetic weights for any IR network (the reproduction's
     substitute for pretrained models — all evaluation metrics depend on
-    layer geometry only).
+    layer geometry only), drawn on first read.
 ``reference_inference``
     Pure-numpy golden model of a network.
 """
 
-from repro.runtime.params import generate_parameters
+from repro.runtime.params import ParameterSet, generate_parameters
 from repro.runtime.reference import reference_inference
 from repro.runtime.host import HostRuntime, InferenceResult
 
 __all__ = [
     "HostRuntime",
     "InferenceResult",
+    "ParameterSet",
     "generate_parameters",
     "reference_inference",
 ]

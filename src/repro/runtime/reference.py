@@ -8,7 +8,7 @@ exactly; ``quantize=False`` gives the float reference.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.winograd.reference import (
 
 def reference_inference(
     network: Network,
-    params: Dict[str, dict],
+    params: Mapping[str, Mapping[str, np.ndarray]],
     image: np.ndarray,
     feature_type: Optional[DataType] = None,
     weight_type: Optional[DataType] = None,

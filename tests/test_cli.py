@@ -2,7 +2,22 @@
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
+
+
+@pytest.fixture
+def opened_sessions(monkeypatch):
+    """Every session the CLI's model commands open, in order."""
+    sessions = []
+    real = cli._session
+
+    def spy(args, **kwargs):
+        sessions.append(real(args, **kwargs))
+        return sessions[-1]
+
+    monkeypatch.setattr(cli, "_session", spy)
+    return sessions
 
 
 class TestParser:
@@ -71,6 +86,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "GOPS" in out
         assert "COMP" in out
+
+    def test_simulate_is_timing_only(self, capsys, opened_sessions):
+        assert main(["simulate", "--model", "tiny_cnn",
+                     "--device", "pynq-z1"]) == 0
+        # Printed by the eager, packed-data compile this replaced.
+        assert capsys.readouterr().out == (
+            "tiny_cnn on pynq-z1: 0.02 ms/image/instance, 40.8 GOPS "
+            "aggregate, 80 instructions\n"
+            "  LOAD_INP   71.7% busy\n"
+            "  LOAD_WGT   83.0% busy\n"
+            "  COMP       46.5% busy\n"
+            "  SAVE       62.9% busy\n"
+        )
+        (session,) = opened_sessions
+        assert not session.compiler_options.pack_data
+        assert not session.parameters().drawn
+
+    def test_simulate_functional_packs_data(self, opened_sessions):
+        assert main(["simulate", "--model", "tiny_cnn",
+                     "--device", "pynq-z1", "--functional"]) == 0
+        (session,) = opened_sessions
+        assert session.compiler_options.pack_data
+        assert session.parameters().drawn
 
     def test_emit_hls(self, tmp_path, capsys):
         rc = main([
