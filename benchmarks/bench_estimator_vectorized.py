@@ -1,9 +1,11 @@
-"""Benchmark: the vectorized candidate-batch estimator vs the scalar
+"""Benchmark: the vectorized candidate-batch DSE vs the serial scalar
 oracle on the VU9P VGG16 two-objective sweep.
 
-The scalar path (``estimator="scalar"`` with the PR-2 evaluation cache)
-is the selection oracle; ``estimator="vectorized"`` routes Step 2/3
-through :class:`~repro.estimator.vectorized.BatchLayerEstimator`, which
+The scalar path — the serial branch-and-bound kept verbatim in
+``tests/test_dse_oracle.py``, one ``map_network`` call per candidate
+through an evaluation cache — is the selection oracle; ``run_dse``
+routes Step 2/3 through
+:class:`~repro.estimator.vectorized.BatchLayerEstimator`, which
 evaluates Eq. 6-15 for the whole 621-candidate batch as numpy column
 operations.  Both paths run the *full unpruned* sweep — the pruned
 best-first path evaluates a handful of survivors, which is exactly the
@@ -16,27 +18,31 @@ Checked claims:
   runner-up ranking per objective — equality on cfg, mapping and
   estimate (every term of every layer), not a tolerance;
 * >= 5x wall-clock speedup over the cached scalar sweep;
-* the pruned best-first vectorized sweep matches too (batch-granular
-  pruning may prune a different *count*, never a different selection).
+* the pruned best-first sweep matches too: the same ranking and the
+  same evaluated/pruned counts.
 """
 
+import sys
 import time
+from pathlib import Path
 
 from repro.dse import run_dse
 from repro.dse.space import DseOptions, explore_hardware
 from repro.fpga import get_device
 from repro.ir import zoo
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_dse_oracle import scalar_run_dse  # noqa: E402
+
 OBJECTIVES = ("throughput", "latency")
 
 
-def _sweep(device, network, candidates, estimator):
+def _sweep(device, network, candidates, dse):
     return {
-        objective: run_dse(
+        objective: dse(
             device, network,
             DseOptions(frequency_mhz=device.frequency_mhz,
-                       objective=objective, use_cache=True, prune=False,
-                       estimator=estimator),
+                       objective=objective, use_cache=True, prune=False),
             candidates=candidates,
         )
         for objective in OBJECTIVES
@@ -63,13 +69,11 @@ def test_vectorized_sweep_equivalence_and_speedup(benchmark, once, capsys):
     )
 
     start = time.perf_counter()
-    scalar = _sweep(device, network, candidates, "scalar")
+    scalar = _sweep(device, network, candidates, scalar_run_dse)
     scalar_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    vectorized = once(
-        benchmark, _sweep, device, network, candidates, "vectorized"
-    )
+    vectorized = once(benchmark, _sweep, device, network, candidates, run_dse)
     vectorized_seconds = time.perf_counter() - start
 
     speedup = scalar_seconds / vectorized_seconds
@@ -90,18 +94,16 @@ def test_vectorized_sweep_equivalence_and_speedup(benchmark, once, capsys):
 
 
 def test_vectorized_pruned_sweep_equivalence(capsys):
-    """Pruning composes: bounds prune first, the vector path only
-    evaluates survivor batches, and the selection never moves."""
+    """Pruning composes: bounds prune first, the vector path evaluates
+    survivor batches, and the replayed branch-and-bound keeps both the
+    selection and the counts."""
     device = get_device("vu9p")
     network = zoo.vgg16()
     for objective in OBJECTIVES:
-        options = dict(frequency_mhz=device.frequency_mhz,
-                       objective=objective, best_first=True)
-        scalar = run_dse(device, network, DseOptions(**options))
-        vectorized = run_dse(
-            device, network,
-            DseOptions(estimator="vectorized", **options),
-        )
+        options = DseOptions(frequency_mhz=device.frequency_mhz,
+                             objective=objective, best_first=True)
+        scalar = scalar_run_dse(device, network, options)
+        vectorized = run_dse(device, network, options)
         with capsys.disabled():
             print(f"\n  {objective}: vectorized evaluated "
                   f"{vectorized.candidates_evaluated}, pruned "
@@ -109,3 +111,6 @@ def test_vectorized_pruned_sweep_equivalence(capsys):
                   f"{vectorized.candidates_considered} "
                   f"(scalar pruned {scalar.candidates_pruned})")
         assert _ranking(vectorized) == _ranking(scalar), objective
+        assert (
+            vectorized.candidates_evaluated, vectorized.candidates_pruned
+        ) == (scalar.candidates_evaluated, scalar.candidates_pruned)

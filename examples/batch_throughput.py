@@ -22,7 +22,6 @@ from repro import (
     get_device,
 )
 from repro.dse.engine import map_network
-from repro.estimator.calibration import get_calibration
 from repro.ir import zoo
 from repro.pipeline import EvaluationCache
 from repro.runtime.batch import BatchRunner
@@ -45,13 +44,12 @@ def main():
         input_buffer_vecs=32768, weight_buffer_vecs=16384,
         output_buffer_vecs=16384,
     )
-    # Calibration resolved once; the cache shares the group-partition
-    # geometry across the NI sweep (it is instance-count independent).
-    cal = get_calibration(device.name)
+    # The cache shares the group-partition geometry across the NI
+    # sweep (it is instance-count independent).
     cache = EvaluationCache()
     for ni in (1, 2, 3, 6):
         cfg = replace(base, instances=ni)
-        mapping, _ = map_network(cfg, device, net, cal, cache=cache)
+        mapping, _ = map_network(cfg, device, net, cache=cache)
         compiled = compile_network(
             net, cfg, mapping, params,
             CompilerOptions(quantize=True, pack_data=False),

@@ -57,8 +57,7 @@ def main(out_dir=None):
     print("\nDSE across devices:")
     cache = EvaluationCache()
     sessions = {
-        name: PipelineSession(net, name, DseOptions(jobs=2), cache=cache,
-                              seed=13)
+        name: PipelineSession(net, name, DseOptions(), cache=cache, seed=13)
         for name in ("vu9p", "zcu102", "pynq-z1")
     }
     for name, session in sessions.items():

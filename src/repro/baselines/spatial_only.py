@@ -11,11 +11,10 @@ are absent — so every layer runs in Spatial mode.  Used for:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.arch.params import AcceleratorConfig
 from repro.errors import DseError, ReproError
-from repro.estimator.calibration import CalibrationProfile, get_calibration
 from repro.estimator.latency import (
     NetworkEstimate,
     estimate_layer,
@@ -31,24 +30,19 @@ def spatial_only_estimate(
     cfg: AcceleratorConfig,
     device: FpgaDevice,
     network: Network,
-    cal: Optional[CalibrationProfile] = None,
 ) -> Tuple[NetworkMapping, NetworkEstimate]:
     """Best mapping with the mode forced to Spatial everywhere.
 
     Dataflows are still chosen per layer (the baseline keeps IS/WS
     flexibility — only the Winograd path is removed).
     """
-    if cal is None:
-        cal = get_calibration(device.name)
     selections = []
     for info in network.compute_layers():
         pool = fused_pool_for(network, info.index)
         best = None
         for dataflow in ("is", "ws"):
             try:
-                est = estimate_layer(
-                    cfg, device, info, "spat", dataflow, cal, pool
-                )
+                est = estimate_layer(cfg, device, info, "spat", dataflow, pool)
             except ReproError:
                 continue
             if best is None or est.latency < best[0]:
@@ -57,5 +51,5 @@ def spatial_only_estimate(
             raise DseError(f"{info.layer.name}: no spatial mapping fits")
         selections.append(LayerMapping(info.layer.name, "spat", best[1]))
     mapping = NetworkMapping(network.name, selections)
-    estimate = estimate_network(cfg, device, network, mapping, cal)
+    estimate = estimate_network(cfg, device, network, mapping)
     return mapping, estimate

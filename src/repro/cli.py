@@ -30,7 +30,7 @@ from collections import Counter
 from pathlib import Path
 
 from repro.compiler import CompilerOptions
-from repro.dse.space import ESTIMATORS, EXECUTORS, OBJECTIVES, DseOptions
+from repro.dse.space import OBJECTIVES, DseOptions
 from repro.errors import ReproError
 from repro.estimator import estimate_resources
 from repro.fpga import DEVICES, get_device
@@ -67,9 +67,6 @@ def _session(args, pack_data: bool = True) -> PipelineSession:
         objective=args.objective,
         max_instances=args.max_instances,
         top_k=getattr(args, "top_k", 5),
-        jobs=getattr(args, "jobs", 1),
-        executor=getattr(args, "executor", "serial"),
-        estimator=getattr(args, "estimator", "scalar"),
     )
     return PipelineSession(
         args.model,
@@ -808,16 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dse", help="run design space exploration")
     add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel candidate evaluations")
-    p.add_argument("--executor", default="serial",
-                   choices=EXECUTORS,
-                   help="evaluation backend for --jobs > 1 "
-                        "(process scales on GIL builds)")
-    p.add_argument("--estimator", default="scalar", choices=ESTIMATORS,
-                   help="candidate evaluation backend: the scalar "
-                        "per-layer model or the numpy batch model "
-                        "(same selection, faster sweeps)")
     p.add_argument("--top-k", type=int, default=5, dest="top_k",
                    help="number of ranked designs to keep")
     p.add_argument("-v", "--verbose", action="store_true")

@@ -6,41 +6,48 @@ and keeps the argmin — the per-layer design choices are independent
 given the hardware, so this is exact, not heuristic.  Step 3 ranks the
 candidates by the chosen objective.
 
-Step 3 runs through three accelerations, all of which preserve the
-brute-force selection bit for bit:
+:func:`map_network` is the single-design path: scalar
+:func:`~repro.estimator.latency.estimate_layer` calls, memoized through
+an :class:`~repro.pipeline.cache.EvaluationCache`.  :func:`run_dse`
+evaluates candidates only through
+:class:`~repro.estimator.vectorized.BatchLayerEstimator`, whose numpy
+columns are bit-equal to the scalar model, and it preserves the serial
+scalar branch-and-bound exactly — selection, runner-up ranking and the
+evaluated/pruned counts:
 
-* **memoization** — per-layer estimates go through an
-  :class:`~repro.pipeline.cache.EvaluationCache`, deduplicating repeated
-  layer shapes and the final re-estimate of the selected mapping;
 * **pruning** — a lower bound over *all four* module times
   (``latency >= sum of per-layer min-over-modes
   max(T_CP, T_LDI, T_LDW, T_SV)``, Eq. 6-11) is admissible, so any
   candidate whose bound cannot beat the current ``top_k``-th objective
   is skipped without affecting the winner *or* the runners-up — the
   bandwidth terms prune memory-bound candidates a compute-only bound
-  would have to evaluate;
-* **parallelism** — ``DseOptions.jobs`` evaluates candidates on a
-  thread pool (``executor="thread"``) or ships pickled candidate
-  batches to a process pool (``executor="process"``, the one that
-  scales on GIL builds); either way results are re-ranked by
-  (objective, enumeration index), which is exactly the stable order of
-  the serial path.
+  would have to evaluate.  The bounds of every candidate are one
+  column computation, bit-equal to :func:`latency_lower_bound` and
+  :func:`objective_lower_bound`;
+* **batching** — candidates are evaluated in batches along the
+  evaluation order, skipping those the bound already prunes at the
+  start of a batch, and each batch yields an objective column.  The
+  serial branch-and-bound is then replayed over the batch: a
+  candidate prunable at the start of a batch is prunable at its turn
+  (the ``top_k``-th objective only falls), so the replay prunes,
+  admits and counts exactly as the one-candidate-at-a-time loop would;
+* **top-k only** — mapping and estimate objects are built for the
+  ``top_k`` designs returned, nothing else.  Partition lookups go
+  through the cache; estimates are never stored in it.
 
-The process backend's work unit is a batch of candidate indices; each
-worker holds the (device, network, calibration, candidates) payload from
-its initializer plus a local :class:`EvaluationCache` seeded with the
-parent cache's entries, and returns ``(items, cache delta, stats)`` so
-the parent merges worker-computed entries (and their hit/miss counters)
-back into the shared — possibly store-backed — cache.
+Everything runs in the calling thread: there is no thread or process
+pool, because starting and feeding one costs more than a whole
+batched sweep.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.params import AcceleratorConfig
 from repro.errors import DseError, ReproError
@@ -48,6 +55,7 @@ from repro.estimator.calibration import CalibrationProfile, get_calibration
 from repro.estimator.latency import (
     NetworkEstimate,
     _module_times,
+    aggregate_gops,
     estimate_layer,
     estimate_network,
 )
@@ -107,7 +115,6 @@ def map_network(
     cfg: AcceleratorConfig,
     device: FpgaDevice,
     network: Network,
-    cal: Optional[CalibrationProfile] = None,
     cache: Optional[EvaluationCache] = None,
 ) -> Tuple[NetworkMapping, NetworkEstimate]:
     """Step 2: best (mode, dataflow) per layer for a fixed candidate.
@@ -116,8 +123,6 @@ def map_network(
     buffers too small for even one group).  With ``cache`` the per-layer
     estimates are memoized (identical results, fewer model evaluations).
     """
-    if cal is None:
-        cal = get_calibration(device.name)
     estimate_fn = cache.estimate if cache is not None else estimate_layer
     selections: List[LayerMapping] = []
     for info in network.compute_layers():
@@ -128,9 +133,7 @@ def map_network(
                 continue
             for dataflow in DATAFLOWS:
                 try:
-                    est = estimate_fn(
-                        cfg, device, info, mode, dataflow, cal, pool
-                    )
+                    est = estimate_fn(cfg, device, info, mode, dataflow, pool)
                 except ReproError:
                     continue
                 if best is None or est.latency < best[0]:
@@ -142,16 +145,19 @@ def map_network(
             )
         selections.append(LayerMapping(info.layer.name, best[1], best[2]))
     mapping = NetworkMapping(network.name, selections)
-    estimate = estimate_network(cfg, device, network, mapping, cal, cache)
+    estimate = estimate_network(cfg, device, network, mapping, cache)
     return mapping, estimate
 
 
-def _objective(estimate: NetworkEstimate, objective: str) -> float:
-    """Lower is better."""
+def _objective(
+    latency: float, ops: int, instances: int, objective: str
+) -> float:
+    """Lower is better: the objective of the :class:`NetworkEstimate`
+    with this ``latency``, ``ops`` and ``instances``."""
     if objective == "latency":
-        return estimate.latency
+        return latency
     if objective == "throughput":
-        return -estimate.gops
+        return -aggregate_gops(ops, latency, instances)
     raise DseError(f"unknown objective {objective!r}")
 
 
@@ -197,120 +203,31 @@ def objective_lower_bound(
 
 
 def _candidate_bounds(
+    estimator: BatchLayerEstimator,
     candidates: List[HardwareCandidate],
-    device: FpgaDevice,
-    network: Network,
     objective: str,
+    ops: int,
 ) -> List[float]:
-    """Objective lower bound per candidate.
+    """Objective lower bound per candidate, as column math.
 
-    The module times depend only on (PI, PO, PT, FREQ) plus — for the
-    Eq. 8-11 bandwidth terms — the data widths and the instance count
-    (instances share DRAM bandwidth), so the latency bound is memoized
-    on that projection: candidates differing only in buffer sizes share
-    one entry.
+    Element for element the value of :func:`objective_lower_bound`
+    over :func:`latency_lower_bound`: the same Eq. 6-11 columns and
+    the same float operations in the same order.
     """
-    total_ops = sum(info.ops for info in network.compute_layers())
-    lb_memo: Dict[Tuple, float] = {}
-    bounds = []
-    for candidate in candidates:
-        cfg = candidate.cfg
-        key = (
-            cfg.pi, cfg.po, cfg.pt, cfg.frequency_mhz,
-            cfg.data_width, cfg.weight_width, cfg.instances,
-        )
-        lb_latency = lb_memo.get(key)
-        if lb_latency is None:
-            lb_latency = latency_lower_bound(cfg, device, network)
-            lb_memo[key] = lb_latency
-        bounds.append(
-            objective_lower_bound(
-                lb_latency, objective, total_ops, cfg.instances
-            )
-        )
-    return bounds
+    cfgs = [candidate.cfg for candidate in candidates]
+    latency = estimator.latency_bounds(cfgs)
+    if objective == "latency":
+        return latency.tolist()
+    instances = np.array([cfg.instances for cfg in cfgs], dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = -(ops / latency / 1e9) * instances
+    return np.where(latency > 0, bound, -math.inf).tolist()
 
 
-#: Per-process worker state of ``executor="process"`` (populated by the
-#: pool initializer — ProcessPoolExecutor workers can only receive
-#: one-time state that way, and re-pickling the network and candidate
-#: list per batch would dominate the work).
-_worker_state: dict = {}
-
-
-def _process_worker_init(payload) -> None:
-    """Install the evaluation payload in this pool worker.
-
-    ``payload`` is ``(device, network, cal, candidates, seed_entries,
-    estimator)`` where ``seed_entries`` is a parent-cache snapshot (or
-    ``None`` when the run is uncached).  The worker cache is warmed
-    from the snapshot, so a store-backed parent hands its persisted
-    entries to every worker for free.  ``estimator`` selects how this
-    worker evaluates its batches — the scalar per-layer model or one
-    :class:`BatchLayerEstimator` built lazily on the first batch and
-    reused for the worker's lifetime.
-    """
-    device, network, cal, candidates, seed_entries, estimator = payload
-    cache = None
-    if seed_entries is not None:
-        cache = EvaluationCache()
-        cache.warm(*seed_entries)
-    _worker_state.update(
-        device=device,
-        network=network,
-        cal=cal,
-        candidates=candidates,
-        cache=cache,
-        estimator=estimator,
-        batch_estimator=None,
-    )
-
-
-def _process_evaluate_batch(indices):
-    """Evaluate one batch of candidate indices in a pool worker.
-
-    Returns ``(items, estimates, partitions, stats)``: the feasible
-    ``(index, mapping, estimate)`` triples plus the worker cache's dirty
-    delta and counter delta for this batch (``None`` when uncached).
-    Everything crossing the process boundary is pickleable by value.
-    The vectorized estimator's offers land in the worker cache and ride
-    the same dirty delta home, so a store-backed parent persists a
-    process-vectorized run's results exactly like a serial one's.
-    """
-    device = _worker_state["device"]
-    network = _worker_state["network"]
-    cal = _worker_state["cal"]
-    candidates = _worker_state["candidates"]
-    cache = _worker_state["cache"]
-    before = cache.stats if cache is not None else None
-    items = []
-    if _worker_state["estimator"] == "vectorized":
-        batch_estimator = _worker_state["batch_estimator"]
-        if batch_estimator is None:
-            batch_estimator = BatchLayerEstimator(
-                device, network, cal=cal, cache=cache
-            )
-            _worker_state["batch_estimator"] = batch_estimator
-        batch = batch_estimator.map_candidates(
-            [candidates[index].cfg for index in indices]
-        )
-        for index, result in zip(indices, batch):
-            if result is not None:
-                items.append((index, result[0], result[1]))
-    else:
-        for index in indices:
-            try:
-                mapping, estimate = map_network(
-                    candidates[index].cfg, device, network, cal,
-                    cache=cache,
-                )
-            except DseError:
-                continue
-            items.append((index, mapping, estimate))
-    if cache is None:
-        return items, None, None, None
-    estimates, partitions = cache.take_dirty()
-    return items, estimates, partitions, cache.stats - before
+#: Candidates per evaluated batch when pruning: large enough to keep the
+#: numpy columns busy, small enough that the bound still skips most of
+#: a sweep once the ``top_k`` fills.
+BATCH = 64
 
 
 def run_dse(
@@ -324,11 +241,12 @@ def run_dse(
     """Full 3-step DSE; returns the best design point (with runners-up
     in ``runners_up`` for inspection).
 
-    The cached / pruned / parallel paths (thread *and* process
-    executors) all reproduce the brute-force selection exactly —
-    including the ``top_k`` runner-up ranking — so
-    ``DseOptions(use_cache=False, prune=False, jobs=1)`` is only useful
-    as the reference the benchmarks compare against.
+    Selection, ``top_k`` ranking and the evaluated/pruned counts are
+    those of the serial scalar branch-and-bound, bit for bit; the
+    evaluation knobs (``use_cache``, ``prune``, ``best_first``) change
+    how fast it runs, never what it selects.  ``cal`` feeds the Step-1
+    resource model.  Partition lookups go through ``cache`` (a fresh
+    one if omitted) and are counted in ``cache_stats``;
     ``options.use_cache=False`` disables memoization even when a shared
     ``cache`` is supplied.  ``candidates`` may carry a pre-enumerated
     Step-1 result (it must match ``explore_hardware(device, options)``).
@@ -336,7 +254,6 @@ def run_dse(
     options = options or DseOptions()
     if cal is None:
         cal = get_calibration(device.name)
-    shared_cache = cache if options.use_cache else None
     if not options.use_cache:
         cache = None
     elif cache is None:
@@ -345,19 +262,19 @@ def run_dse(
     if candidates is None:
         candidates = explore_hardware(device, options, cal)
 
+    estimator = BatchLayerEstimator(device, network, cache=cache)
+    ops = sum(info.ops for info in network.compute_layers())
     bounds: Optional[List[float]] = None
     if options.prune or options.best_first:
         bounds = _candidate_bounds(
-            candidates, device, network, options.objective
+            estimator, candidates, options.objective, ops
         )
     order = list(range(len(candidates)))
     if options.best_first:
         assert bounds is not None
-        order.sort(key=lambda index: bounds[index])
+        order.sort(key=bounds.__getitem__)
 
-    # item: (objective, enumeration index, candidate, mapping, estimate)
-    scored: List[Tuple[float, int, HardwareCandidate, NetworkMapping,
-                       NetworkEstimate]] = []
+    scored: List[Tuple[float, int]] = []  # (objective, enumeration index)
     worst_of_top_k: List[float] = []  # max-heap (negated) of size <= top_k
     pruned = 0
 
@@ -372,135 +289,31 @@ def run_dse(
         # evaluated for the ranking to stay byte-identical.
         return options.prune and bounds[index] > kth_best()
 
-    def evaluate(index: int):
-        candidate = candidates[index]
-        try:
-            mapping, estimate = map_network(
-                candidate.cfg, device, network, cal, cache=cache
-            )
-        except DseError:
-            return None
-        objective = _objective(estimate, options.objective)
-        return (objective, index, candidate, mapping, estimate)
-
-    def admit(item) -> None:
-        scored.append(item)
-        objective = item[0]
-        if len(worst_of_top_k) < options.top_k:
-            heapq.heappush(worst_of_top_k, -objective)
-        elif objective < -worst_of_top_k[0]:
-            heapq.heapreplace(worst_of_top_k, -objective)
-
-    if options.jobs > 1 and options.executor == "process":
-        # Candidate batches ship to worker processes; each worker runs
-        # the configured estimator (the vectorized one amortises its
-        # per-worker construction over bigger batches).  Merging in
-        # submission order keeps the selection — and a store-backed
-        # cache's first-writer entries — byte-identical to serial.
-        if options.estimator == "vectorized":
-            batch = (
-                max(64 * options.jobs, 1)
-                if options.prune else max(len(order), 1)
-            )
-        else:
-            batch = max(2 * options.jobs, 1)
-        payload = (
-            device, network, cal, candidates,
-            cache.snapshot_entries() if cache is not None else None,
-            options.estimator,
-        )
-        with ProcessPoolExecutor(
-            max_workers=options.jobs,
-            initializer=_process_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            for start in range(0, len(order), batch):
-                survivors = []
-                for index in order[start:start + batch]:
-                    if prunable(index):
-                        pruned += 1
-                        continue
-                    survivors.append(index)
-                if not survivors:
-                    continue
-                chunk = -(-len(survivors) // options.jobs)
-                futures = [
-                    pool.submit(
-                        _process_evaluate_batch, survivors[i:i + chunk]
-                    )
-                    for i in range(0, len(survivors), chunk)
-                ]
-                # Merge in submission (enumeration) order so first-writer
-                # cache entries match the serial path's first encounter.
-                for future in futures:
-                    items, estimates, partitions, stats = future.result()
-                    if cache is not None and estimates is not None:
-                        cache.merge(estimates, partitions, stats)
-                    for index, mapping, estimate in items:
-                        admit((
-                            _objective(estimate, options.objective),
-                            index, candidates[index], mapping, estimate,
-                        ))
-    elif options.estimator == "vectorized":
-        # In-process candidate-batch evaluation: bounds/best-first
-        # still prune first, and only the survivors of each batch reach
-        # the numpy column math.  Pruning is checked per batch (exactly
-        # like the thread/process paths check it per submission batch),
-        # so the pruned *count* can differ from the serial scalar path
-        # while the selection — final sort included — stays
-        # byte-identical.
-        # Only a *caller-supplied* cache is threaded through: the batch
-        # estimator memoizes its own partitions and never re-reads
-        # estimates, so offers into the ephemeral internal cache would
-        # be pure key-hashing cost with no possible reader — a shared
-        # cache, by contrast, outlives the run (store flushes, later
-        # scalar lookups) and gets the selected rows offered into it.
-        batch_estimator = BatchLayerEstimator(
-            device, network, cal=cal, cache=shared_cache
-        )
-        step = 64 if options.prune else max(len(order), 1)
-        for start in range(0, len(order), step):
-            survivors = []
-            for index in order[start:start + step]:
-                if prunable(index):
-                    pruned += 1
-                    continue
-                survivors.append(index)
-            if not survivors:
-                continue
-            batch = batch_estimator.map_candidates(
-                [candidates[index].cfg for index in survivors]
-            )
-            for index, result in zip(survivors, batch):
-                if result is None:
-                    continue
-                mapping, estimate = result
-                admit((
-                    _objective(estimate, options.objective),
-                    index, candidates[index], mapping, estimate,
-                ))
-    elif options.jobs > 1:
-        batch = max(2 * options.jobs, 1)
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            for start in range(0, len(order), batch):
-                submitted = []
-                for index in order[start:start + batch]:
-                    if prunable(index):
-                        pruned += 1
-                        continue
-                    submitted.append(pool.submit(evaluate, index))
-                for future in submitted:
-                    item = future.result()
-                    if item is not None:
-                        admit(item)
-    else:
-        for index in order:
+    step = BATCH if options.prune else max(len(order), 1)
+    for start in range(0, len(order), step):
+        window = order[start:start + step]
+        survivors = [index for index in window if not prunable(index)]
+        latencies = dict(zip(survivors, estimator.network_latencies(
+            [candidates[index].cfg for index in survivors]
+        )))
+        # The serial loop, replayed: every candidate it would evaluate
+        # here is a survivor, since kth_best() only falls.
+        for index in window:
             if prunable(index):
                 pruned += 1
                 continue
-            item = evaluate(index)
-            if item is not None:
-                admit(item)
+            latency = latencies[index]
+            if latency is None:
+                continue  # some layer fits no (mode, dataflow)
+            objective = _objective(
+                latency, ops, candidates[index].cfg.instances,
+                options.objective,
+            )
+            scored.append((objective, index))
+            if len(worst_of_top_k) < options.top_k:
+                heapq.heappush(worst_of_top_k, -objective)
+            elif objective < -worst_of_top_k[0]:
+                heapq.heapreplace(worst_of_top_k, -objective)
 
     if not scored:
         raise DseError(
@@ -508,13 +321,14 @@ def run_dse(
         )
     # (objective, enumeration index) replicates the stable sort of the
     # brute-force path regardless of evaluation order.
-    scored.sort(key=lambda item: (item[0], item[1]))
+    scored.sort()
+    top = [candidates[index] for _, index in scored[:options.top_k]]
+    mapped = estimator.map_candidates([candidate.cfg for candidate in top])
     run_stats = (
         cache.stats - stats_before if cache is not None else None
     )
 
-    def to_result(item, runners=()) -> DseResult:
-        _, _, candidate, mapping, estimate = item
+    def to_result(candidate, mapping, estimate, runners=()) -> DseResult:
         return DseResult(
             device_name=device.name,
             cfg=candidate.cfg,
@@ -529,5 +343,8 @@ def run_dse(
             cache_stats=run_stats,
         )
 
-    runners = [to_result(item) for item in scored[1 : options.top_k]]
-    return to_result(scored[0], runners)
+    runners = [
+        to_result(candidate, *pair)
+        for candidate, pair in zip(top[1:], mapped[1:])
+    ]
+    return to_result(top[0], *mapped[0], runners)

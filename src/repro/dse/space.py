@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
 from repro.errors import DseError
 from repro.estimator.calibration import CalibrationProfile, get_calibration
-from repro.estimator.resources import estimate_resources, instances_per_die
+from repro.estimator.resources import estimate_resources, instances_fitting
 from repro.fpga.device import FpgaDevice
 from repro.fpga.resources import ResourceBudget
 
@@ -26,23 +26,17 @@ PARALLEL_FACTORS = (1, 2, 4, 8, 16, 32)
 #: Ranking objectives understood by Step 3.
 OBJECTIVES = ("throughput", "latency")
 
-#: Execution backends for ``jobs > 1`` candidate evaluation.
-EXECUTORS = ("serial", "thread", "process")
-
-#: Step-2/3 evaluation backends: the per-candidate scalar model or the
-#: numpy candidate-batch model (byte-identical selections either way).
-ESTIMATORS = ("scalar", "vectorized")
-
 
 @dataclass(frozen=True)
 class DseOptions:
     """Knobs of the exploration.
 
-    The evaluation knobs (``use_cache``, ``prune``, ``best_first``,
-    ``jobs``, ``executor``) change *how fast* Step 3 runs, never *what*
-    it selects:
-    every combination returns the brute-force design point and runner-up
-    ranking bit for bit.
+    The evaluation knobs (``use_cache``, ``prune``, ``best_first``)
+    change *how fast* Step 3 runs, never *what* it selects: every
+    combination returns the brute-force design point and runner-up
+    ranking bit for bit.  Candidates are always evaluated as numpy
+    batches (:class:`repro.estimator.vectorized.BatchLayerEstimator`)
+    in the calling thread.
 
     Invalid combinations raise :class:`~repro.errors.DseError` at
     construction time, not deep inside :func:`~repro.dse.engine.run_dse`.
@@ -55,49 +49,11 @@ class DseOptions:
     objective: str = "throughput"  # "throughput" | "latency"
     buffer_presets: Optional[Tuple[int, int, int]] = None
     top_k: int = 5
-    use_cache: bool = True  # memoize per-layer estimates
+    use_cache: bool = True  # memoize partitions in the evaluation cache
     prune: bool = True  # skip candidates that cannot reach the top_k
     best_first: bool = False  # evaluate in lower-bound order
-    jobs: int = 1  # parallel candidate evaluations
-    #: "serial" | "thread" | "process" — how ``jobs > 1`` evaluations
-    #: run.  "serial" with ``jobs > 1`` auto-upgrades to "thread" (the
-    #: pre-executor behaviour); "process" ships pickled candidate
-    #: batches to a ProcessPoolExecutor, which scales on GIL builds.
-    executor: str = "serial"
-    #: "scalar" | "vectorized" — how Step 2/3 evaluates candidates.
-    #: "vectorized" batches surviving candidates through
-    #: :class:`repro.estimator.vectorized.BatchLayerEstimator` (numpy
-    #: column math, byte-identical selection).  With ``jobs > 1`` it
-    #: requires the process executor: candidate batches ship to worker
-    #: processes that each run the numpy path ("serial" auto-upgrades
-    #: to "process"; "thread" is rejected — the batch math holds the
-    #: GIL, so threads serialise it).
-    estimator: str = "scalar"
 
     def __post_init__(self) -> None:
-        if self.estimator not in ESTIMATORS:
-            raise DseError(
-                f"unknown estimator {self.estimator!r}; "
-                f"expected one of {ESTIMATORS}"
-            )
-        if self.executor not in EXECUTORS:
-            raise DseError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTORS}"
-            )
-        if self.estimator == "vectorized" and self.jobs > 1 and (
-            self.executor == "thread"
-        ):
-            raise DseError(
-                "estimator='vectorized' with jobs > 1 requires "
-                "executor='process': the numpy batch math holds the "
-                "GIL, so a thread pool would serialise it"
-            )
-        if self.jobs > 1 and self.executor == "serial":
-            upgraded = (
-                "process" if self.estimator == "vectorized" else "thread"
-            )
-            object.__setattr__(self, "executor", upgraded)
         if self.objective not in OBJECTIVES:
             raise DseError(
                 f"unknown objective {self.objective!r}; "
@@ -109,8 +65,6 @@ class DseOptions:
             raise DseError(
                 f"max_instances must be >= 1, got {self.max_instances}"
             )
-        if self.jobs < 1:
-            raise DseError(f"jobs must be >= 1, got {self.jobs}")
         if self.frequency_mhz is not None and self.frequency_mhz <= 0:
             raise DseError(
                 f"frequency_mhz must be positive, got {self.frequency_mhz}"
@@ -180,7 +134,10 @@ def explore_hardware(
                     output_buffer_vecs=buffers[2],
                     frequency_mhz=freq,
                 )
-                per_die = instances_per_die(base, device, cal)
+                # Per-instance resources do not depend on the instance
+                # count: one estimate serves every NI of this base.
+                one = estimate_resources(base, device, cal, per_instance=True)
+                per_die = instances_fitting(one, device.resources_per_die())
                 if per_die < 1:
                     continue
                 max_ni = per_die * device.dies
@@ -188,9 +145,6 @@ def explore_hardware(
                     max_ni = min(max_ni, options.max_instances)
                 for ni in range(1, max_ni + 1):
                     cfg = replace(base, instances=ni)
-                    one = estimate_resources(
-                        cfg, device, cal, per_instance=True
-                    )
                     total = one * ni
                     if not total.fits_in(device.resources):
                         break

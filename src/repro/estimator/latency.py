@@ -20,7 +20,6 @@ from typing import Dict, List
 from repro.arch.params import AcceleratorConfig
 from repro.arch.pe import PIPELINE_DEPTH
 from repro.errors import UnsupportedLayerError
-from repro.estimator.calibration import CalibrationProfile, get_calibration
 from repro.fpga.device import FpgaDevice
 from repro.ir.graph import LayerInfo, Network
 from repro.mapping.partition import fused_pool_for, partition_layer
@@ -78,18 +77,26 @@ class NetworkEstimate:
 
     @property
     def gops_per_instance(self) -> float:
-        return self.ops / self.latency / 1e9 if self.latency else 0.0
+        return aggregate_gops(self.ops, self.latency, 1)
 
     @property
     def gops(self) -> float:
         """Aggregate throughput: instances run batch-parallel images."""
-        return self.gops_per_instance * self.instances
+        return aggregate_gops(self.ops, self.latency, self.instances)
 
     def bound_histogram(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for layer in self.layers:
             counts[layer.bound] = counts.get(layer.bound, 0) + 1
         return counts
+
+
+def aggregate_gops(ops: int, latency: float, instances: int) -> float:
+    """GOPS of ``instances`` batch-parallel copies of a network with
+    this per-image ``latency`` — :attr:`NetworkEstimate.gops`, and the
+    DSE's throughput objective without building the estimate."""
+    per_instance = ops / latency / 1e9 if latency else 0.0
+    return per_instance * instances
 
 
 def _module_times(cfg, device, info, mode):
@@ -136,7 +143,6 @@ def estimate_layer(
     info: LayerInfo,
     mode: str,
     dataflow: str,
-    cal: CalibrationProfile = None,
     fused_pool: int = 1,
     partition=None,
 ) -> LayerEstimate:
@@ -144,17 +150,9 @@ def estimate_layer(
 
     ``T_penalty`` models the un-hidable prologue (first strip + first
     weight group loads), epilogue (last save) and per-group DDR/pipeline
-    overheads — the effects the max() of Eq. 12-15 abstracts away.
-
-    ``cal`` is **accepted and ignored**: the latency equations are
-    calibration-free (calibration feeds the resource model, Eq. 3-5).
-    The parameter survives for signature symmetry with the cached path
-    — :meth:`repro.pipeline.cache.EvaluationCache.estimate` keeps
-    ``cal`` in its memo key so a future calibrated latency term can
-    never read stale persisted entries — and every call site threads
-    the session's profile through uniformly.  The batch API
-    (:class:`repro.estimator.vectorized.BatchLayerEstimator`) does not
-    inherit the dead argument: its estimation methods take no ``cal``.
+    overheads — the effects the max() of Eq. 12-15 abstracts away.  The
+    latency equations are calibration-free: calibration feeds the
+    resource model (Eq. 3-5) only.
 
     ``partition`` may carry a precomputed
     :class:`~repro.mapping.partition.LayerPartition` for this
@@ -219,18 +217,16 @@ def estimate_network(
     device: FpgaDevice,
     network: Network,
     mapping: NetworkMapping,
-    cal: CalibrationProfile = None,
     cache=None,
 ) -> NetworkEstimate:
     """Sum of per-layer estimates — the Table-2 objective.
 
     ``cache`` is an optional :class:`repro.pipeline.cache.EvaluationCache`
     (accepted duck-typed to keep the estimator import-free of the
-    pipeline layer); the DSE threads one through so re-estimating the
-    selected mapping costs dictionary lookups, not model evaluations.
+    pipeline layer); ``map_network`` threads one through so
+    re-estimating the selected mapping costs dictionary lookups, not
+    model evaluations.
     """
-    if cal is None:
-        cal = get_calibration(device.name)
     estimate_fn = cache.estimate if cache is not None else estimate_layer
     mapping.validate_against(network)
     layers = []
@@ -238,7 +234,7 @@ def estimate_network(
         m = mapping.for_layer(info.layer.name)
         pool = fused_pool_for(network, info.index)
         layers.append(
-            estimate_fn(cfg, device, info, m.mode, m.dataflow, cal, pool)
+            estimate_fn(cfg, device, info, m.mode, m.dataflow, pool)
         )
     return NetworkEstimate(
         network_name=network.name, layers=layers, instances=cfg.instances

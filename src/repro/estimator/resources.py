@@ -118,13 +118,16 @@ def instances_per_die(cfg: AcceleratorConfig, device: FpgaDevice,
                       cal: CalibrationProfile = None) -> int:
     """How many instances fit one die (cross-die instances are not
     allowed — Section 1's timing-violation discussion)."""
-    if cal is None:
-        cal = get_calibration(device.name)
     one = estimate_resources(cfg, device, cal, per_instance=True)
-    die = device.resources_per_die()
+    return instances_fitting(one, device.resources_per_die())
+
+
+def instances_fitting(one: ResourceBudget, capacity: ResourceBudget) -> int:
+    """How many copies of the per-instance budget ``one`` fit
+    ``capacity``, resource by resource."""
     counts = []
     for resource in ("luts", "dsps", "brams"):
         used = getattr(one, resource)
-        avail = getattr(die, resource)
+        avail = getattr(capacity, resource)
         counts.append(avail // used if used else math.inf)
     return int(min(counts))

@@ -1,34 +1,52 @@
-"""Vectorised candidate-batch latency estimation (the DSE fast path).
+"""Vectorised candidate-batch latency estimation (the DSE's Step 2/3).
 
 :func:`repro.estimator.latency.estimate_layer` evaluates Eq. 6-15 for
-one (candidate, layer, mode, dataflow) at a time; a full sweep calls it
-tens of thousands of times, and the time goes to Python arithmetic and
-cache-key construction, not to the math.  :class:`BatchLayerEstimator`
-evaluates one layer's terms for a whole *batch* of candidates as numpy
-float64 array operations instead — ``(PI, PO, PT, m, freq, widths,
-instances)`` stacked into columns, ``T_CP/T_LDI/T_LDW/T_SV``, the
-IS/WS body maxes and ``T_penalty`` computed columnwise — and
-materialises :class:`~repro.estimator.latency.LayerEstimate` rows only
-where a scalar result is actually needed.
+one (candidate, layer, mode, dataflow) at a time; a full sweep would
+call it tens of thousands of times, and the time goes to Python
+arithmetic and object construction, not to the math.
+:class:`BatchLayerEstimator` evaluates one layer's terms for a whole
+*batch* of candidates as numpy float64 array operations instead —
+``(PI, PO, PT, m, freq, widths, instances)`` stacked into columns,
+``T_CP/T_LDI/T_LDW/T_SV``, the IS/WS body maxes and ``T_penalty``
+computed columnwise.  It answers three questions per batch:
+
+* :meth:`~BatchLayerEstimator.latency_bounds` — the admissible bound
+  of :func:`~repro.dse.engine.latency_lower_bound`, as one column;
+* :meth:`~BatchLayerEstimator.network_latencies` — each candidate's
+  network latency under the mapping
+  :func:`~repro.dse.engine.map_network` would select, with no
+  estimate object built;
+* :meth:`~BatchLayerEstimator.map_candidates` — the materialised
+  ``(NetworkMapping, NetworkEstimate)`` pairs, which the DSE builds
+  only for the designs it returns.
+
+The batch runs in the calling thread: a process pool costs more to
+start and feed than a 621-candidate VU9P sweep takes serially.
 
 **Exactness.**  The vector path is byte-identical to the scalar
-oracle, not approximately equal.  Every scalar expression is
-replicated element-wise with the same operation order and
-associativity, and IEEE 754 float64 operations are deterministic and
-correctly rounded, so each intermediate is bit-equal.  The one place
-the two paths differ structurally — the scalar path forms integer
-numerators such as ``k * c * r * s * out_h * out_w`` in exact
-Python-int arithmetic and converts to float once, while the vector
-path multiplies float64 values stepwise — stays exact as long as every
-intermediate integer product is below ``2**53`` (float64 represents
-every such integer exactly, and a product of exactly-represented
-integers below the limit is itself exact).  The constructor checks
-this per layer and refuses networks beyond it; nothing in the zoo
-comes within orders of magnitude.  Selection order is replicated too:
-latencies are stacked in the (mode, dataflow) iteration order of
-:func:`~repro.dse.engine.map_network` and ``argmin``/``argmax`` pick
-the *first* extremum, exactly matching the scalar strict-``<`` update
-and the first-maximum ``bound`` key.
+oracle, not approximately equal — every term, the bound column and
+the latency column.  Every scalar expression is replicated
+element-wise with the same operation order and associativity, and IEEE
+754 float64 operations are deterministic and correctly rounded, so
+each intermediate is bit-equal.  The bound column sums its per-layer
+minima from ``0.0`` in layer order, exactly like the scalar loop; a
+network latency is the builtin ``sum`` over the candidate's per-layer
+values in layer order, the same call ``NetworkEstimate.latency``
+makes (so it stays bit-equal on Pythons whose ``sum`` compensates).
+The one place the two paths differ structurally — the scalar path
+forms integer numerators such as ``k * c * r * s * out_h * out_w`` in
+exact Python-int arithmetic and converts to float once, while the
+vector path multiplies float64 values stepwise — stays exact as long as
+every intermediate integer product is below ``2**53`` (float64
+represents every such integer exactly, and a product of
+exactly-represented integers below the limit is itself exact).  The
+constructor checks this per layer and refuses networks beyond it;
+nothing in the zoo comes within orders of magnitude.  Selection order
+is replicated too: latencies are stacked in the (mode, dataflow)
+iteration order of :func:`~repro.dse.engine.map_network` and
+``argmin`` picks the *first* minimum, exactly matching the scalar
+strict-``<`` update; a materialised row's ``bound`` label is chosen by
+the scalar path's own first-maximum rule.
 
 **Group geometry.**  The partition group counts are the only
 per-candidate scalars that cannot vectorise, but they depend only on
@@ -36,19 +54,10 @@ the *partition projection* ``(PI, PO, PT, buffer sizes)`` — a
 621-candidate VU9P sweep collapses onto a few dozen — so one
 :class:`~repro.mapping.partition.LayerPartition` per unique projection
 per (layer, mode) supplies ``GK``/row/total counts for the whole
-column, routed through the
+column, routed through the partition level of the
 :class:`~repro.pipeline.cache.EvaluationCache` when one is threaded so
-partitions keep flowing into the on-disk store.  Selected estimates
-are offered back into the cache the same way
-(:meth:`~repro.pipeline.cache.EvaluationCache.offer_estimate`), which
-keeps the cache/store protocol working without paying the per-call
-key-building cost for the combinations that lost.
-
-Calibration is *not* a parameter of the batch API: ``estimate_layer``
-accepts-and-ignores ``cal`` (latency is calibration-free), so the
-batch methods simply do not take one.  The constructor keeps the
-session's profile solely to build cache/store keys equal to the
-scalar path's.
+partitions keep flowing into the on-disk store.  Nothing else enters
+the cache: estimates are never offered back.
 """
 
 from __future__ import annotations
@@ -59,7 +68,6 @@ import numpy as np
 
 from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
 from repro.errors import DseError, ReproError
-from repro.estimator.calibration import CalibrationProfile
 from repro.estimator.latency import (
     GROUP_OVERHEAD_CYCLES,
     LayerEstimate,
@@ -68,11 +76,7 @@ from repro.estimator.latency import (
 from repro.fpga.device import FpgaDevice
 from repro.ir.graph import LayerInfo, Network
 from repro.ir.layers import Dense
-from repro.mapping.partition import (
-    LayerPartition,
-    fused_pool_for,
-    partition_layer,
-)
+from repro.mapping.partition import fused_pool_for, partition_layer
 from repro.mapping.strategy import (
     DATAFLOWS,
     MODES,
@@ -86,10 +90,6 @@ from repro.mapping.strategy import (
 COMBOS: Tuple[Tuple[str, str], ...] = tuple(
     (mode, dataflow) for mode in MODES for dataflow in DATAFLOWS
 )
-
-#: Bound labels in the dict order of ``estimate_layer``'s ``terms`` —
-#: ``argmax`` over this axis replicates its first-maximum ``bound``.
-BOUND_LABELS = ("input", "weight", "compute", "save")
 
 #: Largest integer float64 represents exactly; the stepwise numerator
 #: products must stay below it for the byte-identity argument to hold.
@@ -137,8 +137,7 @@ class _LayerGeometry:
         if worst >= _EXACT_LIMIT:
             raise DseError(
                 f"layer {self.name!r} is too large for the vectorized "
-                f"estimator's exact float64 products ({worst} >= 2**53); "
-                "use estimator='scalar'"
+                f"estimator's exact float64 products ({worst} >= 2**53)"
             )
 
 
@@ -150,47 +149,20 @@ class BatchLayerEstimator:
     partition lookups are memoized across batches.  ``cache`` is an
     optional :class:`~repro.pipeline.cache.EvaluationCache`
     (duck-typed, like :func:`~repro.estimator.latency.estimate_network`
-    takes it): partitions are routed through it and the selected
-    estimates are offered back, so a store-backed session persists the
-    vectorized run's results exactly like a scalar run's.
+    takes it) whose partition level serves every group-geometry lookup.
     """
 
-    def __init__(
-        self,
-        device: FpgaDevice,
-        network: Network,
-        cal: Optional[CalibrationProfile] = None,
-        cache=None,
-    ):
+    def __init__(self, device: FpgaDevice, network: Network, cache=None):
         self.device = device
         self.network = network
-        #: Cache-key parity with the scalar path only — the latency
-        #: math never reads it (see the module docstring).
-        self._cal = cal
         self.cache = cache
         self.layers = [
             _LayerGeometry(network, info)
             for info in network.compute_layers()
         ]
-        #: (layer index, mode, projection) -> LayerPartition | None
-        #: (None memoizes an infeasible projection).
-        self._partitions: Dict[Tuple, Optional[LayerPartition]] = {}
-        #: layer index -> cache signature (computed lazily: only a
-        #: cache-backed run offers estimates, and the signature is
-        #: per-layer, amortised over hundreds of per-candidate offers).
-        self._signatures: Dict[int, Tuple] = {}
-
-    def _signature_for(self, geom: _LayerGeometry) -> Tuple:
-        try:
-            return self._signatures[geom.index]
-        except KeyError:
-            # Local import: the estimator layer stays import-free of the
-            # pipeline layer (the cache is accepted duck-typed).
-            from repro.pipeline.cache import layer_signature
-
-            sig = layer_signature(geom.info, geom.pool)
-            self._signatures[geom.index] = sig
-            return sig
+        #: (layer index, mode, projection) -> the partition's group
+        #: counts ``(feasible, GK, rows, GC, groups)``.
+        self._groups: Dict[Tuple, Tuple[float, ...]] = {}
 
     # -- group-geometry gathering -----------------------------------------
 
@@ -203,13 +175,13 @@ class BatchLayerEstimator:
             cfg.output_buffer_vecs,
         )
 
-    def _partition_for(
+    def _groups_for(
         self, geom: _LayerGeometry, mode: str, proj: Tuple,
         cfg: AcceleratorConfig,
-    ) -> Optional[LayerPartition]:
+    ) -> Tuple[float, ...]:
         key = (geom.index, mode, proj)
         try:
-            return self._partitions[key]
+            return self._groups[key]
         except KeyError:
             pass
         try:
@@ -220,30 +192,27 @@ class BatchLayerEstimator:
             else:
                 partition = partition_layer(cfg, geom.info, mode, geom.pool)
         except ReproError:
-            partition = None
-        self._partitions[key] = partition
-        return partition
+            groups = (0.0, 1.0, 1.0, 1.0, 1.0)  # infeasible
+        else:
+            groups = (
+                1.0,
+                partition.n_k_groups * partition.n_c_groups,
+                partition.n_row_groups,
+                partition.n_c_groups,
+                partition.total_groups,
+            )
+        self._groups[key] = groups
+        return groups
 
     def _gather_groups(self, geom, mode, reps, proj_ids):
         """Group-count columns, one partition per unique projection."""
-        count = len(reps)
-        ok = np.zeros(count, dtype=bool)
-        gk = np.ones(count)
-        n_rows = np.ones(count)
-        gc = np.ones(count)
-        groups = np.ones(count)
-        for u, (proj, cfg) in enumerate(reps):
-            partition = self._partition_for(geom, mode, proj, cfg)
-            if partition is None:
-                continue
-            ok[u] = True
-            gk[u] = partition.n_k_groups * partition.n_c_groups
-            n_rows[u] = partition.n_row_groups
-            gc[u] = partition.n_c_groups
-            groups[u] = partition.total_groups
+        table = np.array(
+            [self._groups_for(geom, mode, proj, cfg) for proj, cfg in reps],
+            dtype=np.float64,
+        )[proj_ids]
         return (
-            ok[proj_ids], gk[proj_ids], n_rows[proj_ids],
-            gc[proj_ids], groups[proj_ids],
+            table[:, 0] > 0.0, table[:, 1], table[:, 2], table[:, 3],
+            table[:, 4],
         )
 
     # -- Eq. 6-15 columns --------------------------------------------------
@@ -290,13 +259,33 @@ class BatchLayerEstimator:
         t_sv = geom.sv_elems / np.minimum(bw_f, freq * po * pt)  # Eq. 11
         return t_comp, t_ldi, t_ldw, t_sv
 
+    def latency_bounds(
+        self, cfgs: Sequence[AcceleratorConfig]
+    ) -> np.ndarray:
+        """:func:`~repro.dse.engine.latency_lower_bound` per candidate.
+
+        Per layer the largest of the four module times, the smaller of
+        its Spatial and (where supported) Winograd values, summed from
+        ``0.0`` in layer order like the scalar loop — bit-equal to it.
+        """
+        cols = self._columns(cfgs)
+        total = np.zeros(len(cfgs))
+        for geom in self.layers:
+            bound = _largest(self._mode_times(geom, "spat", cols))
+            if geom.wino_ok:
+                bound = np.minimum(
+                    bound, _largest(self._mode_times(geom, "wino", cols))
+                )
+            total = total + bound
+        return total
+
     def _evaluate(self, cfgs: Sequence[AcceleratorConfig]):
         """All terms for every (layer, combo, candidate).
 
         Returns, per layer, one row per :data:`COMBOS` entry: ``None``
         when the combination is infeasible for the whole batch, else
         ``(feasible, t_comp, t_ldi, t_ldw, t_sv, t_penalty, latency,
-        bound_idx)`` column arrays.
+        input_term, weight_term)`` column arrays.
         """
         cols = self._columns(cfgs)
         freq = cols[4]
@@ -355,36 +344,71 @@ class BatchLayerEstimator:
                         ),
                         t_sv,
                     )
-                    latency = body + t_penalty
-                    bound_idx = np.argmax(
-                        np.stack(
-                            (input_term, weight_term, t_comp, t_sv)
-                        ),
-                        axis=0,
-                    )
                     combo_rows.append((
                         feasible, t_comp, t_ldi, t_ldw, t_sv,
-                        t_penalty, latency, bound_idx,
+                        t_penalty, body + t_penalty,
+                        input_term, weight_term,
                     ))
             per_layer.append(combo_rows)
         return per_layer
 
-    # -- materialisation ---------------------------------------------------
+    def _select(self, per_layer, count: int):
+        """``map_network``'s pick per (layer, candidate).
+
+        Returns ``(choices, latency, alive)``: the index into
+        :data:`COMBOS` of the first least-latency feasible combination,
+        its latency, and the candidates where every layer has one.
+        """
+        choices = np.zeros((len(self.layers), count), dtype=np.intp)
+        latency = np.empty((len(self.layers), count))
+        columns = np.arange(count)
+        for li, rows in enumerate(per_layer):
+            lat = np.full((len(COMBOS), count), np.inf)
+            for ci, row in enumerate(rows):
+                if row is not None:
+                    lat[ci] = np.where(row[0], row[6], np.inf)
+            choices[li] = np.argmin(lat, axis=0)
+            latency[li] = lat[choices[li], columns]
+        return choices, latency, np.isfinite(latency).all(axis=0)
+
+    # -- results -----------------------------------------------------------
+
+    def network_latencies(
+        self, cfgs: Sequence[AcceleratorConfig]
+    ) -> List[Optional[float]]:
+        """Per candidate: the ``latency`` of the ``NetworkEstimate``
+        :func:`~repro.dse.engine.map_network` would return, or ``None``
+        where it would raise :class:`~repro.errors.DseError` (some layer
+        fits no combination).  No estimate object is built."""
+        cfgs = list(cfgs)
+        if not cfgs:
+            return []
+        _, latency, alive = self._select(self._evaluate(cfgs), len(cfgs))
+        return [
+            sum(layers) if ok else None
+            for layers, ok in zip(latency.T.tolist(), alive.tolist())
+        ]
 
     @staticmethod
     def _materialize(geom, row, j, mode, dataflow) -> LayerEstimate:
         """One scalar :class:`LayerEstimate` out of the column arrays."""
+        terms = {
+            "input": float(row[7][j]),
+            "weight": float(row[8][j]),
+            "compute": float(row[1][j]),
+            "save": float(row[4][j]),
+        }
         return LayerEstimate(
             layer_name=geom.name,
             mode=mode,
             dataflow=dataflow,
-            t_comp=float(row[1][j]),
+            t_comp=terms["compute"],
             t_ldi=float(row[2][j]),
             t_ldw=float(row[3][j]),
-            t_sv=float(row[4][j]),
+            t_sv=terms["save"],
             t_penalty=float(row[5][j]),
             latency=float(row[6][j]),
-            bound=BOUND_LABELS[int(row[7][j])],
+            bound=max(terms, key=terms.get),
             ops=geom.ops,
         )
 
@@ -433,20 +457,7 @@ class BatchLayerEstimator:
         if not cfgs:
             return []
         per_layer = self._evaluate(cfgs)
-        n = len(cfgs)
-        n_layers = len(self.layers)
-        alive = np.ones(n, dtype=bool)
-        choices = np.zeros((n_layers, n), dtype=np.intp)
-        for li in range(n_layers):
-            lat = np.full((len(COMBOS), n), np.inf)
-            for ci, row in enumerate(per_layer[li]):
-                if row is None:
-                    continue
-                lat[ci] = np.where(row[0], row[6], np.inf)
-            best = np.argmin(lat, axis=0)
-            choices[li] = best
-            alive &= np.isfinite(lat[best, np.arange(n)])
-
+        choices, _, alive = self._select(per_layer, len(cfgs))
         results: List[Optional[Tuple[NetworkMapping, NetworkEstimate]]] = []
         for j, cfg in enumerate(cfgs):
             if not alive[j]:
@@ -457,17 +468,10 @@ class BatchLayerEstimator:
             for li, geom in enumerate(self.layers):
                 ci = int(choices[li, j])
                 mode, dataflow = COMBOS[ci]
-                estimate = self._materialize(
+                estimates.append(self._materialize(
                     geom, per_layer[li][ci], j, mode, dataflow
-                )
+                ))
                 selections.append(LayerMapping(geom.name, mode, dataflow))
-                estimates.append(estimate)
-                if self.cache is not None:
-                    self.cache.offer_estimate(
-                        cfg, self.device, geom.info, mode, dataflow,
-                        estimate, self._cal, geom.pool,
-                        signature=self._signature_for(geom),
-                    )
             results.append((
                 NetworkMapping(self.network.name, selections),
                 NetworkEstimate(
@@ -477,3 +481,9 @@ class BatchLayerEstimator:
                 ),
             ))
         return results
+
+
+def _largest(terms) -> np.ndarray:
+    """Columnwise ``max`` of the four module times."""
+    t_comp, t_ldi, t_ldw, t_sv = terms
+    return np.maximum(np.maximum(np.maximum(t_comp, t_ldi), t_ldw), t_sv)

@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 
 from repro.analysis.report import Table
 from repro.errors import ReproError
-from repro.estimator.calibration import get_calibration
 from repro.experiments.common import paper_config, simulate_network
 from repro.ir import zoo
 from repro.mapping.strategy import LayerMapping, NetworkMapping
@@ -64,19 +63,18 @@ class Figure6Point:
 
 
 def _layer_perf(
-    cfg, device, network, mode: str, cal, cache: EvaluationCache
+    cfg, device, network, mode: str, cache: EvaluationCache
 ) -> Tuple[float, float]:
     """(esti, real) per-instance GOPS for one single-conv network.
 
-    ``cal`` and ``cache`` are resolved once per sweep: the calibration
-    lookup happens a single time and the (mode, dataflow) estimates of
-    repeated sweep shapes are memoized.
+    ``cache`` is shared across the sweep: the (mode, dataflow)
+    estimates of repeated sweep shapes are memoized.
     """
     info = network.compute_layers()[0]
     best: Optional[Tuple[float, str]] = None
     for dataflow in ("is", "ws"):
         try:
-            est = cache.estimate(cfg, device, info, mode, dataflow, cal)
+            est = cache.estimate(cfg, device, info, mode, dataflow)
         except ReproError:
             continue
         if best is None or est.latency < best[0]:
@@ -100,7 +98,6 @@ def run_figure6(
 ) -> List[Figure6Point]:
     """Run the sweep for one device; returns one point per layer."""
     cfg, device = paper_config(device_name)
-    cal = get_calibration(device.name)
     cache = EvaluationCache()
     if series is None:
         series = CLOUD_SERIES if device.name == "vu9p" else EMBEDDED_SERIES
@@ -113,9 +110,9 @@ def run_figure6(
                 name=f"sweep_k{kernel}_f{feature}_c{channels}",
             )
             wino_e, wino_r = _layer_perf(cfg, device, network, "wino",
-                                         cal, cache)
+                                         cache)
             spat_e, spat_r = _layer_perf(cfg, device, network, "spat",
-                                         cal, cache)
+                                         cache)
             points.append(
                 Figure6Point(
                     index=index,

@@ -1,23 +1,22 @@
 """Memoized layer estimation (the pipeline's innermost cache).
 
-``estimate_layer`` is the hot function of the DSE: a full sweep calls it
-once per (candidate x layer x mode x dataflow) plus once more per layer
-for the final network estimate.  The cache memoizes it at two levels:
+``estimate_layer`` is the hot function of the single-design path:
+:func:`~repro.dse.engine.map_network` calls it once per (layer x mode x
+dataflow) plus once more per layer for the network estimate.  The
+cache memoizes it at two levels:
 
 * the **estimate level** keys on everything the result depends on — the
   layer's *shape signature* (geometry only, not identity: VGG-style
   networks repeat convolution shapes heavily, so conv5_1 and conv5_2
   share one entry), the accelerator configuration, the device's memory
-  system, mode, dataflow, fused-pool factor and the calibration profile
-  (calibration feeds the resource model, not the latency equations —
-  see ``estimate_layer`` — but it stays in the key so a future
-  calibrated latency term can never read stale entries, in memory or
-  from a persisted store);
+  system, mode, dataflow and fused-pool factor (latency is
+  calibration-free, so the calibration profile is not part of it);
 * the **partition level** keys on the subset the group geometry depends
   on — shape, (PI, PO, PT), buffer sizes and mode.  A partition is
   therefore shared across both dataflows, all data widths, all clocks
-  and every instance count of the same PE geometry, which is where a
-  candidate sweep spends most of its redundant work.
+  and every instance count of the same PE geometry.  The DSE's
+  candidate-batch estimator reads the group geometry only through this
+  level, so it is all the traffic a DSE puts through the cache.
 
 Failures are memoized too: an infeasible combination raises an equal
 :class:`~repro.errors.ReproError` on every retry, so both levels store
@@ -34,21 +33,19 @@ paths return byte-identical results.
 Entries are plain ``(value, error, from_name)`` triples of frozen
 dataclasses and :class:`~repro.errors.ReproError` instances, so they are
 pickleable by value.  That is what lets a cache be **warmed** from an
-on-disk :class:`~repro.pipeline.store.EvaluationStore`, hand its *dirty
-delta* (entries computed since the last flush) back to the store, ship
-entry snapshots to process-pool DSE workers, and **merge** the deltas
-those workers return.
+on-disk :class:`~repro.pipeline.store.EvaluationStore` and hand its
+*dirty delta* (entries computed since the last flush) back to the
+store.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.arch.params import AcceleratorConfig
 from repro.errors import ReproError
-from repro.estimator.calibration import CalibrationProfile
 from repro.estimator.latency import LayerEstimate, estimate_layer
 from repro.fpga.device import FpgaDevice
 from repro.ir.graph import LayerInfo
@@ -154,9 +151,9 @@ class EvaluationCache:
     """Memoizes :func:`repro.estimator.latency.estimate_layer`.
 
     Thread-safe: entries are plain dict items written under a lock, so a
-    cache may be shared by the parallel DSE workers.  Two workers racing
-    on the same key at worst compute the entry twice; both arrive at the
-    identical value, so correctness is unaffected.
+    cache may be shared across threads.  Two threads racing on the same
+    key at worst compute the entry twice; both arrive at the identical
+    value, so correctness is unaffected.
     """
 
     def __init__(self) -> None:
@@ -169,9 +166,9 @@ class EvaluationCache:
         self._part_misses = 0
         self._dedup_hits = 0
         self._error_entries = 0  # error-valued estimate entries (O(1) stats)
-        # Keys inserted by computation or merge since the last
-        # take_dirty() — the delta an EvaluationStore persists.  Warmed
-        # keys are deliberately absent: they came *from* the store.
+        # Keys computed since the last take_dirty() — the delta an
+        # EvaluationStore persists.  Warmed keys are deliberately
+        # absent: they came *from* the store.
         self._dirty_estimates = set()
         self._dirty_partitions = set()
 
@@ -225,7 +222,6 @@ class EvaluationCache:
         info: LayerInfo,
         mode: str,
         dataflow: str,
-        cal: Optional[CalibrationProfile] = None,
         fused_pool: int = 1,
     ) -> LayerEstimate:
         """Cached drop-in for ``estimate_layer`` (same raises)."""
@@ -236,7 +232,6 @@ class EvaluationCache:
             device.memory,
             mode,
             dataflow,
-            cal,
         )
         entry = self._estimates.get(key)
         if entry is not None:
@@ -253,7 +248,7 @@ class EvaluationCache:
         try:
             partition = self.partition(cfg, info, mode, fused_pool)
             estimate = estimate_layer(
-                cfg, device, info, mode, dataflow, cal, fused_pool,
+                cfg, device, info, mode, dataflow, fused_pool,
                 partition=partition,
             )
         except ReproError as exc:
@@ -268,50 +263,6 @@ class EvaluationCache:
             self._estimates[key] = (estimate, None, info.layer.name)
             self._dirty_estimates.add(key)
         return estimate
-
-    def offer_estimate(
-        self,
-        cfg: AcceleratorConfig,
-        device: FpgaDevice,
-        info: LayerInfo,
-        mode: str,
-        dataflow: str,
-        estimate: LayerEstimate,
-        cal: Optional[CalibrationProfile] = None,
-        fused_pool: int = 1,
-        signature: Optional[tuple] = None,
-    ) -> bool:
-        """Insert an externally computed estimate (the vectorized DSE
-        path materialises its selected rows through here).
-
-        The key matches :meth:`estimate`'s exactly, so offered rows are
-        indistinguishable from computed ones to later lookups, to
-        :meth:`take_dirty`/store flushes and to process-worker
-        snapshots.  Present keys win (first writer, like :meth:`warm`
-        and :meth:`merge`); counters are untouched — an offer is
-        neither a hit nor a miss.  Returns ``True`` when inserted.
-
-        ``signature`` may carry a precomputed
-        ``layer_signature(info, fused_pool)`` — the signature is
-        per-layer, not per-candidate, so batch callers amortise it
-        across hundreds of offers.
-        """
-        key = (
-            signature if signature is not None
-            else layer_signature(info, fused_pool),
-            cfg,
-            device.name,
-            device.memory,
-            mode,
-            dataflow,
-            cal,
-        )
-        with self._lock:
-            if key in self._estimates:
-                return False
-            self._estimates[key] = (estimate, None, estimate.layer_name)
-            self._dirty_estimates.add(key)
-            return True
 
     @property
     def stats(self) -> CacheStats:
@@ -361,7 +312,7 @@ class EvaluationCache:
             return len(self._estimates) + len(self._partitions) - before
 
     def take_dirty(self) -> Tuple[dict, dict]:
-        """Entries computed or merged since the last call (and un-dirty
+        """Entries computed since the last call (and un-dirty
         them) — the delta an :class:`EvaluationStore` flush persists."""
         with self._lock:
             estimates = {
@@ -387,47 +338,3 @@ class EvaluationCache:
             self._dirty_partitions.update(
                 key for key in partition_keys if key in self._partitions
             )
-
-    def snapshot_entries(self) -> Tuple[dict, dict]:
-        """Shallow copies of both memo levels (for seeding workers)."""
-        with self._lock:
-            return dict(self._estimates), dict(self._partitions)
-
-    def merge(
-        self,
-        estimates: dict,
-        partitions: dict,
-        stats: Optional[CacheStats] = None,
-    ) -> int:
-        """Absorb a worker's cache delta; returns entries added.
-
-        New keys are inserted *dirty* (they were computed, just in
-        another process, so a store flush must see them); present keys
-        win exactly as in :meth:`warm`.  ``stats`` — the worker's
-        counter delta — is accumulated so process-pool runs report
-        honest hit/miss totals.  (They can differ slightly from a
-        single-process run's: workers that independently derive the
-        same shared key each count a miss where one thread would have
-        hit.  Entries and selections are unaffected.)
-        """
-        added = 0
-        with self._lock:
-            for key, entry in estimates.items():
-                if key not in self._estimates:
-                    self._estimates[key] = entry
-                    self._dirty_estimates.add(key)
-                    if entry[1] is not None:
-                        self._error_entries += 1
-                    added += 1
-            for key, entry in partitions.items():
-                if key not in self._partitions:
-                    self._partitions[key] = entry
-                    self._dirty_partitions.add(key)
-                    added += 1
-            if stats is not None:
-                self._hits += stats.hits
-                self._misses += stats.misses
-                self._part_hits += stats.partition_hits
-                self._part_misses += stats.partition_misses
-                self._dedup_hits += stats.shape_dedup_hits
-        return added

@@ -112,8 +112,8 @@ class PipelineSession:
         self.network = network
         self.device = device
         self.options = options or DseOptions()
-        #: Calibration resolved once per session, threaded through every
-        #: map/estimate/DSE call (no per-call registry lookups).
+        #: Calibration resolved once per session and threaded through
+        #: Step 1's resource model (no per-call registry lookups).
         self.calibration = get_calibration(device.name)
         self.cache = cache if cache is not None else EvaluationCache()
         if isinstance(store, (str, Path)):
@@ -180,11 +180,7 @@ class PipelineSession:
                 self._mapping = self.dse().mapping
             else:
                 self._mapping, self._estimate = map_network(
-                    self._cfg,
-                    self.device,
-                    self.network,
-                    self.calibration,
-                    cache=self.cache,
+                    self._cfg, self.device, self.network, cache=self.cache
                 )
         return self._mapping
 
@@ -197,11 +193,7 @@ class PipelineSession:
                 mapping = self.mapping()
                 if self._estimate is None:  # pinned mapping path
                     self._estimate = estimate_network(
-                        self._cfg,
-                        self.device,
-                        self.network,
-                        mapping,
-                        self.calibration,
+                        self._cfg, self.device, self.network, mapping,
                         self.cache,
                     )
         return self._estimate

@@ -43,8 +43,7 @@ builds its dict, never by the merge.
 Pickle is the right codec here: keys and values are frozen dataclasses
 (:class:`~repro.arch.params.AcceleratorConfig`,
 :class:`~repro.estimator.latency.LayerEstimate`,
-:class:`~repro.mapping.partition.LayerPartition`,
-:class:`~repro.estimator.calibration.CalibrationProfile`) plus memoized
+:class:`~repro.mapping.partition.LayerPartition`) plus memoized
 :class:`~repro.errors.ReproError` instances, all of which round-trip by
 value.  ``STORE_VERSION`` must be bumped whenever persisted results
 could change meaning: a persisted type, the segment layout or the
@@ -71,8 +70,9 @@ from repro.errors import ReproError
 #: Bump on any change to the cache signatures, the pickled value types,
 #: the segment layout OR the analytical model equations (see the module
 #: docstring); readers reject segments written under a different
-#: version.  Version 2 split the estimates into per-device scopes.
-STORE_VERSION = 2
+#: version.  Version 2 split the estimates into per-device scopes;
+#: version 3 dropped the calibration profile from the estimate key.
+STORE_VERSION = 3
 
 #: Leading bytes of every segment file.
 MAGIC = b"repro-store\n"

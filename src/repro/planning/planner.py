@@ -8,7 +8,7 @@
    :class:`~repro.pipeline.session.PipelineSession`, the analytical
    Eq. 12-15 latency (one vectorized
    :class:`~repro.estimator.vectorized.BatchLayerEstimator` call per
-   cfg, memoized through the shared
+   cfg, its partitions memoized through the shared
    :class:`~repro.pipeline.cache.EvaluationCache` and any
    :class:`~repro.pipeline.store.EvaluationStore` behind it) and the
    simulated per-image probe the admissible bounds need;
@@ -159,8 +159,8 @@ def resolve_kinds(
     Paper devices (``vu9p``, ``pynq-z1``) pin the Table-4 config; any
     other catalog device runs its DSE through the same cache.  Each
     cfg's analytical latency comes from one vectorized
-    ``map_candidates`` call, memoized through the cache so a
-    store-backed run never recomputes it.  With a ``store``, each
+    ``network_latencies`` call whose partitions come through the cache,
+    so a store-backed run never recomputes them.  With a ``store``, each
     kind's device scope is warmed into the cache once, before its DSE;
     flushing the cache back is the caller's job.
     """
@@ -185,16 +185,15 @@ def resolve_kinds(
         kind = DeviceKind.build(
             network, device, cfg, spec.weight, seed, cache=cache
         )
-        estimator = BatchLayerEstimator(
-            device, network, cal=kind.session.calibration, cache=cache
-        )
-        mapped = estimator.map_candidates([cfg])[0]
-        if mapped is None:
+        (latency,) = BatchLayerEstimator(
+            device, network, cache=cache
+        ).network_latencies([cfg])
+        if latency is None:
             raise PlanningError(
                 f"{device.name}: the resolved config maps no feasible "
                 "(mode, dataflow) for some layer"
             )
-        kind.analytical_latency_s = mapped[1].latency
+        kind.analytical_latency_s = latency
         kinds.append(kind)
     return kinds
 

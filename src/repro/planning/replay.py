@@ -18,7 +18,6 @@ fields, and the parent reassembles them in plan order — so
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -173,6 +172,10 @@ def replay_finalists(
             f"expected one of {PLAN_EXECUTORS}"
         )
     if executor == "process" and workers > 1 and len(jobs) > 1:
+        # Imported here: only a pool-building replay pays for the
+        # concurrent/multiprocessing import chain.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(workers, len(jobs)),
             initializer=_replay_worker_init,

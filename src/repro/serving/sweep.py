@@ -8,24 +8,21 @@ them.  :func:`run_sweep` executes a :class:`SweepGrid` under
 survival fractions into a :class:`SweepReport` whose JSON form is
 consumable by ``benchmarks/append_trajectory.py``.
 
-Parallelism reuses the DSE engine's process-pool pattern
-(``DseOptions.executor="process"``): workers are primed once via a
-pool initializer with a picklable payload — the network, device and
-*resolved* config, so no worker re-runs the DSE — and each cell runs a
-complete, independent simulation in whatever process picks it up.
-Determinism is preserved by construction: a cell's result depends only
-on the cell (its seed is ``base seed + cell index``), results carry no
-wall-clock fields, and the parent reassembles them in grid order — so
-``executor="process"`` produces byte-identical report JSON to
-``executor="serial"`` (a tier-1 test pins this, mirroring the DSE
-equivalence test).
+Parallelism is a pinned-payload process pool: workers are primed once
+via a pool initializer with a picklable payload — the network, device
+and *resolved* config, so no worker re-runs the DSE — and each cell
+runs a complete, independent simulation in whatever process picks it
+up.  Determinism is preserved by construction: a cell's result depends
+only on the cell (its seed is ``base seed + cell index``), results
+carry no wall-clock fields, and the parent reassembles them in grid
+order — so ``executor="process"`` produces byte-identical report JSON
+to ``executor="serial"`` (a tier-1 test pins this).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,8 +44,7 @@ from repro.serving.traffic import (
 
 #: Sweep execution backends.  ``thread`` is deliberately absent: cells
 #: mutate shared shard timelines, so threads would need per-thread
-#: pools for no benefit on GIL builds — the DSE keeps ``thread`` only
-#: because its evaluations are read-only.
+#: pools for no benefit on GIL builds.
 SWEEP_EXECUTORS = ("serial", "process")
 
 #: The scenario spec meaning "no perturbation" in a grid.
@@ -356,7 +352,7 @@ def _safe(value: float) -> Optional[float]:
 
 
 #: Worker-side state, installed once per process by the pool
-#: initializer (same pattern as ``repro.dse.engine``).
+#: initializer.
 _sweep_state: dict = {}
 
 
@@ -519,15 +515,19 @@ def run_sweep(
 
     The session's config is resolved *here*, in the parent — one DSE
     no matter how many workers — and shipped to workers as a pinned
-    payload, exactly like the DSE engine primes its evaluators.  The
-    serial path runs the same per-cell code on the parent's session, so
-    the two executors are the same computation scheduled differently —
-    which is why their reports serialise byte-identically.
+    payload.  The serial path runs the same per-cell code on the
+    parent's session, so the two executors are the same computation
+    scheduled differently — which is why their reports serialise
+    byte-identically.
     """
     options = options or SweepOptions()
     cells = grid.cells(seed)
     start = time.perf_counter()
     if options.executor == "process" and options.jobs > 1:
+        # Imported here: only a pool-building sweep pays for the
+        # concurrent/multiprocessing import chain.
+        from concurrent.futures import ProcessPoolExecutor
+
         payload = (
             session.network, session.device, session.cfg,
             session.compiler_options, session.seed, options,

@@ -361,14 +361,20 @@ class TestCommands:
     def test_cache_info_and_compact(self, tmp_path, capsys):
         from collections import Counter
 
-        from repro.pipeline import EvaluationStore
+        from repro.dse import explore_hardware
+        from repro.fpga import get_device
+        from repro.pipeline import EvaluationStore, PipelineSession
 
+        # A DSE persists partitions only; estimates come from sessions
+        # pinned to one design, each flush one segment.
         cache_dir = str(tmp_path / "memo")
         for model, device in (("tiny_cnn", "pynq-z1"),
                               ("tiny_mlp", "pynq-z1"),
                               ("tiny_cnn", "zcu102")):
-            assert main(["dse", "--model", model, "--device", device,
-                         "--cache-dir", cache_dir]) == 0
+            cfg = explore_hardware(get_device(device))[0].cfg
+            with PipelineSession(model, device, cfg=cfg,
+                                 store=cache_dir) as session:
+                session.estimate()
         estimates, partitions = EvaluationStore(cache_dir).load()
         scopes = Counter(key[2] for key in estimates)
         assert set(scopes) == {"pynq-z1", "zcu102"}

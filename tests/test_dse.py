@@ -1,11 +1,64 @@
 """Tests for repro.dse — the 3-step design space exploration."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
 from repro.dse import explore_hardware, map_network, run_dse
-from repro.dse.space import DseOptions, default_buffers
+from repro.dse.space import (
+    PARALLEL_FACTORS,
+    DseOptions,
+    HardwareCandidate,
+    default_buffers,
+)
 from repro.errors import DseError
+from repro.estimator.calibration import get_calibration
+from repro.estimator.resources import estimate_resources, instances_per_die
+from repro.fpga import DEVICES, get_device
 from repro.ir import zoo
+
+
+def per_instance_enumeration(device, options):
+    """Step 1 estimating resources once per (PT, PI, PO, NI) — the
+    reference the per-base estimate must reproduce exactly."""
+    cal = get_calibration(device.name)
+    freq = options.frequency_mhz or device.frequency_mhz
+    buffers = options.buffer_presets or default_buffers(device)
+    candidates = []
+    for pt in SUPPORTED_PT:
+        for pi in PARALLEL_FACTORS:
+            for po in PARALLEL_FACTORS:
+                if po > pi:
+                    continue
+                base = AcceleratorConfig(
+                    pi=pi, po=po, pt=pt,
+                    data_width=options.data_width,
+                    weight_width=options.weight_width,
+                    instances=1,
+                    input_buffer_vecs=buffers[0],
+                    weight_buffer_vecs=buffers[1],
+                    output_buffer_vecs=buffers[2],
+                    frequency_mhz=freq,
+                )
+                per_die = instances_per_die(base, device, cal)
+                if per_die < 1:
+                    continue
+                max_ni = per_die * device.dies
+                if options.max_instances is not None:
+                    max_ni = min(max_ni, options.max_instances)
+                for ni in range(1, max_ni + 1):
+                    cfg = replace(base, instances=ni)
+                    one = estimate_resources(
+                        cfg, device, cal, per_instance=True
+                    )
+                    total = one * ni
+                    if not total.fits_in(device.resources):
+                        break
+                    candidates.append(HardwareCandidate(
+                        cfg=cfg, per_instance=one, total=total
+                    ))
+    return candidates
 
 
 class TestStep1Explore:
@@ -21,6 +74,23 @@ class TestStep1Explore:
     def test_max_instances_option(self, vu9p):
         capped = explore_hardware(vu9p, DseOptions(max_instances=2))
         assert all(c.cfg.instances <= 2 for c in capped)
+
+    @pytest.mark.parametrize("device_name", sorted(DEVICES))
+    @pytest.mark.parametrize(
+        "options",
+        [DseOptions(), DseOptions(max_instances=3, data_width=16,
+                                  buffer_presets=(4096, 2048, 2048))],
+        ids=["default", "capped"],
+    )
+    def test_candidates_identical_to_per_instance_estimates(
+        self, device_name, options
+    ):
+        device = get_device(device_name)
+        got = explore_hardware(device, options)
+        assert got == per_instance_enumeration(device, options)
+        assert [repr(c) for c in got] == [
+            repr(c) for c in per_instance_enumeration(device, options)
+        ]
 
     def test_buffer_presets(self, vu9p, pynq):
         assert default_buffers(vu9p)[0] > default_buffers(pynq)[0]

@@ -5,7 +5,8 @@ every :class:`~repro.estimator.latency.LayerEstimate` the batch path
 materialises must be bit-equal to what
 :func:`~repro.estimator.latency.estimate_layer` computes, and the DSE
 selection (winner, runner-up ranking, infeasibility) must be
-byte-identical under ``estimator="vectorized"``.
+byte-identical to the serial scalar path's
+(``tests/test_dse_oracle.py``).
 """
 
 import pytest
@@ -22,7 +23,9 @@ from repro.estimator.vectorized import COMBOS
 from repro.fpga import get_device
 from repro.ir import zoo
 from repro.mapping.partition import fused_pool_for
+from repro.mapping.partition import partition_layer
 from repro.pipeline import EvaluationCache
+from test_dse_oracle import scalar_run_dse
 
 DEVICE = get_device("vu9p")
 
@@ -117,6 +120,23 @@ def test_grid_matches_on_multilayer_models(model):
     )
 
 
+def test_network_latencies_match_map_network():
+    """The latency column is the materialised estimate's latency, bit
+    for bit, and None exactly where map_network raises."""
+    network = zoo.tiny_cnn()
+    estimator = BatchLayerEstimator(DEVICE, network)
+    for cfg, latency in zip(
+        CFG_BATCH, estimator.network_latencies(CFG_BATCH)
+    ):
+        try:
+            _, expected = map_network(cfg, DEVICE, network)
+        except DseError:
+            assert latency is None
+            continue
+        assert latency is not None
+        assert latency.hex() == expected.latency.hex()
+
+
 def test_map_candidates_matches_map_network():
     """Per-candidate (mapping, estimate) equals map_network's — and a
     candidate map_network rejects comes back as None."""
@@ -139,9 +159,9 @@ def test_map_candidates_matches_map_network():
 
 
 def test_map_candidates_empty_batch():
-    assert BatchLayerEstimator(DEVICE, zoo.tiny_cnn()).map_candidates(
-        []
-    ) == []
+    estimator = BatchLayerEstimator(DEVICE, zoo.tiny_cnn())
+    assert estimator.map_candidates([]) == []
+    assert estimator.network_latencies([]) == []
 
 
 def _ranking(result):
@@ -161,177 +181,100 @@ def _ranking(result):
     ],
 )
 def test_run_dse_vectorized_identical(objective, knobs):
-    """The full DSE under estimator="vectorized" returns the scalar
-    ranking byte for byte under every evaluation-knob combination."""
+    """The batched DSE returns the serial scalar ranking and counts
+    byte for byte under every evaluation-knob combination."""
     network = zoo.tiny_cnn()
-    scalar = run_dse(
-        DEVICE, network, DseOptions(objective=objective, **knobs)
-    )
-    vectorized = run_dse(
-        DEVICE, network,
-        DseOptions(objective=objective, estimator="vectorized", **knobs),
-    )
+    options = DseOptions(objective=objective, **knobs)
+    scalar = scalar_run_dse(DEVICE, network, options)
+    vectorized = run_dse(DEVICE, network, options)
     assert _ranking(vectorized) == _ranking(scalar)
     assert (
-        vectorized.candidates_considered == scalar.candidates_considered
+        vectorized.candidates_considered,
+        vectorized.candidates_evaluated,
+        vectorized.candidates_pruned,
+    ) == (
+        scalar.candidates_considered,
+        scalar.candidates_evaluated,
+        scalar.candidates_pruned,
     )
 
 
 def test_vectorized_offers_populate_supplied_cache():
-    """A caller-supplied cache receives the selected rows: dirty for
-    the store flush, and bit-identical hits for later scalar lookups."""
+    """A caller-supplied cache receives the partitions the DSE looked
+    up — dirty for the store flush, and bit-identical hits for later
+    scalar lookups — and no estimate at all."""
     network = zoo.tiny_cnn()
     cache = EvaluationCache()
-    result = run_dse(
-        DEVICE, network,
-        DseOptions(estimator="vectorized"), cache=cache,
-    )
-    dirty_estimates, _ = cache.take_dirty()
-    assert dirty_estimates  # something to flush
-    # Re-reading the winner's selection through the cache must hit and
-    # return exactly the estimates the vectorized run materialised.
-    # The key includes the calibration profile run_dse resolved.
-    from repro.estimator.calibration import get_calibration
-
-    cal = get_calibration(DEVICE.name)
-    before = cache.stats.hits
+    result = run_dse(DEVICE, network, DseOptions(), cache=cache)
+    dirty_estimates, dirty_partitions = cache.take_dirty()
+    assert dirty_estimates == {}
+    assert len(dirty_partitions) == result.cache_stats.partition_misses > 0
+    # Re-reading the winner's partitions through the cache must hit and
+    # return exactly what partition_layer computes.
+    before = cache.stats
     for info, layer_est in zip(
         network.compute_layers(), result.estimate.layers
     ):
         pool = fused_pool_for(network, info.index)
-        cached = cache.estimate(
-            result.cfg, DEVICE, info, layer_est.mode,
-            layer_est.dataflow, cal, pool,
+        cached = cache.partition(result.cfg, info, layer_est.mode, pool)
+        assert cached == partition_layer(
+            result.cfg, info, layer_est.mode, pool
         )
-        assert cached == layer_est
-    assert cache.stats.hits == before + len(result.estimate.layers)
+    delta = cache.stats - before
+    assert delta.partition_hits == len(result.estimate.layers)
+    assert delta.partition_misses == 0
 
 
 def test_internal_cache_gets_no_offers():
-    """Without a caller-supplied cache the batch path skips offers
-    entirely (nothing could ever read them) — observable as zero cache
-    activity in the result stats."""
-    result = run_dse(
-        DEVICE, zoo.tiny_cnn(), DseOptions(estimator="vectorized")
-    )
+    """No estimate enters the cache: without a caller-supplied cache
+    the run's internal one sees partition traffic only — observable as
+    zero estimate-level activity in the result stats."""
+    result = run_dse(DEVICE, zoo.tiny_cnn(), DseOptions())
     assert result.cache_stats is not None
     assert result.cache_stats.hits == 0
     assert result.cache_stats.misses == 0
-
-
-def test_options_reject_bad_estimator():
-    with pytest.raises(DseError, match="unknown estimator"):
-        DseOptions(estimator="simd")
-
-
-def test_options_reject_vectorized_with_thread_executor():
-    """Threads would serialise the numpy batch math on the GIL, so the
-    combination is refused eagerly at construction."""
-    with pytest.raises(DseError, match="requires.*process"):
-        DseOptions(estimator="vectorized", jobs=2, executor="thread")
-
-
-def test_options_vectorized_jobs_auto_upgrade_to_process():
-    """serial + jobs > 1 auto-upgrades, and for the vectorized
-    estimator the upgrade target is the process executor."""
-    options = DseOptions(estimator="vectorized", jobs=2)
-    assert options.executor == "process"
-    # The scalar estimator keeps the pre-executor thread upgrade.
-    assert DseOptions(jobs=2).executor == "thread"
-    # jobs == 1 never upgrades anything.
-    assert DseOptions(estimator="vectorized").executor == "serial"
-
-
-@pytest.mark.parametrize("objective", ["throughput", "latency"])
-@pytest.mark.parametrize(
-    "knobs",
-    [
-        dict(prune=False),
-        dict(prune=True),
-        dict(prune=True, best_first=True),
-        dict(prune=False, use_cache=False),
-    ],
-)
-def test_run_dse_process_vectorized_identical(objective, knobs):
-    """Candidate batches shipped to worker processes running the numpy
-    path return the serial-vectorized (hence scalar) ranking byte for
-    byte under every evaluation-knob combination."""
-    network = zoo.tiny_cnn()
-    serial = run_dse(
-        DEVICE, network,
-        DseOptions(objective=objective, estimator="vectorized", **knobs),
-    )
-    process = run_dse(
-        DEVICE, network,
-        DseOptions(
-            objective=objective, estimator="vectorized", jobs=2,
-            executor="process", **knobs,
-        ),
-    )
-    assert _ranking(process) == _ranking(serial)
-    assert (
-        process.candidates_considered == serial.candidates_considered
-    )
-
-
-def test_process_vectorized_offers_populate_supplied_cache():
-    """Worker-side vectorized offers ride the dirty delta back to the
-    parent cache: later scalar lookups hit with bit-identical rows."""
-    from repro.estimator.calibration import get_calibration
-
-    network = zoo.tiny_cnn()
-    cache = EvaluationCache()
-    result = run_dse(
-        DEVICE, network,
-        DseOptions(estimator="vectorized", jobs=2, executor="process"),
-        cache=cache,
-    )
-    dirty_estimates, _ = cache.take_dirty()
-    assert dirty_estimates  # something to flush
-    cal = get_calibration(DEVICE.name)
-    before = cache.stats.hits
-    for info, layer_est in zip(
-        network.compute_layers(), result.estimate.layers
-    ):
-        pool = fused_pool_for(network, info.index)
-        cached = cache.estimate(
-            result.cfg, DEVICE, info, layer_est.mode,
-            layer_est.dataflow, cal, pool,
-        )
-        assert cached == layer_est
-    assert cache.stats.hits == before + len(result.estimate.layers)
+    assert result.cache_stats.partition_misses > 0
 
 
 def test_exact_limit_guard():
     """A layer whose numerator products overflow float64's exact-integer
-    range is refused at construction with a pointer to the scalar path."""
+    range is refused at construction."""
     huge = zoo.single_conv(4096, 4096, 4096, 3, padding=1)
-    with pytest.raises(DseError, match="estimator='scalar'"):
+    with pytest.raises(DseError, match=r"2\*\*53"):
         BatchLayerEstimator(DEVICE, huge)
 
 
 def test_batch_api_takes_no_cal():
-    """Satellite of the cal-parameter cleanup: the batch estimation
-    methods must not inherit the dead argument (cal is constructor-only,
-    for cache-key parity)."""
+    """Latency is calibration-free (calibration feeds the resource
+    model), so no batch entry point takes a ``cal`` argument."""
     import inspect
 
-    for method in (
+    for function in (
+        BatchLayerEstimator.__init__,
         BatchLayerEstimator.estimate_grid,
         BatchLayerEstimator.map_candidates,
+        BatchLayerEstimator.network_latencies,
     ):
-        assert "cal" not in inspect.signature(method).parameters
+        assert "cal" not in inspect.signature(function).parameters
 
 
 def test_scalar_estimate_ignores_cal():
-    """estimate_layer accepts-and-ignores cal: any profile, same bits."""
-    from repro.estimator.calibration import get_calibration
+    """The scalar latency path takes no ``cal`` either, and a caller that
+    still passes one by keyword fails loudly rather than being ignored."""
+    import inspect
 
+    from repro.estimator.calibration import get_calibration
+    from repro.estimator.latency import estimate_network
+
+    for function in (
+        estimate_layer,
+        estimate_network,
+        map_network,
+        EvaluationCache.estimate,
+    ):
+        assert "cal" not in inspect.signature(function).parameters
     info = zoo.tiny_cnn().compute_layers()[0]
     cfg = make_cfg()
-    base = estimate_layer(cfg, DEVICE, info, "spat", "ws")
-    for cal in (None, get_calibration("generic"),
-                get_calibration(DEVICE.name)):
-        assert estimate_layer(
-            cfg, DEVICE, info, "spat", "ws", cal
-        ) == base
+    for cal in (get_calibration("generic"), get_calibration(DEVICE.name)):
+        with pytest.raises(TypeError, match="cal"):
+            estimate_layer(cfg, DEVICE, info, "spat", "ws", cal=cal)

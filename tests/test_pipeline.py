@@ -1,4 +1,4 @@
-"""Tests for repro.pipeline — evaluation cache, pruned/parallel DSE
+"""Tests for repro.pipeline — evaluation cache, pruned DSE
 equivalence, and the PipelineSession facade."""
 
 import pytest
@@ -10,6 +10,7 @@ from repro.estimator.calibration import get_calibration
 from repro.estimator.latency import estimate_layer, estimate_network
 from repro.ir import zoo
 from repro.pipeline import CacheStats, EvaluationCache, PipelineSession, layer_signature
+from test_dse_oracle import scalar_run_dse
 
 
 # -- cache keying and dedup ------------------------------------------------
@@ -42,10 +43,9 @@ class TestEvaluationCache:
     def test_hit_returns_identical_estimate(self, cfg_pt4, pynq):
         cache = EvaluationCache()
         info = zoo.tiny_cnn().compute_layers()[0]
-        cal = get_calibration(pynq.name)
-        first = cache.estimate(cfg_pt4, pynq, info, "spat", "is", cal)
-        second = cache.estimate(cfg_pt4, pynq, info, "spat", "is", cal)
-        direct = estimate_layer(cfg_pt4, pynq, info, "spat", "is", cal)
+        first = cache.estimate(cfg_pt4, pynq, info, "spat", "is")
+        second = cache.estimate(cfg_pt4, pynq, info, "spat", "is")
+        direct = estimate_layer(cfg_pt4, pynq, info, "spat", "is")
         assert first == second == direct
         stats = cache.stats
         assert stats.hits == 1 and stats.misses == 1
@@ -53,12 +53,11 @@ class TestEvaluationCache:
     def test_shape_dedup_relabels_layer_name(self, cfg_vu9p_paper, vu9p):
         cache = EvaluationCache()
         net = zoo.vgg16()
-        cal = get_calibration(vu9p.name)
         a = cache.estimate(
-            cfg_vu9p_paper, vu9p, net.find("conv5_1"), "wino", "ws", cal
+            cfg_vu9p_paper, vu9p, net.find("conv5_1"), "wino", "ws"
         )
         b = cache.estimate(
-            cfg_vu9p_paper, vu9p, net.find("conv5_2"), "wino", "ws", cal
+            cfg_vu9p_paper, vu9p, net.find("conv5_2"), "wino", "ws"
         )
         assert a.layer_name == "conv5_1"
         assert b.layer_name == "conv5_2"
@@ -161,7 +160,7 @@ class TestPruneBound:
         total_ops = sum(i.ops for i in network.compute_layers())
         for candidate in explore_hardware(pynq, cal=cal):
             try:
-                _, estimate = map_network(candidate.cfg, pynq, network, cal)
+                _, estimate = map_network(candidate.cfg, pynq, network)
             except DseError:
                 continue
             lb_latency = latency_lower_bound(candidate.cfg, pynq, network)
@@ -215,7 +214,7 @@ class TestPruneBound:
         ]
 
 
-# -- DSE equivalence: cached / pruned / parallel vs brute force ------------
+# -- DSE equivalence: cached / pruned vs brute force ----------------------
 
 
 BRUTE_FORCE = DseOptions(use_cache=False, prune=False)
@@ -234,7 +233,7 @@ class TestDseEquivalence:
         seed = run_dse(pynq, network, BRUTE_FORCE)
         fast = run_dse(
             pynq, network,
-            DseOptions(use_cache=True, prune=True, best_first=True, jobs=2),
+            DseOptions(use_cache=True, prune=True, best_first=True),
         )
         assert _design_point(fast) == _design_point(seed)
         assert [_design_point(r) for r in fast.runners_up] == [
@@ -243,17 +242,18 @@ class TestDseEquivalence:
 
     def test_vgg16_full_sweep_vu9p(self, vu9p):
         network = zoo.vgg16()
-        seed = run_dse(vu9p, network,
-                       DseOptions(frequency_mhz=167, **_brute_kwargs()))
+        seed = scalar_run_dse(
+            vu9p, network, DseOptions(frequency_mhz=167, **_brute_kwargs())
+        )
         fast = run_dse(
-            vu9p, network,
-            DseOptions(frequency_mhz=167, best_first=True, jobs=2),
+            vu9p, network, DseOptions(frequency_mhz=167, best_first=True)
         )
         assert _design_point(fast) == _design_point(seed)
         assert fast.candidates_considered == seed.candidates_considered
         assert fast.candidates_pruned > 0
+        # Shape dedup: VGG16's repeated conv shapes share partitions.
         assert fast.cache_stats is not None
-        assert fast.cache_stats.hits > 0
+        assert fast.cache_stats.partition_hits > 0
 
     def test_latency_objective_equivalence(self, pynq):
         network = zoo.tiny_cnn(input_size=32)
@@ -289,26 +289,24 @@ class TestDseEquivalence:
         first = run_dse(pynq, network, DseOptions(), cache=cache)
         second = run_dse(pynq, network, DseOptions(), cache=cache)
         assert _design_point(first) == _design_point(second)
-        # The second run re-reads every estimate from the shared cache.
-        assert second.cache_stats.misses == 0
-        assert second.cache_stats.hits > 0
+        # The second run re-reads every partition from the shared cache.
+        assert second.cache_stats.partition_misses == 0
+        assert second.cache_stats.partition_hits > 0
 
     def test_map_network_cached_equivalence(self, cfg_pynq_paper, pynq):
         network = zoo.tiny_cnn()
-        cal = get_calibration(pynq.name)
-        plain = map_network(cfg_pynq_paper, pynq, network, cal)
+        plain = map_network(cfg_pynq_paper, pynq, network)
         cached = map_network(
-            cfg_pynq_paper, pynq, network, cal, cache=EvaluationCache()
+            cfg_pynq_paper, pynq, network, cache=EvaluationCache()
         )
         assert plain == cached
 
     def test_estimate_network_cached_equivalence(self, cfg_pynq_paper, pynq):
         network = zoo.tiny_cnn()
-        cal = get_calibration(pynq.name)
-        mapping, _ = map_network(cfg_pynq_paper, pynq, network, cal)
-        plain = estimate_network(cfg_pynq_paper, pynq, network, mapping, cal)
+        mapping, _ = map_network(cfg_pynq_paper, pynq, network)
+        plain = estimate_network(cfg_pynq_paper, pynq, network, mapping)
         cached = estimate_network(
-            cfg_pynq_paper, pynq, network, mapping, cal, EvaluationCache()
+            cfg_pynq_paper, pynq, network, mapping, EvaluationCache()
         )
         assert plain == cached
 
@@ -333,10 +331,6 @@ class TestDseOptionsValidation:
         with pytest.raises(DseError):
             DseOptions(max_instances=0)
 
-    def test_non_positive_jobs(self):
-        with pytest.raises(DseError):
-            DseOptions(jobs=0)
-
     def test_bad_frequency(self):
         with pytest.raises(DseError):
             DseOptions(frequency_mhz=-100.0)
@@ -346,8 +340,8 @@ class TestDseOptionsValidation:
             DseOptions(buffer_presets=(1024, 0, 1024))
 
     def test_valid_options_construct(self):
-        options = DseOptions(jobs=4, top_k=1, best_first=True)
-        assert options.jobs == 4
+        options = DseOptions(top_k=1, best_first=True)
+        assert options.top_k == 1 and options.best_first
 
 
 # -- NetworkEstimate memoization -------------------------------------------
@@ -392,8 +386,7 @@ class TestPipelineSession:
     def test_pinned_cfg_matches_map_network(self, cfg_pynq_paper, pynq):
         network = zoo.tiny_cnn()
         session = PipelineSession(network, pynq, cfg=cfg_pynq_paper)
-        cal = get_calibration(pynq.name)
-        mapping, estimate = map_network(cfg_pynq_paper, pynq, network, cal)
+        mapping, estimate = map_network(cfg_pynq_paper, pynq, network)
         assert session.cfg == cfg_pynq_paper
         assert session.mapping() == mapping
         assert session.estimate() == estimate
@@ -452,12 +445,16 @@ class TestPipelineSession:
         cache = EvaluationCache()
         net = zoo.tiny_cnn(input_size=32)
         PipelineSession(net, pynq, cache=cache).dse()
-        lookups_after_first = cache.stats.lookups
+        first = cache.stats
+        lookups_after_first = first.partition_hits + first.partition_misses
         PipelineSession(net, pynq, cache=cache).dse()
         stats = cache.stats
         # Second session repeats the same lookups, all hits.
-        assert stats.lookups == 2 * lookups_after_first
-        assert stats.misses < lookups_after_first
+        assert (
+            stats.partition_hits + stats.partition_misses
+            == 2 * lookups_after_first
+        )
+        assert stats.partition_misses == first.partition_misses
 
 
 def _timing_compiler_options():

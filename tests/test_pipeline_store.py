@@ -1,5 +1,5 @@
 """Tests for repro.pipeline.store — on-disk persistence of the
-evaluation cache — and the process-pool DSE executor."""
+evaluation cache."""
 
 import pickle
 import tempfile
@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import run_dse
-from repro.dse.space import DseOptions
-from repro.errors import DseError, ReproError
+from repro.dse import explore_hardware
+from repro.errors import ReproError
 from repro.estimator.calibration import get_calibration
+from repro.fpga import get_device
 from repro.ir import zoo
 from repro.pipeline import EvaluationCache, EvaluationStore, PipelineSession
 from repro.pipeline.store import MAGIC, STORE_VERSION
@@ -20,12 +20,11 @@ from repro.pipeline.store import MAGIC, STORE_VERSION
 
 def _populate(cache, cfg, device, *, with_error=False):
     """Run a few real estimates (and optionally a memoized failure)."""
-    cal = get_calibration(device.name)
     net = zoo.tiny_cnn()
     for info in net.compute_layers():
         for dataflow in ("is", "ws"):
             try:
-                cache.estimate(cfg, device, info, "spat", dataflow, cal)
+                cache.estimate(cfg, device, info, "spat", dataflow)
             except ReproError:
                 pass
     if with_error:
@@ -33,7 +32,33 @@ def _populate(cache, cfg, device, *, with_error=False):
         # rejects — a memoized failure entry.
         info = zoo.vgg16().find("fc6")
         with pytest.raises(ReproError):
-            cache.estimate(cfg, device, info, "spat", "is", cal)
+            cache.estimate(cfg, device, info, "spat", "is")
+
+
+def _entries(cache):
+    """Copies of both memo levels of ``cache``."""
+    return dict(cache._estimates), dict(cache._partitions)
+
+
+def _compute(cache, estimates, partitions):
+    """Insert entries as if computed here: present and dirty."""
+    cache._estimates.update(estimates)
+    cache._partitions.update(partitions)
+    cache._dirty_estimates.update(estimates)
+    cache._dirty_partitions.update(partitions)
+
+
+def _write_segment(path, version, estimates, partitions):
+    """Write one segment in a past layout: ``estimates`` and
+    ``partitions`` pickled as given, wrapped in the current envelope."""
+    payload = pickle.dumps(
+        {"version": version, "estimates": estimates,
+         "partitions": partitions},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    path.write_bytes(
+        MAGIC + zlib.crc32(payload).to_bytes(4, "little") + payload
+    )
 
 
 class TestStoreRoundTrip:
@@ -46,7 +71,7 @@ class TestStoreRoundTrip:
         written = store.flush(cache)
         assert written > 0
 
-        estimates, partitions = cache.snapshot_entries()
+        estimates, partitions = _entries(cache)
         loaded_est, loaded_part = EvaluationStore(tmp_path / "cache").load()
         assert loaded_est == estimates
         assert loaded_part == partitions
@@ -76,9 +101,8 @@ class TestStoreRoundTrip:
         second = EvaluationCache()
         EvaluationStore(tmp_path).warm(second)
         info = zoo.vgg16().find("fc6")
-        cal = get_calibration(pynq.name)
         with pytest.raises(ReproError) as excinfo:
-            second.estimate(cfg_pynq_paper, pynq, info, "spat", "is", cal)
+            second.estimate(cfg_pynq_paper, pynq, info, "spat", "is")
         assert "fc6" in str(excinfo.value)
         assert second.stats.misses == 0  # served from the persisted entry
 
@@ -114,8 +138,8 @@ class TestStoreRoundTrip:
         store.flush(b)
         assert len(store.segments()) == 2
         estimates, _ = EvaluationStore(tmp_path).load()
-        merged = dict(a.snapshot_entries()[0])
-        merged.update(b.snapshot_entries()[0])
+        merged = dict(_entries(a)[0])
+        merged.update(_entries(b)[0])
         assert estimates == merged
 
     def test_compact_merges_segments(self, tmp_path, cfg_pt4, cfg_pt6,
@@ -152,26 +176,41 @@ class TestStoreRobustness:
     def test_v1_layout_segment_skipped(self, tmp_path, cfg_pt4, pynq):
         cache = EvaluationCache()
         _populate(cache, cfg_pt4, pynq)
-        estimates, partitions = cache.snapshot_entries()
         # The exact pre-scope layout: one pickled dict of flat entries.
-        payload = pickle.dumps(
-            {"version": 1, "estimates": estimates,
-             "partitions": partitions},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        (tmp_path / "v1.seg").write_bytes(
-            MAGIC + zlib.crc32(payload).to_bytes(4, "little") + payload
-        )
+        _write_segment(tmp_path / "v1.seg", 1, *_entries(cache))
         for version in (STORE_VERSION, 1):
             reader = EvaluationStore(tmp_path, version=version)
             warmed = EvaluationCache()
             assert reader.warm(warmed, device=pynq.name) == 0
             assert len(warmed) == 0
-            assert warmed.snapshot_entries() == ({}, {})
+            assert _entries(warmed) == ({}, {})
             assert reader.stats.segments_skipped == 1
             assert reader.stats.segments_loaded == 0
             (summary,) = reader.segment_summaries()
             assert not summary.readable and summary.entries == 0
+
+    def test_v2_segment_skipped(self, tmp_path, cfg_pt4, pynq):
+        """Version 2 keyed estimates on the calibration profile too:
+        its segments are skipped and counted like v1's, never read."""
+        cache = EvaluationCache()
+        _populate(cache, cfg_pt4, pynq)
+        estimates, partitions = _entries(cache)
+        cal = get_calibration(pynq.name)
+        v2_estimates = {key + (cal,): entry for key, entry in estimates.items()}
+        _write_segment(
+            tmp_path / "v2.seg", 2,
+            {pynq.name: (len(v2_estimates), pickle.dumps(v2_estimates))},
+            pickle.dumps(partitions),
+        )
+        assert EvaluationStore(tmp_path, version=2).load()[0] == v2_estimates
+        reader = EvaluationStore(tmp_path)
+        warmed = EvaluationCache()
+        assert reader.warm(warmed, device=pynq.name) == 0
+        assert _entries(warmed) == ({}, {})
+        assert reader.stats.segments_skipped == 1
+        assert reader.stats.segments_loaded == 0
+        (summary,) = reader.segment_summaries()
+        assert not summary.readable and summary.entries == 0
 
     def test_truncated_segment_skipped(self, tmp_path, cfg_pt4, pynq):
         store = self._flushed_store(tmp_path, cfg_pt4, pynq)
@@ -225,7 +264,7 @@ class TestStoreRobustness:
         # The delta survived the failure and persists on retry.
         assert store.flush(cache) > 0
         loaded_est, _ = EvaluationStore(tmp_path).load()
-        assert loaded_est == cache.snapshot_entries()[0]
+        assert loaded_est == _entries(cache)[0]
 
     def test_no_tmp_files_left_behind(self, tmp_path, cfg_pt4, pynq):
         self._flushed_store(tmp_path, cfg_pt4, pynq)
@@ -354,13 +393,13 @@ class TestScopedWarm:
                 assert EvaluationStore(path).load() == expected
             reader = EvaluationStore(path)
             cache = EvaluationCache()
-            cache.merge(*present)  # present *dirty* entries
+            _compute(cache, *present)  # present *dirty* entries
             added = reader.warm(cache, device=device)
 
         expected_est, expected_part, expected_added = _reference_warm(
             present, *expected
         )
-        assert cache.snapshot_entries() == (expected_est, expected_part)
+        assert _entries(cache) == (expected_est, expected_part)
         assert added == expected_added
         stats = cache.stats
         assert stats.error_entries == sum(
@@ -380,21 +419,30 @@ class TestScopedWarm:
         assert loaded.partitions_loaded == len(expected[1])
 
     def test_session_decodes_only_its_device(self, tmp_path):
+        # Estimates come from single-design sessions: a pinned cfg maps
+        # its network through the scalar model, one scope per device.
         network = zoo.tiny_cnn(input_size=32)
-        for device in ("pynq-z1", "zcu102"):
+        pinned = {
+            device: explore_hardware(get_device(device))[0].cfg
+            for device in ("pynq-z1", "zcu102")
+        }
+        for device, cfg in pinned.items():
             with PipelineSession(network, device, store=tmp_path):
                 pass
-            with PipelineSession(network, device, store=tmp_path) as s:
-                s.dse()
+            with PipelineSession(network, device, cfg=cfg,
+                                 store=tmp_path) as s:
+                s.estimate()
         estimates, partitions = EvaluationStore(tmp_path).load()
         mine = sum(1 for key in estimates if key[2] == "pynq-z1")
         assert 0 < mine < len(estimates)
 
-        session = PipelineSession(network, "pynq-z1", store=tmp_path)
+        session = PipelineSession(
+            network, "pynq-z1", cfg=pinned["pynq-z1"], store=tmp_path
+        )
         assert session.store.stats.estimates_loaded == mine
         assert session.store.stats.partitions_loaded == len(partitions)
         assert len(session.cache) == mine
-        session.dse()
+        session.estimate()
         assert session.cache_stats.misses == 0
         assert session.close() == 0
 
@@ -418,16 +466,18 @@ class TestScopedWarm:
 
 class TestSessionStore:
     def test_session_close_flushes_and_warms_next(self, tmp_path, pynq):
+        # A DSE persists partitions, the only entries it looks up.
         network = zoo.tiny_cnn(input_size=32)
         with PipelineSession(network, pynq, store=tmp_path) as session:
             cold = session.dse()
-        assert session.store.stats.estimates_flushed > 0
+        assert session.store.stats.partitions_flushed > 0
+        assert session.store.stats.estimates_flushed == 0
 
         warm_session = PipelineSession(network, pynq, store=tmp_path)
         warm = warm_session.dse()
         stats = warm_session.cache_stats
-        assert stats.misses == 0
-        assert stats.estimate_hit_rate == 1.0
+        assert stats.misses == stats.partition_misses == 0
+        assert stats.hit_rate == 1.0
         assert (warm.cfg, warm.mapping, warm.estimate) == (
             cold.cfg, cold.mapping, cold.estimate
         )
@@ -442,85 +492,6 @@ class TestSessionStore:
     def test_sessionless_close_is_noop(self, pynq):
         session = PipelineSession(zoo.tiny_cnn(input_size=32), pynq)
         assert session.close() == 0
-
-
-# -- process executor -------------------------------------------------------
-
-
-def _design_point(result):
-    return result.cfg, result.mapping, result.estimate
-
-
-class TestProcessExecutor:
-    @pytest.mark.parametrize("model", ["tiny_cnn", "tiny_mlp"])
-    def test_matches_brute_force(self, pynq, model):
-        network = zoo.get_model(model)
-        seed = run_dse(pynq, network, DseOptions(use_cache=False,
-                                                 prune=False))
-        proc = run_dse(
-            pynq, network,
-            DseOptions(jobs=2, executor="process", best_first=True),
-        )
-        assert _design_point(proc) == _design_point(seed)
-        assert [_design_point(r) for r in proc.runners_up] == [
-            _design_point(r) for r in seed.runners_up
-        ]
-
-    def test_uncached_process_run_matches(self, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        seed = run_dse(pynq, network, DseOptions(use_cache=False,
-                                                 prune=False))
-        proc = run_dse(
-            pynq, network,
-            DseOptions(jobs=2, executor="process", use_cache=False,
-                       prune=False),
-        )
-        assert _design_point(proc) == _design_point(seed)
-        assert proc.cache_stats is None
-
-    def test_worker_deltas_merge_into_parent_cache(self, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        cache = EvaluationCache()
-        run_dse(
-            pynq, network,
-            DseOptions(jobs=2, executor="process", prune=False),
-            cache=cache,
-        )
-        assert len(cache) > 0
-        # Merged entries are dirty: a store flush would persist them.
-        estimates, partitions = cache.take_dirty()
-        assert len(estimates) == len(cache)
-        assert len(partitions) > 0
-
-    def test_process_run_can_persist_through_store(self, tmp_path, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        options = DseOptions(jobs=2, executor="process", prune=False)
-        with PipelineSession(network, pynq, options,
-                             store=tmp_path) as session:
-            cold = session.dse()
-        warm_session = PipelineSession(network, pynq, options,
-                                       store=tmp_path)
-        warm = warm_session.dse()
-        assert _design_point(warm) == _design_point(cold)
-        # Workers are seeded from the warmed parent cache: no recompute,
-        # so nothing new to flush.
-        assert warm_session.close() == 0
-
-
-class TestExecutorOption:
-    def test_serial_with_jobs_upgrades_to_thread(self):
-        assert DseOptions(jobs=2).executor == "thread"
-        assert DseOptions(jobs=2, executor="thread").executor == "thread"
-
-    def test_serial_default(self):
-        assert DseOptions().executor == "serial"
-
-    def test_process_kept(self):
-        assert DseOptions(jobs=2, executor="process").executor == "process"
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(DseError):
-            DseOptions(executor="gpu")
 
 
 # -- CLI --------------------------------------------------------------------
@@ -538,12 +509,3 @@ class TestCliCacheDir:
         assert main(argv) == 0  # second invocation starts warm
         second = capsys.readouterr().out
         assert "100.0%" in second  # estimate hit rate served from disk
-
-    def test_dse_process_executor(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "dse", "--model", "tiny_cnn", "--device", "pynq-z1",
-            "--jobs", "2", "--executor", "process",
-        ]) == 0
-        assert "PI=" in capsys.readouterr().out
