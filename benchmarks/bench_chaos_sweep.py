@@ -1,4 +1,4 @@
-"""Benchmark: a 108-cell chaos sweep under both executors.
+"""Benchmark: a 108-cell chaos sweep, serial and across 4 workers.
 
 The grid is 6 scenarios x 3 policies x 6 pool sizes = 108 seeded
 cells on the fast tiny-CNN session (the scenario tests' workload, so
@@ -9,11 +9,11 @@ outage and a seeded straggler pulse train.
 
 Checked claims:
 
-* **the process executor changes the schedule, not the result** — the
-  108-cell grid's aggregate JSON under ``executor="process"`` is
-  *byte-identical* to the serial run (the determinism contract CI
-  relies on; on this millisecond-scale workload the fork overhead
-  dominates, so the printed wall times are a cost report, not a race);
+* **worker processes change the schedule, not the result** — the
+  108-cell grid's aggregate JSON at ``jobs=4`` is *byte-identical* to
+  the ``jobs=1`` run (the determinism contract CI relies on; on this
+  millisecond-scale workload the fork overhead dominates, so the
+  printed wall times are a cost report, not a race);
 * **nothing is lost under chaos** — every one of the 108 cells
   accounts for every issued request: served + shed + unserved ==
   issued;
@@ -62,12 +62,12 @@ def test_chaos_sweep_process_matches_serial(benchmark, once, capsys):
     session = make_session()
     grid = SweepGrid(SCENARIOS, POLICIES, POOLS)
     assert len(grid) == 108
-    options = SweepOptions(requests=REQUESTS)
-    serial = run_sweep(session, grid, options, seed=SEED)
+    serial = run_sweep(
+        session, grid, SweepOptions(requests=REQUESTS, jobs=1), seed=SEED
+    )
     process = once(
         benchmark, run_sweep, session, grid,
-        SweepOptions(requests=REQUESTS, executor="process", jobs=4),
-        seed=SEED,
+        SweepOptions(requests=REQUESTS, jobs=4), seed=SEED,
     )
 
     assert serial.to_json() == process.to_json(), (
@@ -91,6 +91,6 @@ def test_chaos_sweep_process_matches_serial(benchmark, once, capsys):
     with capsys.disabled():
         print()
         print(serial.describe())
-        print(f"  serial {serial.wall_seconds:.2f} s vs "
-              f"process(4) {process.wall_seconds:.2f} s "
+        print(f"  jobs=1 {serial.wall_seconds:.2f} s vs "
+              f"jobs=4 {process.wall_seconds:.2f} s "
               f"for {len(grid)} cells")

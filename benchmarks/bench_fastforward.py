@@ -21,6 +21,7 @@ fast-forward leg, so the second measurement never pays for them.
 """
 
 import gc
+from dataclasses import replace
 from pathlib import Path
 
 from repro.arch.params import AcceleratorConfig
@@ -33,6 +34,7 @@ from repro.serving import (
     ShardPool,
     ShardServer,
     TraceSource,
+    WorkloadSpec,
     make_requests,
 )
 
@@ -64,12 +66,19 @@ def _session(device="vu9p", instances=2):
 
 def _trace_server():
     session = _session(device="pynq-z1", instances=1)
-    pool = ShardPool.replicate(session, 2)
-    return ShardServer(pool, "round-robin", BatcherOptions(max_batch=4))
+    return ShardServer(ShardPool.replicate(session, 2))
 
 
-def _trace(loop):
-    return TraceSource.load(str(TRACE), time_scale=0.00002, loop=loop)
+def _trace(loop, engine, max_events=None):
+    """The bursty-trace replay, ``loop`` times over, on ``engine``."""
+    return WorkloadSpec(
+        traffic=TraceSource.load(
+            str(TRACE), time_scale=0.00002, loop=loop
+        ),
+        batcher=BatcherOptions(max_batch=4),
+        engine=engine,
+        max_events=max_events,
+    )
 
 
 def _summary(report):
@@ -84,14 +93,16 @@ def test_fastforward_matches_kernel_matrix(capsys):
     checked = 0
     for policy in ("round-robin", "least-loaded", "shortest-latency"):
         for kind in ("uniform", "fixed-qps", "poisson", "burst"):
-            pool = ShardPool.replicate(session, 3)
-            server = ShardServer(
-                pool, policy,
-                BatcherOptions(max_batch=4, max_wait_s=5e-4),
+            server = ShardServer(ShardPool.replicate(session, 3))
+            spec = WorkloadSpec(
+                traffic=make_requests(
+                    kind, 60, qps=400.0, seed=11, burst=5
+                ),
+                policy=policy,
+                batcher=BatcherOptions(max_batch=4, max_wait_s=5e-4),
             )
-            traffic = make_requests(kind, 60, qps=400.0, seed=11, burst=5)
-            kernel = server.serve(list(traffic), engine="kernel")
-            fast = server.serve(list(traffic), engine="fastforward")
+            kernel = server.run(replace(spec, engine="kernel"))
+            fast = server.run(replace(spec, engine="fastforward"))
             label = f"{policy}/{kind}"
             # Dataclass equality covers the per-request records; the
             # equivalent event count is compare=False so it gets its
@@ -107,8 +118,8 @@ def test_fastforward_matches_kernel_matrix(capsys):
 
 def test_fastforward_matches_kernel_on_trace_replay(capsys):
     server = _trace_server()
-    kernel = server.serve(_trace(1316), engine="kernel")
-    fast = server.serve(_trace(1316), engine="fastforward")
+    kernel = server.run(_trace(1316, "kernel"))
+    fast = server.run(_trace(1316, "fastforward"))
     assert fast == kernel
     assert fast.events_processed == kernel.events_processed
     assert _summary(fast) == _summary(kernel)
@@ -123,9 +134,7 @@ def test_fastforward_matches_kernel_on_trace_replay(capsys):
 def test_fastforward_speedup_floor(benchmark, once, capsys):
     server = _trace_server()
 
-    kernel = server.serve(
-        _trace(13158), engine="kernel", max_events=4_000_000
-    )
+    kernel = server.run(_trace(13158, "kernel", 4_000_000))
     kernel_wall = kernel.wall_seconds
     kernel_summary = _summary(kernel)
     kernel_events = kernel.events_processed
@@ -135,8 +144,7 @@ def test_fastforward_speedup_floor(benchmark, once, capsys):
     gc.collect()
 
     fast = once(
-        benchmark, server.serve,
-        _trace(13158), engine="fastforward", max_events=4_000_000,
+        benchmark, server.run, _trace(13158, "fastforward", 4_000_000)
     )
     speedup = kernel_wall / fast.wall_seconds
 

@@ -48,10 +48,13 @@ from repro.ir import zoo
 from repro.pipeline import PipelineSession
 from repro.serving import (
     BatcherOptions,
+    ChaosScenario,
     ClosedLoopClientPool,
-    FailureScenario,
+    Kill,
+    Restore,
     ShardPool,
     ShardServer,
+    WorkloadSpec,
     analytical_reference,
     make_requests,
 )
@@ -69,10 +72,18 @@ def _session():
     )
 
 
-def _serve(pool, traffic, qps=None, policy="least-loaded", max_batch=6):
+def _spec(traffic, max_batch=6, **fields):
+    return WorkloadSpec(
+        traffic=traffic,
+        policy="least-loaded",
+        batcher=BatcherOptions(max_batch=max_batch),
+        **fields,
+    )
+
+
+def _serve(pool, traffic, qps=None, max_batch=6):
     requests = make_requests(traffic, REQUESTS, qps=qps)
-    server = ShardServer(pool, policy, BatcherOptions(max_batch=max_batch))
-    return server.serve(requests)
+    return ShardServer(pool).run(_spec(requests, max_batch))
 
 
 def test_serving_scales_and_matches_analytical(benchmark, once, capsys):
@@ -133,11 +144,9 @@ def test_closed_loop_saturates_open_loop_capacity(capsys):
 
     open_loop = _serve(pool, "uniform")
     clients = 2 * pool.total_instances  # one batch serving, one queued
-    closed = ShardServer(
-        pool, "least-loaded", BatcherOptions(max_batch=6)
-    ).serve(ClosedLoopClientPool(
+    closed = ShardServer(pool).run(_spec(ClosedLoopClientPool(
         clients=clients, requests=REQUESTS, think_time_s=0.0, seed=11,
-    ))
+    )))
     ratio = closed.throughput_gops / open_loop.throughput_gops
 
     with capsys.disabled():
@@ -155,22 +164,18 @@ def test_closed_loop_saturates_open_loop_capacity(capsys):
 def test_shard_failure_degrades_gracefully(capsys):
     session = _session()
     pool = ShardPool.replicate(session, 2)
-    server = ShardServer(pool, "least-loaded", BatcherOptions(max_batch=6))
+    server = ShardServer(pool)
+    requests = make_requests("uniform", REQUESTS)
 
-    baseline = server.serve(make_requests("uniform", REQUESTS))
-    dead = server.serve(
-        make_requests("uniform", REQUESTS),
-        scenario=FailureScenario.kill("shard0", at=0.0),
+    baseline = server.run(_spec(requests))
+    dead = server.run(
+        _spec(requests, scenario=ChaosScenario([Kill("shard0", 0.0)]))
     )
     degradation = 1.0 - dead.throughput_gops / baseline.throughput_gops
-    restore = server.serve(
-        make_requests("uniform", REQUESTS),
-        scenario=FailureScenario.kill(
-            "shard0",
-            at=0.3 * baseline.makespan_seconds,
-            restore_at=0.7 * baseline.makespan_seconds,
-        ),
-    )
+    restore = server.run(_spec(requests, scenario=ChaosScenario([
+        Kill("shard0", 0.3 * baseline.makespan_seconds),
+        Restore("shard0", 0.7 * baseline.makespan_seconds),
+    ])))
     stretch = restore.makespan_seconds / baseline.makespan_seconds
 
     with capsys.disabled():

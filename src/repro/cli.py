@@ -566,7 +566,6 @@ def _cmd_sweep(args) -> int:
         pool_sizes=_parse_pools(args.pools),
     )
     options = SweepOptions(
-        executor=args.executor,
         jobs=args.jobs,
         requests=args.requests,
         traffic=args.traffic,
@@ -611,7 +610,6 @@ def _cmd_plan(args) -> int:
         trace_scale=args.trace_scale,
         trace_loop=args.trace_loop,
         top_k=args.top_k,
-        executor=args.executor,
         jobs=args.jobs,
         policy=args.policy,
         max_wait_s=(
@@ -945,8 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the DSE instead of the paper configuration")
     p.set_defaults(func=_cmd_serve)
 
-    from repro.serving.sweep import SWEEP_EXECUTORS
-
     p = sub.add_parser(
         "sweep",
         help="seeded scenario x policy x pool chaos grid, optionally "
@@ -1003,12 +999,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-loop", type=int, default=1,
                    dest="trace_loop", metavar="N",
                    help="repeat the trace N times back to back")
-    p.add_argument("--executor", default="serial",
-                   choices=SWEEP_EXECUTORS,
-                   help="cell execution backend for --jobs > 1; both "
-                        "executors produce byte-identical reports")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes")
+                   help="run the cells across N worker processes "
+                        "(byte-identical report to --jobs 1)")
     p.add_argument("--event-budget", type=int, default=None,
                    metavar="N", dest="event_budget",
                    help="per-cell kernel runaway-loop budget")
@@ -1019,8 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dse", action="store_true",
                    help="run the DSE instead of the paper configuration")
     p.set_defaults(func=_cmd_sweep)
-
-    from repro.planning import PLAN_EXECUTORS
 
     p = sub.add_parser(
         "plan",
@@ -1073,12 +1064,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dynamic batcher: max wait of the oldest "
                         "queued request (default: two service rounds "
                         "of the slowest kind)")
-    p.add_argument("--executor", default="serial",
-                   choices=PLAN_EXECUTORS,
-                   help="Tier B replay backend for --jobs > 1; both "
-                        "produce byte-identical reports")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel replay worker processes")
+                   help="replay the Tier B finalists across N worker "
+                        "processes (byte-identical report to --jobs 1)")
     p.add_argument("--event-budget", type=int, default=None,
                    metavar="N", dest="event_budget",
                    help="per-replay kernel runaway-loop budget")

@@ -57,8 +57,7 @@ FLEETS = {
 
 
 def run_fleet(
-    devices: str, seed: int = 2020, executor: str = "serial",
-    jobs: int = 1,
+    devices: str, seed: int = 2020, jobs: int = 1,
 ) -> Optional[ProvisioningPlan]:
     """Plan one fleet; ``None`` when the planner proves the whole grid
     infeasible (the pynq-only case)."""
@@ -69,7 +68,6 @@ def run_fleet(
         top_k=TOP_K,
         batch_options=BATCH_OPTIONS,
         seed=seed,
-        executor=executor,
         jobs=jobs,
     )
     try:
@@ -81,10 +79,10 @@ def run_fleet(
 
 
 def run_study(
-    seed: int = 2020, executor: str = "serial", jobs: int = 1,
+    seed: int = 2020, jobs: int = 1,
 ) -> Dict[str, Optional[ProvisioningPlan]]:
     return {
-        name: run_fleet(devices, seed=seed, executor=executor, jobs=jobs)
+        name: run_fleet(devices, seed=seed, jobs=jobs)
         for name, devices in FLEETS.items()
     }
 

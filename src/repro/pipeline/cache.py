@@ -136,11 +136,17 @@ class CacheStats:
         )
 
     def describe(self) -> str:
-        return (
+        """Partition level first; the estimate clause only when there
+        were estimate lookups (a DSE makes partition lookups only)."""
+        estimates = (
             f"{self.hits}/{self.lookups} estimate hits "
             f"({self.estimate_hit_rate * 100:.1f}%), "
+            if self.lookups else ""
+        )
+        return (
             f"{self.partition_hits}/"
             f"{self.partition_hits + self.partition_misses} partition hits, "
+            f"{estimates}"
             f"{self.hit_rate * 100:.1f}% overall, "
             f"{self.shape_dedup_hits} from shape dedup, "
             f"{self.error_entries} infeasible entries"

@@ -18,7 +18,7 @@ from repro.planning.planner import (
     plan_capacity,
     resolve_kinds,
 )
-from repro.planning.replay import PLAN_EXECUTORS, ReplayJob, replay_finalists
+from repro.planning.replay import ReplayJob
 from repro.planning.scorer import (
     AnalyticPlanScorer,
     ArrivalProfile,
@@ -33,7 +33,6 @@ __all__ = [
     "DeviceKind",
     "KindSpec",
     "MAX_PLANS",
-    "PLAN_EXECUTORS",
     "PRUNE_REASONS",
     "PlanGrid",
     "PlanOptions",
@@ -43,6 +42,5 @@ __all__ = [
     "TAIL_QUANTILE",
     "parse_devices",
     "plan_capacity",
-    "replay_finalists",
     "resolve_kinds",
 ]

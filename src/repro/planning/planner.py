@@ -46,12 +46,7 @@ from repro.pipeline.cache import EvaluationCache
 from repro.pipeline.session import PipelineSession, _load_network
 from repro.pipeline.store import EvaluationStore
 from repro.planning.grid import KindSpec, PlanGrid, parse_devices
-from repro.planning.replay import (
-    PLAN_EXECUTORS,
-    ReplayJob,
-    _ReplayState,
-    replay_finalists,
-)
+from repro.planning.replay import ReplayJob, _ReplayState
 from repro.planning.scorer import (
     AnalyticPlanScorer,
     ArrivalProfile,
@@ -59,6 +54,7 @@ from repro.planning.scorer import (
 )
 from repro.serving.scheduler import POLICIES
 from repro.serving.shard import Shard
+from repro.serving.sweep import map_pinned
 from repro.serving.traffic import (
     TRAFFIC_MODELS,
     Request,
@@ -206,7 +202,9 @@ class PlanOptions:
     ``traffic`` model and ``requests`` count) or a replayed ``trace``.
     ``max_wait_s`` defaults to two per-image service rounds of the
     slowest kind — long enough to fill a batch at any rate the fleet
-    sustains, negligible against any sensible SLO.
+    sustains, negligible against any sensible SLO.  ``jobs > 1``
+    replays the Tier B finalists across that many worker processes;
+    the report is byte-identical either way.
     """
 
     slo_p99_s: float
@@ -218,7 +216,6 @@ class PlanOptions:
     trace_scale: float = 1.0
     trace_loop: int = 1
     top_k: int = 5
-    executor: str = "serial"
     jobs: int = 1
     policy: str = "shortest-latency"
     max_wait_s: Optional[float] = None
@@ -262,11 +259,6 @@ class PlanOptions:
         if self.top_k < 1:
             raise PlanningError(
                 f"--top-k must be >= 1, got {self.top_k}"
-            )
-        if self.executor not in PLAN_EXECUTORS:
-            raise PlanningError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {PLAN_EXECUTORS}"
             )
         if self.jobs < 1:
             raise PlanningError(f"jobs must be >= 1, got {self.jobs}")
@@ -602,8 +594,8 @@ def plan_capacity(
         ReplayJob(index, *grid.plan(index)) for index in finalist_indices
     ]
     tier_b_start = time.perf_counter()
-    replayed = replay_finalists(
-        state, payload, jobs, options.executor, options.jobs
+    replayed = map_pinned(
+        state, _ReplayState.from_payload, payload, jobs, options.jobs
     )
     tier_b_seconds = time.perf_counter() - tier_b_start
 

@@ -6,20 +6,21 @@ and the target workload is replayed through the full
 :class:`~repro.serving.server.ShardServer` stack (batcher, scheduler,
 event kernel) — the same oracle `repro serve` runs.
 
-Parallelism reuses the sweep driver's pinned-payload pattern
-(:mod:`repro.serving.sweep`): a picklable payload primes each worker
-once with the network, every kind's resolved config and the replay
-knobs; workers then verify whichever finalist they pick up.  A
-finalist's result depends only on the finalist (the workload is a
-fixed, pre-materialised arrival list), results carry no wall-clock
-fields, and the parent reassembles them in plan order — so
-``executor="process"`` replays byte-identically to serial.
+Parallelism is the sweep driver's pinned-payload pool,
+:func:`~repro.serving.sweep.map_pinned`: with ``jobs > 1`` a picklable
+payload primes each worker once (:meth:`_ReplayState.from_payload`)
+with the network, every kind's resolved config and the replay knobs;
+workers then verify whichever finalist they pick up.  A finalist's
+result depends only on the finalist (the workload is a fixed,
+pre-materialised arrival list), results carry no wall-clock fields,
+and they come back in job order — so ``jobs=2`` replays
+byte-identically to ``jobs=1``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import PlanningError
 from repro.serving.batcher import BatcherOptions
@@ -27,9 +28,6 @@ from repro.serving.server import ShardServer
 from repro.serving.workload import WorkloadSpec
 from repro.serving.shard import Shard, ShardPool
 from repro.serving.traffic import Request
-
-#: Tier B execution backends (mirrors ``SWEEP_EXECUTORS``).
-PLAN_EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class _ReplayState:
 
     def run(self, job: ReplayJob) -> dict:
         """One exact, deterministic replay — no wall-clock fields, so
-        serial and process runs serialise identically."""
+        serial and pooled runs serialise identically."""
         pool = self.pool(job.counts)
         pool.reset()
         server = ShardServer(pool)
@@ -137,55 +135,3 @@ class _ReplayState:
                 and p99 <= self.slo_p99_s
             ),
         }
-
-
-#: Worker-side state, installed once per process by the pool
-#: initializer (the ``repro.serving.sweep`` pattern).
-_replay_state: dict = {}
-
-
-def _replay_worker_init(payload) -> None:
-    _replay_state["state"] = _ReplayState.from_payload(payload)
-
-
-def _replay_run_job(job: ReplayJob) -> dict:
-    return _replay_state["state"].run(job)
-
-
-def replay_finalists(
-    state: _ReplayState,
-    payload,
-    jobs: List[ReplayJob],
-    executor: str,
-    workers: int,
-) -> List[dict]:
-    """Verify ``jobs`` serially or across worker processes.
-
-    ``state`` drives the serial path (and is the template the payload
-    was derived from); the process path primes fresh workers from
-    ``payload``.  Either way the result list is sorted by plan index —
-    the byte-identity invariant.
-    """
-    if executor not in PLAN_EXECUTORS:
-        raise PlanningError(
-            f"unknown plan executor {executor!r}; "
-            f"expected one of {PLAN_EXECUTORS}"
-        )
-    if executor == "process" and workers > 1 and len(jobs) > 1:
-        # Imported here: only a pool-building replay pays for the
-        # concurrent/multiprocessing import chain.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs)),
-            initializer=_replay_worker_init,
-            initargs=(payload,),
-        ) as pool:
-            futures = [
-                pool.submit(_replay_run_job, job) for job in jobs
-            ]
-            results = [future.result() for future in futures]
-    else:
-        results = [state.run(job) for job in jobs]
-    results.sort(key=lambda row: row["plan"])
-    return results

@@ -4,7 +4,7 @@ Turns the one-image-at-a-time runtime into a traffic-serving system
 built around a shared discrete-event kernel
 (:class:`~repro.serving.events.EventKernel`): event *sources* (open-
 loop traffic, replayed arrival traces, closed-loop client pools with
-think time, failure scenarios) feed typed events to *handlers* — the
+think time, chaos scenarios) feed typed events to *handlers* — the
 :class:`DynamicBatcher` coalescing requests under a batch/wait budget,
 the :class:`Scheduler` with pluggable policies and shard availability,
 an optional :class:`SloController` shedding or rerouting when the
@@ -12,7 +12,8 @@ observed p99 drifts, an optional :class:`AutoscalerController` driving
 the pool between min and max shards against a utilisation or p99
 target, and the :class:`ShardPool` of
 :class:`~repro.pipeline.session.PipelineSession` deployments placing
-batches on virtual timelines.  ``repro serve`` is the CLI entry point;
+batches on virtual timelines.  ``ShardServer(pool).run(spec)`` serves
+one :class:`WorkloadSpec`; ``repro serve`` is the CLI entry point;
 ``docs/serving.md`` documents the event taxonomy, policies, traffic
 models, autoscaling and metric definitions.
 """
@@ -61,10 +62,6 @@ from repro.serving.metrics import (
     TenantBreakdown,
     percentile,
 )
-from repro.serving.scenarios import (
-    FailureScenario,
-    ScenarioStep,
-)
 from repro.serving.scheduler import (
     POLICIES,
     LeastLoaded,
@@ -88,7 +85,6 @@ from repro.serving.tenancy import (
     parse_tenants,
 )
 from repro.serving.sweep import (
-    SWEEP_EXECUTORS,
     SweepCell,
     SweepGrid,
     SweepOptions,
@@ -136,7 +132,6 @@ __all__ = [
     "Event",
     "EventKernel",
     "EventSource",
-    "FailureScenario",
     "fastforward_serve",
     "FlashCrowd",
     "Flush",
@@ -164,7 +159,6 @@ __all__ = [
     "RoundRobin",
     "run_sweep",
     "ScaleEvent",
-    "ScenarioStep",
     "Scheduler",
     "SchedulingPolicy",
     "ServingReport",
@@ -183,7 +177,6 @@ __all__ = [
     "SloController",
     "SloOptions",
     "Stragglers",
-    "SWEEP_EXECUTORS",
     "SweepCell",
     "SweepGrid",
     "SweepOptions",

@@ -1,21 +1,23 @@
 """Chaos scenarios: a composable algebra over typed kernel events.
 
-:class:`~repro.serving.scenarios.FailureScenario` speaks exactly one
-failure mode — kill/restore.  This module generalises it into a small
-*scenario algebra*: a :class:`ChaosScenario` is an ordered list of
-perturbation ops, each of which **compiles** to the same typed
-:class:`~repro.serving.events.EventKernel` events the rest of the
-serving layer already reacts to — so the scheduler, the
+The serving layer's one scenario type.  A :class:`ChaosScenario` is an
+ordered list of perturbation ops, each of which **compiles** to the
+typed :class:`~repro.serving.events.EventKernel` events the rest of
+the serving layer already reacts to — so the scheduler, the
 :class:`~repro.serving.slo.SloController` and the
 :class:`~repro.serving.autoscaler.AutoscalerController` handle every
-new construct with zero changes to their contracts.
+construct with zero changes to their contracts.  A scenario reaches a
+run through :attr:`~repro.serving.workload.WorkloadSpec.scenario`.
 
 Ops and the events they compile to:
 
-* :class:`Kill` / :class:`Restore` — the legacy failure mode
-  (:class:`~repro.serving.events.ShardDown` /
-  :class:`~repro.serving.events.ShardUp`); a legacy spec compiles to a
-  bit-identical event sequence (the oracle tests pin this).
+* :class:`Kill` / :class:`Restore` — take a shard down and bring it
+  back (:class:`~repro.serving.events.ShardDown` /
+  :class:`~repro.serving.events.ShardUp`).  The dying shard's
+  in-flight requests are re-queued with their original arrival, so
+  their latency accounts the lost work; a restored shard rejoins with
+  a fresh timeline.  The kill/restore grammar's compiled events and
+  reports are pinned by golden tests.
 * :class:`Outage` — a *correlated* failure: several shards down (and
   optionally back up) at the same instants, the case that separates a
   replicated pool from an actually fault-tolerant one.
@@ -69,7 +71,6 @@ from repro.serving.events import (
     ShardRestoreRate,
     ShardUp,
 )
-from repro.serving.scenarios import FailureScenario
 from repro.serving.shard import ShardPool
 
 #: Op verbs understood by :meth:`ChaosScenario.parse`.
@@ -428,21 +429,6 @@ class ChaosScenario:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_failure(cls, scenario: FailureScenario) -> "ChaosScenario":
-        """The algebra form of a legacy kill/restore scenario.
-
-        The compiled events are identical to what
-        :meth:`FailureScenario.prime` pushes — same types, same times,
-        same order — so a run under either object is event-identical
-        (the oracle tests pin this equivalence).
-        """
-        return cls([
-            Kill(step.shard, step.at) if step.kind == "kill"
-            else Restore(step.shard, step.at)
-            for step in scenario.steps
-        ])
-
-    @classmethod
     def parse(cls, spec: str, seed: int = 2020) -> "ChaosScenario":
         """Parse the CLI grammar (see module docstring).
 
@@ -636,6 +622,5 @@ def _require(token: str, subject: Optional[str] = None,
 
 def parse_scenario(spec: str, seed: int = 2020) -> ChaosScenario:
     """Module-level alias of :meth:`ChaosScenario.parse` (the CLI's
-    entry point; the grammar is a superset of
-    :meth:`FailureScenario.parse`)."""
+    entry point)."""
     return ChaosScenario.parse(spec, seed=seed)

@@ -1,10 +1,11 @@
 """The serve loop: event sources -> kernel -> batcher/scheduler/shards.
 
 :class:`ShardServer` runs one discrete-event simulation per
-:meth:`~ShardServer.serve` call on a fresh
-:class:`~repro.serving.events.EventKernel`:
+:meth:`~ShardServer.run` call on a fresh
+:class:`~repro.serving.events.EventKernel`, configured entirely by the
+call's :class:`~repro.serving.workload.WorkloadSpec`:
 
-* **sources** (open-loop lists, closed-loop client pools, failure
+* **sources** (open-loop lists, closed-loop client pools, chaos
   scenarios) prime the kernel with their initial events;
 * the **batcher** consumes ``Arrival`` events and dispatches batches
   (size trigger inline, wait trigger via ``Flush`` wakeups);
@@ -20,7 +21,7 @@
   shards against a utilisation or p99 target (standby shards start
   down, scale-ups warm up before accepting work, scale-downs re-queue
   in-flight work like a failure would);
-* a **failure scenario** kills/restores shards mid-stream: the dying
+* a **chaos scenario** kills/restores shards mid-stream: the dying
   shard's pending completion events are cancelled and its un-completed
   requests re-enter the batcher at the failure instant (original
   arrival kept, so their latency accounts the lost work); with the
@@ -36,20 +37,18 @@ of the pre-kernel implementation.
 :class:`~repro.runtime.batch.BatchRunner` number the acceptance
 criterion compares against: the makespan of splitting the whole
 request set round-robin over the shards as one closed-loop batch.  For
-uniform traffic with a divisible batch budget, ``serve`` must agree
+uniform traffic with a divisible batch budget, ``run`` must agree
 with it to well under 1%.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from collections import deque
-from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import ServingError
-from repro.serving.autoscaler import AutoscalerController, AutoscalerOptions
+from repro.serving.autoscaler import AutoscalerController
 from repro.serving.batcher import BatcherOptions, DynamicBatcher
 from repro.serving.events import (
     Arrival,
@@ -67,7 +66,6 @@ from repro.serving.metrics import (
     ServingReport,
     ShardUsage,
 )
-from repro.serving.scenarios import FailureScenario
 from repro.serving.scheduler import (
     Scheduler,
     SchedulingPolicy,
@@ -75,26 +73,19 @@ from repro.serving.scheduler import (
     WeightedFair,
 )
 from repro.serving.shard import Shard, ShardPool
-from repro.serving.slo import SloController, SloOptions
+from repro.serving.slo import SloController
 from repro.serving.tenancy import TenantSet
 from repro.serving.traffic import OpenLoopSource, Request
 from repro.serving.workload import ENGINES, WorkloadSpec
 
-#: What ``serve`` accepts: an open-loop request list or one event
-#: source.  One source per run: request indices are the identity that
-#: keys completion bookkeeping, and independent sources would mint
+#: What a spec's ``traffic`` may be: an open-loop request list or one
+#: event source.  One source per run: request indices are the identity
+#: that keys completion bookkeeping, and independent sources would mint
 #: colliding indices.
 Traffic = Union[Sequence[Request], EventSource]
 
-#: What ``serve`` accepts as a scenario: the legacy kill/restore
-#: :class:`FailureScenario` or the composable
-#: :class:`~repro.serving.chaos.ChaosScenario` — both prime typed
-#: events onto the kernel, so the server treats them identically.
-Scenario = Union[FailureScenario, ChaosScenario]
-
 __all__ = [
     "ENGINES",
-    "Scenario",
     "ShardServer",
     "Traffic",
     "WorkloadSpec",
@@ -119,13 +110,13 @@ class _Usage:
 
 
 class _ServeRun:
-    """One serve() invocation: kernel wiring + run state."""
+    """One kernel run: kernel wiring + run state."""
 
     def __init__(
         self,
         server: "ShardServer",
         source: EventSource,
-        scenario: Optional[Scenario],
+        scenario: Optional[ChaosScenario],
         max_events: Optional[int] = None,
     ):
         self.server = server
@@ -510,57 +501,21 @@ class _ServeRun:
 class ShardServer:
     """Serve finite traffic workloads over a shard pool.
 
-    The server holds the pool plus one :class:`WorkloadSpec` — the
-    template every run starts from.  :meth:`run` consumes a full spec;
-    :meth:`serve` is a thin shim that fills the template's traffic /
-    scenario / engine / budget fields from its kwargs, so existing
-    call sites keep working unchanged.  The knob-per-argument
-    constructor (``policy``/``batcher``/``slo``/``autoscale``) is
-    deprecated — it builds the equivalent spec and stays
-    event-identical, but new code should pass ``spec=``.
+    The server holds only the pool; each :meth:`run` takes one complete
+    :class:`WorkloadSpec` (traffic, policy, batcher, tenants, SLO,
+    autoscaler, scenario, engine, event budget).
     """
 
-    def __init__(
-        self,
-        pool: ShardPool,
-        policy: Optional[Union[str, SchedulingPolicy]] = None,
-        batcher: Optional[BatcherOptions] = None,
-        slo: Optional[SloOptions] = None,
-        autoscale: Optional[AutoscalerOptions] = None,
-        *,
-        spec: Optional[WorkloadSpec] = None,
-    ):
-        if (
-            policy is not None or batcher is not None
-            or slo is not None or autoscale is not None
-        ):
-            if spec is not None:
-                raise ServingError(
-                    "pass a WorkloadSpec OR the legacy "
-                    "policy/batcher/slo/autoscale knobs, not both"
-                )
-            warnings.warn(
-                "ShardServer(pool, policy, batcher, slo, autoscale) is "
-                "deprecated; pass "
-                "ShardServer(pool, spec=WorkloadSpec(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            spec = WorkloadSpec(
-                policy=policy if policy is not None else "round-robin",
-                batcher=batcher,
-                slo=slo,
-                autoscale=autoscale,
-            )
+    def __init__(self, pool: ShardPool):
         self.pool = pool
         self.scheduler: Optional[Scheduler] = None
         self.batcher: Optional[DynamicBatcher] = None
-        self._configure(spec if spec is not None else WorkloadSpec())
+        self._configure(WorkloadSpec())
         #: The controllers of the most recent run (windowed estimates,
         #: tick counters, scale decisions), for inspection/printing.
         self.last_slo_controller: Optional[SloController] = None
         self.last_autoscaler: Optional[AutoscalerController] = None
-        #: Which engine the most recent :meth:`serve` ran on
+        #: Which engine the most recent :meth:`run` ran on
         #: (``"kernel"`` or ``"fastforward"``; ``None`` before any
         #: run) — the non-silent accounting sweeps and planners record.
         self.last_engine: Optional[str] = None
@@ -571,7 +526,6 @@ class ShardServer:
         same scheduler/policy objects (their post-run state — e.g. the
         fast-forward engine's mirrored rotation — stays inspectable).
         """
-        self.spec = spec
         self.tenants: TenantSet = spec.tenant_set()
         policy = spec.policy
         if isinstance(policy, SchedulingPolicy):
@@ -638,50 +592,13 @@ class ShardServer:
         self.last_autoscaler = run.autoscaler
         return run.execute()
 
-    def serve(
-        self,
-        traffic: Traffic,
-        scenario: Optional[Scenario] = None,
-        max_events: Optional[int] = None,
-        engine: str = "auto",
-    ) -> ServingReport:
-        """Run one workload; returns the aggregate report.
-
-        A thin shim over :meth:`run`: the server's spec is copied with
-        this call's ``traffic``/``scenario``/``max_events``/``engine``
-        filled in (the copy revalidates eagerly, so e.g. a scenario
-        against an autoscaled spec fails here, not mid-run).
-
-        ``traffic`` is a request list (open loop) or exactly one
-        :class:`~repro.serving.events.EventSource`; ``max_events``
-        raises the kernel's runaway-loop budget for legitimately large
-        workloads (an open-loop run costs roughly three events per
-        request: arrival, flush, completion) and bounds the
-        fast-forward path's *equivalent* event count the same way.
-        """
-        return self.run(
-            replace(
-                self.spec,
-                traffic=traffic,
-                scenario=scenario,
-                max_events=max_events,
-                engine=engine,
-            )
-        )
-
     @staticmethod
     def _source(traffic: Traffic) -> EventSource:
+        # The spec validated the traffic as ONE source or a Request
+        # list; OpenLoopSource rejects an empty list.
         if isinstance(traffic, EventSource):
             return traffic
-        traffic = list(traffic)
-        if not traffic:
-            raise ServingError("nothing to serve: empty request stream")
-        if all(isinstance(item, Request) for item in traffic):
-            return OpenLoopSource(traffic)
-        raise ServingError(
-            "traffic must be a Request list or ONE EventSource: "
-            "independent sources would mint colliding request indices"
-        )
+        return OpenLoopSource(traffic)
 
 
 def analytical_reference(pool: ShardPool, count: int) -> float:

@@ -8,15 +8,16 @@ them.  :func:`run_sweep` executes a :class:`SweepGrid` under
 survival fractions into a :class:`SweepReport` whose JSON form is
 consumable by ``benchmarks/append_trajectory.py``.
 
-Parallelism is a pinned-payload process pool: workers are primed once
-via a pool initializer with a picklable payload — the network, device
-and *resolved* config, so no worker re-runs the DSE — and each cell
-runs a complete, independent simulation in whatever process picks it
-up.  Determinism is preserved by construction: a cell's result depends
-only on the cell (its seed is ``base seed + cell index``), results
-carry no wall-clock fields, and the parent reassembles them in grid
-order — so ``executor="process"`` produces byte-identical report JSON
-to ``executor="serial"`` (a tier-1 test pins this).
+Parallelism is :func:`map_pinned`, the pinned-payload process pool the
+capacity planner's Tier B replay shares: with ``jobs > 1`` workers are
+primed once via a pool initializer with a picklable payload — the
+network, device and *resolved* config, so no worker re-runs the DSE —
+and each cell runs a complete, independent simulation in whatever
+process picks it up.  Determinism is preserved by construction: a
+cell's result depends only on the cell (its seed is ``base seed +
+cell index``), results carry no wall-clock fields, and they come back
+in grid order — so ``jobs=2`` produces byte-identical report JSON to
+``jobs=1`` (a tier-1 test pins this).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
 from repro.serving.batcher import BatcherOptions
@@ -41,11 +42,6 @@ from repro.serving.traffic import (
     shape_arrivals,
     shaped_trace,
 )
-
-#: Sweep execution backends.  ``thread`` is deliberately absent: cells
-#: mutate shared shard timelines, so threads would need per-thread
-#: pools for no benefit on GIL builds.
-SWEEP_EXECUTORS = ("serial", "process")
 
 #: The scenario spec meaning "no perturbation" in a grid.
 BASELINE_SCENARIO = "none"
@@ -75,10 +71,11 @@ class SweepOptions:
     *here*, eagerly: a missing file, a malformed trace or a bad
     shape x trace combination fails at construction — never 80 cells
     into a sweep — and workers inherit the composed arrivals through
-    the pickled options, so no worker re-reads the file.
+    the pickled options, so no worker re-reads the file.  ``jobs > 1``
+    runs the cells across that many worker processes
+    (:func:`map_pinned`); the report is byte-identical either way.
     """
 
-    executor: str = "serial"
     jobs: int = 1
     requests: int = 48
     traffic: str = "poisson"
@@ -95,11 +92,6 @@ class SweepOptions:
     event_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.executor not in SWEEP_EXECUTORS:
-            raise ServingError(
-                f"unknown sweep executor {self.executor!r}; "
-                f"expected one of {SWEEP_EXECUTORS}"
-            )
         if self.jobs < 1:
             raise ServingError(f"jobs must be >= 1, got {self.jobs}")
         if self.requests < 1:
@@ -261,7 +253,7 @@ class _SweepState:
 
     def run(self, cell: SweepCell) -> dict:
         """One complete, deterministic simulation — no wall-clock
-        fields, so serial and process runs serialise identically."""
+        fields, so serial and pooled runs serialise identically."""
         options = self.options
         pool = self.pool(cell.pool_size)
         # Pools are reused across cells: clear any degradation a
@@ -351,17 +343,46 @@ def _safe(value: float) -> Optional[float]:
     return None if value != value else value
 
 
-#: Worker-side state, installed once per process by the pool
-#: initializer.
-_sweep_state: dict = {}
+#: Worker-side state of :func:`map_pinned`, installed once per process
+#: by the pool initializer.
+_worker_state: dict = {}
 
 
-def _sweep_worker_init(payload) -> None:
-    _sweep_state["state"] = _SweepState.from_payload(payload)
+def _init_worker(factory: Callable, payload) -> None:
+    _worker_state["state"] = factory(payload)
 
 
-def _sweep_run_cell(cell: SweepCell) -> dict:
-    return _sweep_state["state"].run(cell)
+def _run_item(item):
+    return _worker_state["state"].run(item)
+
+
+def map_pinned(
+    state, factory: Callable, payload, items: Sequence, jobs: int
+) -> List:
+    """``[state.run(item) for item in items]``, in item order.
+
+    With ``jobs > 1`` and more than one item, the items run across
+    ``min(jobs, len(items))`` worker processes instead: each worker is
+    primed once with ``factory(payload)`` — ``payload`` is picklable
+    and pinned by the pool initializer, so no worker repeats the
+    parent's setup (DSE, config resolution) — and runs whichever items
+    it picks up.  Results come back in item order either way, so work
+    whose per-item result depends only on the item is byte-identical
+    serially and pooled.  ``state`` is the parent-side equivalent of
+    ``factory(payload)``.
+    """
+    if jobs <= 1 or len(items) <= 1:
+        return [state.run(item) for item in items]
+    # Imported here: only a pooled run pays for the
+    # concurrent/multiprocessing import chain.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(items)),
+        initializer=_init_worker,
+        initargs=(factory, payload),
+    ) as pool:
+        return list(pool.map(_run_item, items))
 
 
 @dataclass(frozen=True)
@@ -370,7 +391,7 @@ class SweepReport:
 
     ``wall_seconds`` describes the host, not the system under test, so
     it is excluded from equality *and* from the serialised report —
-    the serial-vs-process byte-identity guarantee depends on it.
+    the serial-vs-pooled byte-identity guarantee depends on it.
     """
 
     grid: Dict
@@ -515,38 +536,22 @@ def run_sweep(
 
     The session's config is resolved *here*, in the parent — one DSE
     no matter how many workers — and shipped to workers as a pinned
-    payload.  The serial path runs the same per-cell code on the
-    parent's session, so the two executors are the same computation
-    scheduled differently — which is why their reports serialise
-    byte-identically.
+    payload.  With ``options.jobs == 1`` the same per-cell code runs
+    on the parent's session, so serial and pooled sweeps are the same
+    computation scheduled differently — which is why their reports
+    serialise byte-identically.
     """
     options = options or SweepOptions()
     cells = grid.cells(seed)
     start = time.perf_counter()
-    if options.executor == "process" and options.jobs > 1:
-        # Imported here: only a pool-building sweep pays for the
-        # concurrent/multiprocessing import chain.
-        from concurrent.futures import ProcessPoolExecutor
-
-        payload = (
-            session.network, session.device, session.cfg,
-            session.compiler_options, session.seed, options,
-        )
-        with ProcessPoolExecutor(
-            max_workers=options.jobs,
-            initializer=_sweep_worker_init,
-            initargs=(payload,),
-        ) as executor:
-            futures = [
-                executor.submit(_sweep_run_cell, cell) for cell in cells
-            ]
-            results = [future.result() for future in futures]
-    else:
-        state = _SweepState(session, options)
-        results = [state.run(cell) for cell in cells]
-    # Submission order is grid order, but make the invariant explicit:
-    # the report's cell list is always sorted by cell index.
-    results.sort(key=lambda row: row["cell"])
+    payload = (
+        session.network, session.device, session.cfg,
+        session.compiler_options, session.seed, options,
+    )
+    results = map_pinned(
+        _SweepState(session, options), _SweepState.from_payload,
+        payload, cells, options.jobs,
+    )
     return _aggregate(
         grid, options, seed, results, time.perf_counter() - start
     )

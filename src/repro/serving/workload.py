@@ -1,12 +1,10 @@
-"""The redesigned serve API: one eagerly-validated workload spec.
+"""The serve API: one eagerly-validated workload spec.
 
-Nine constructor/call knobs accreted on :class:`ShardServer` across
-PRs 3–9 (policy, batcher, SLO, autoscaler, scenario, engine, budget,
-...), and tenancy would have made the sprawl worse.  A
-:class:`WorkloadSpec` gathers everything one serve run needs into a
-single frozen dataclass, validated *eagerly* at construction (like
-``DseOptions``) so a bad combination fails where it was written, not
-deep inside an event handler:
+A :class:`WorkloadSpec` gathers everything one serve run needs —
+traffic, policy, batcher, tenants, SLO, autoscaler, chaos scenario,
+engine and event budget — into a single frozen dataclass, validated
+*eagerly* at construction (like ``DseOptions``) so a bad combination
+fails where it was written, not deep inside an event handler:
 
 >>> spec = WorkloadSpec(
 ...     traffic=make_requests("poisson", 256, qps=800.0),
@@ -19,9 +17,8 @@ deep inside an event handler:
 ... )
 >>> report = ShardServer(pool).run(spec)
 
-``ShardServer.serve(...)`` survives as a thin shim that builds a spec
-from its kwargs, and the deprecated knob-per-argument constructor
-builds one too — both stay event-identical to the old API.
+``ShardServer(pool).run(spec)`` is the only way to serve: the server
+holds the pool, the spec holds everything else.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from typing import Optional, Sequence, Union
 from repro.errors import ServingError
 from repro.serving.autoscaler import AutoscalerOptions
 from repro.serving.batcher import BatcherOptions
+from repro.serving.chaos import ChaosScenario
 from repro.serving.events import EventSource
 from repro.serving.scheduler import POLICIES, SchedulingPolicy
 from repro.serving.slo import SloOptions
@@ -51,15 +49,20 @@ class WorkloadSpec:
 
     ``traffic`` is a request list (open loop) or exactly one
     :class:`~repro.serving.events.EventSource`; it may be ``None`` in a
-    *template* spec held by a server and filled in per run with
-    :func:`dataclasses.replace`.  ``tenants`` may be a
-    :class:`~repro.serving.tenancy.TenantSet` or a plain sequence of
-    :class:`~repro.serving.tenancy.TenantSpec` (normalised to a set);
-    ``None`` means the trivial single-tenant workload.  ``scenario``
-    and ``autoscale`` are mutually exclusive, exactly as on the CLI —
-    a scenario kills specific shards while the autoscaler owns the
-    pool membership, and the two fighting over it has no defined
-    semantics.
+    *template* spec filled in per run with :meth:`with_traffic`.
+    ``tenants`` may be a :class:`~repro.serving.tenancy.TenantSet` or a
+    plain sequence of :class:`~repro.serving.tenancy.TenantSpec`
+    (normalised to a set); ``None`` means the trivial single-tenant
+    workload.  ``scenario`` is a
+    :class:`~repro.serving.chaos.ChaosScenario` (built from ops or by
+    :func:`~repro.serving.chaos.parse_scenario`); it and ``autoscale``
+    are mutually exclusive, exactly as on the CLI — a scenario kills
+    specific shards while the autoscaler owns the pool membership, and
+    the two fighting over it has no defined semantics.  ``max_events``
+    raises the kernel's runaway-loop budget for legitimately large
+    workloads (an open-loop run costs roughly three events per request:
+    arrival, flush, completion) and bounds the fast-forward path's
+    *equivalent* event count the same way.
     """
 
     traffic: Optional[Union[Sequence[Request], EventSource]] = None
@@ -68,7 +71,7 @@ class WorkloadSpec:
     tenants: Optional[TenantSet] = None
     slo: Optional[SloOptions] = None
     autoscale: Optional[AutoscalerOptions] = None
-    scenario: Optional[object] = None
+    scenario: Optional[ChaosScenario] = None
     engine: str = "auto"
     max_events: Optional[int] = None
 
@@ -102,12 +105,18 @@ class WorkloadSpec:
                 f"autoscale must be AutoscalerOptions, "
                 f"got {type(self.autoscale).__name__}"
             )
-        if self.scenario is not None and self.autoscale is not None:
-            raise ServingError(
-                "a workload cannot combine a failure scenario with an "
-                "autoscaler: the scenario kills specific shards while "
-                "the autoscaler owns the pool membership"
-            )
+        if self.scenario is not None:
+            if not isinstance(self.scenario, ChaosScenario):
+                raise ServingError(
+                    f"scenario must be a ChaosScenario, "
+                    f"got {type(self.scenario).__name__}"
+                )
+            if self.autoscale is not None:
+                raise ServingError(
+                    "a workload cannot combine a chaos scenario with an "
+                    "autoscaler: the scenario kills specific shards "
+                    "while the autoscaler owns the pool membership"
+                )
         if self.engine not in ENGINES:
             raise ServingError(
                 f"unknown serve engine {self.engine!r}; "
@@ -139,7 +148,8 @@ class WorkloadSpec:
         object.__setattr__(self, "traffic", requests)
         if not all(isinstance(item, Request) for item in requests):
             raise ServingError(
-                "traffic must be a Request list or ONE EventSource"
+                "traffic must be a Request list or ONE EventSource: "
+                "independent sources would mint colliding request indices"
             )
         tags = {request.tenant for request in requests}
         tags.discard(DEFAULT_TENANT)

@@ -176,3 +176,44 @@ class TestSlowExperiments:
     def test_vgg16_case_format(self):
         text = format_vgg16_case(run_vgg16_case(devices=("pynq-z1",)))
         assert "matches paper" in text
+
+
+class TestScenarioStudy:
+    #: ``scenario_study.main(seed=2020)``'s text as the original
+    #: kill/restore-only scenario type produced it; the study now runs
+    #: on Kill/Restore chaos ops and must print the same bytes.
+    EXPECTED = (
+        "Failure scenarios: kill shard0 @ 25%, restore @ 55% "
+        "(VGG16-64, 2x vu9p, Poisson @ 1.2x simulated rate)\n"
+        + "=" * 102 + "\n"
+        "Policy            GOPS    GOPS (kill)  stretch  p99 ms  "
+        "p99 ms (kill)  survivor share\n"
+        "----------------  ------  -----------  -------  ------  "
+        "-------------  --------------\n"
+        "round-robin       5038.9  3209.1       1.57x    12.74   39.95"
+        "          78/96\n"
+        "least-loaded      5038.9  4103.1       1.23x    12.74   35.29"
+        "          60/96\n"
+        "shortest-latency  5038.9  4103.1       1.23x    12.74   35.29"
+        "          60/96\n"
+        "* all policies re-serve the killed shard's in-flight work: "
+        "no request lost\n"
+        "\n"
+        "\n"
+        "SLO control: vu9p + pynq-z1 pool at 1.5x simulated rate "
+        "(round-robin, p99 target = 4 cloud batch-times)\n"
+        + "=" * 103 + "\n"
+        "Action   served  shed  rerouted  p99 ms  GOPS\n"
+        "-------  ------  ----  --------  ------  -----\n"
+        "none     64      0     0         700.96  217.6\n"
+        "shed     48      16    0         564.87  203.6\n"
+        "reroute  64      0     6         564.87  271.4\n"
+        "* shedding cut p99 to 0.81x the uncontrolled tail at the cost "
+        "of 16 requests\n"
+    )
+
+    def test_main_text_is_pinned(self, capsys):
+        from repro.experiments import scenario_study
+
+        assert scenario_study.main(seed=2020) == self.EXPECTED
+        assert capsys.readouterr().out == self.EXPECTED + "\n"

@@ -146,6 +146,22 @@ class TestEvaluationCache:
         assert delta.lookups == 7
         assert 0.0 <= delta.hit_rate <= 1.0
 
+    def test_describe_partition_only(self):
+        # A DSE's delta: partition lookups only, no estimate clause.
+        stats = CacheStats(partition_hits=0, partition_misses=150)
+        assert stats.describe() == (
+            "0/150 partition hits, 0.0% overall, 0 from shape dedup, "
+            "0 infeasible entries"
+        )
+
+    def test_describe_with_estimate_lookups(self):
+        stats = CacheStats(hits=3, misses=1, partition_hits=1,
+                           partition_misses=1, shape_dedup_hits=2)
+        assert stats.describe() == (
+            "1/2 partition hits, 3/4 estimate hits (75.0%), "
+            "66.7% overall, 2 from shape dedup, 0 infeasible entries"
+        )
+
 
 # -- prune-bound admissibility --------------------------------------------
 

@@ -250,7 +250,7 @@ def test_plan_options_requires_exactly_one_workload():
         dict(slo_p99_s=1e-3, rate=1.0, requests=0),
         dict(slo_p99_s=1e-3, rate=1.0, traffic="nope"),
         dict(slo_p99_s=1e-3, rate=1.0, top_k=0),
-        dict(slo_p99_s=1e-3, rate=1.0, executor="thread"),
+        dict(slo_p99_s=float("inf"), rate=1.0),
         dict(slo_p99_s=1e-3, rate=1.0, jobs=0),
         dict(slo_p99_s=1e-3, rate=1.0, policy="nope"),
         dict(slo_p99_s=1e-3, rate=1.0, max_wait_s=-1.0),
@@ -349,7 +349,7 @@ def test_plan_capacity_process_matches_serial(small_plan):
     process = plan_capacity(
         "tiny_cnn",
         DEVICES_SMALL,
-        small_options(executor="process", jobs=4),
+        small_options(jobs=4),
     ).to_dict()
     for report in (serial, process):
         report.pop("timings")

@@ -31,6 +31,7 @@ from repro.serving import (
     ShardUsage,
     SloOptions,
     TraceSource,
+    WorkloadSpec,
     load_trace,
     make_requests,
 )
@@ -53,7 +54,7 @@ def make_session(instances=2, frequency=100.0):
 
 @pytest.fixture(scope="module")
 def pool4():
-    """One 4-shard pool shared by every test: ``serve`` resets all
+    """One 4-shard pool shared by every test: ``run`` resets all
     per-run state, so back-to-back runs are independent."""
     return ShardPool.replicate(make_session(), 4)
 
@@ -65,11 +66,14 @@ def probe(pool4):
 
 def serve(pool, traffic, autoscale, policy="least-loaded", max_batch=2,
           slo=None):
-    server = ShardServer(
-        pool, policy, BatcherOptions(max_batch=max_batch),
-        slo=slo, autoscale=autoscale,
-    )
-    return server, server.serve(traffic)
+    server = ShardServer(pool)
+    return server, server.run(WorkloadSpec(
+        traffic=traffic,
+        policy=policy,
+        batcher=BatcherOptions(max_batch=max_batch),
+        slo=slo,
+        autoscale=autoscale,
+    ))
 
 
 def p99_options(probe, **kw):
@@ -135,13 +139,13 @@ class TestAutoscalerOptions:
 
     def test_pool_smaller_than_max_is_rejected(self):
         pool = ShardPool.replicate(make_session(), 2)
-        _server, _ = (None, None)
         with pytest.raises(ServingError):
-            ShardServer(
-                pool, autoscale=AutoscalerOptions(
+            ShardServer(pool).run(WorkloadSpec(
+                traffic=make_requests("uniform", 4),
+                autoscale=AutoscalerOptions(
                     min_shards=1, max_shards=4, target_p99_s=1.0
                 ),
-            ).serve(make_requests("uniform", 4))
+            ))
 
 
 # -- elasticity behaviour --------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for repro.serving.chaos — the scenario algebra.
 
-The oracle tests pin the contract the whole module hangs on: a legacy
-kill/restore spec compiled through the algebra is *event-identical* to
-the old ``FailureScenario`` path, so every scheduler/SLO/autoscaler
-behaviour already proven against the old scenarios carries over.  The
-property tests then cover the new surface: any valid program compiles
-to a nondecreasing, well-nested event sequence, and seeded runs are
-bit-reproducible.
+The oracle tests pin the contract the whole module hangs on: a
+kill/restore spec compiles to the exact event sequence, and serves to
+the exact report, that the original kill/restore-only scenario type
+produced — golden values captured from it before it was retired — so
+every scheduler/SLO/autoscaler behaviour proven against that type
+carries over.  The property tests then cover the rest of the surface:
+any valid program compiles to a nondecreasing, well-nested event
+sequence, and seeded runs are bit-reproducible.
 """
 
 import math
@@ -26,7 +27,6 @@ from repro.serving import (
     ChaosScenario,
     Degrade,
     Diurnal,
-    FailureScenario,
     FlashCrowd,
     Kill,
     Outage,
@@ -38,6 +38,7 @@ from repro.serving import (
     ShardUp,
     ShardServer,
     Stragglers,
+    WorkloadSpec,
     make_requests,
     parse_scenario,
     parse_shape,
@@ -67,9 +68,12 @@ def pool():
 
 def serve(pool, traffic, scenario=None, policy="round-robin",
           max_batch=4):
-    server = ShardServer(pool, policy,
-                         BatcherOptions(max_batch=max_batch))
-    return server.serve(traffic, scenario=scenario)
+    return ShardServer(pool).run(WorkloadSpec(
+        traffic=traffic,
+        policy=policy,
+        batcher=BatcherOptions(max_batch=max_batch),
+        scenario=scenario,
+    ))
 
 
 # -- ops -------------------------------------------------------------------
@@ -130,7 +134,20 @@ class TestChaosParse:
 
     def test_legacy_kill_restore_grammar_still_parses(self):
         scenario = parse_scenario("kill:shard0@0.05,restore@0.1")
+        assert scenario.ops == [Kill("shard0", 0.05), Restore("shard0", 0.1)]
         assert scenario.spans() == [("shard0", 0.05, 0.1)]
+        assert "kill shard0" in scenario.describe()
+
+    def test_explicit_restore_and_multiple_shards(self):
+        scenario = parse_scenario("kill:a@0.2, kill:b@0.1, restore:a@0.3")
+        # Events sort by time; b stays down forever.
+        assert [event.shard for event in scenario.compile()] == [
+            "b", "a", "a",
+        ]
+        spans = {
+            shard: (down, up) for shard, down, up in scenario.spans()
+        }
+        assert spans == {"a": (0.2, 0.3), "b": (0.1, math.inf)}
 
     def test_windowed_kill_equals_kill_plus_restore(self):
         window = parse_scenario("kill:shard0@0.05..0.1")
@@ -167,6 +184,14 @@ class TestChaosParse:
         "stragglers:shard0@0.1x4",           # stragglers need a window
         "frobnicate:shard0@0.1",             # unknown verb
         "",                                  # empty spec
+        "kill:shard0@soon",                  # bad time
+        "restore@0.1",                       # no preceding kill
+        "kill:@0.1",                         # no shard name
+        "pause:shard0@0.1",                  # unknown verb
+        "kill:shard0@-0.1",                  # negative time
+        "kill:shard0@nan",                   # non-finite time
+        "kill:a@0.2,restore:a@0.1",          # restore precedes its kill
+        "kill:a@0.1,kill:a@0.2",             # double kill while down
     ])
     def test_bad_specs_fail_with_serving_errors(self, spec):
         with pytest.raises(ServingError):
@@ -247,40 +272,118 @@ class TestChaosCompile:
         ]
 
 
-# -- oracle: legacy scenarios are event-identical --------------------------
+# -- oracle: kill/restore golden values -------------------------------------
+
+#: The report of ``serve(pool, make_requests("poisson", 32, qps=4000.0,
+#: seed=11), scenario)`` for ``kill:shard0@0.002`` (``to_dict()``
+#: without its wall-clock keys), as the original kill/restore-only
+#: scenario type produced it.  The other specs' reports are this one
+#: plus the keys listed for them.
+_KILL_REPORT = {
+    "admission_shed": 0,
+    "count": 32,
+    "events_processed": 97,
+    "images_per_second": 3774.4565092575685,
+    "makespan_seconds": 0.00847804178469508,
+    "mean_batch_size": 1.0,
+    "mean_latency_s": 2.2374622781003295e-05,
+    "mean_queue_s": 3.946227810034948e-07,
+    "p50_latency_s": 2.1979999999999996e-05,
+    "p90_latency_s": 2.1980000000000003e-05,
+    "p99_latency_s": 3.46079289921114e-05,
+    "rerouted": 0,
+    "scale_downs": 0,
+    "scale_events": [],
+    "scale_ups": 0,
+    "schema": 2,
+    "shard_seconds": 0.01695608356939016,
+    "shards": [
+        {"active_spans": None, "batches": 6,
+         "busy_seconds": 0.00013188000000000002, "name": "shard0",
+         "requests": 6},
+        {"active_spans": None, "batches": 26,
+         "busy_seconds": 0.0005714799999999936, "name": "shard1",
+         "requests": 26},
+    ],
+    "shed": 0,
+    "tenants": {"default": {
+        "admission_shed": 0, "count": 32, "issued": 32,
+        "mean_latency_s": 2.2374622781003295e-05,
+        "p50_latency_s": 2.1979999999999996e-05,
+        "p99_latency_s": 3.46079289921114e-05,
+        "shed": 0, "slo_attainment": None, "slo_target_s": None,
+        "unserved": 0,
+    }},
+    "throughput_gops": 3.7568222484463174,
+    "total_ops": 31850496,
+    "unserved": 0,
+}
+
+#: spec -> (compiled ``(event type, shard, time)`` list, report).
+GOLDEN = {
+    "kill:shard0@0.002,restore@0.01": (
+        [("ShardDown", "shard0", 0.002), ("ShardUp", "shard0", 0.01)],
+        # The restore lands after the last arrival: one more event.
+        {**_KILL_REPORT, "events_processed": 98},
+    ),
+    "kill:shard0@0.002": (
+        [("ShardDown", "shard0", 0.002)],
+        _KILL_REPORT,
+    ),
+    "kill:shard0@0.001, kill:shard1@0.003, restore:shard0@0.005": (
+        [
+            ("ShardDown", "shard0", 0.001),
+            ("ShardDown", "shard1", 0.003),
+            ("ShardUp", "shard0", 0.005),
+        ],
+        {
+            **_KILL_REPORT,
+            "events_processed": 99,
+            "mean_latency_s": 0.00014583235727148752,
+            "mean_queue_s": 0.00012385235727148776,
+            "p50_latency_s": 2.1980000000000003e-05,
+            "p90_latency_s": 0.00017697740783900132,
+            "p99_latency_s": 0.001964011449034261,
+            "shards": [
+                {"active_spans": None, "batches": 20,
+                 "busy_seconds": 0.0004395999999999927, "name": "shard0",
+                 "requests": 20},
+                {"active_spans": None, "batches": 12,
+                 "busy_seconds": 0.00026376, "name": "shard1",
+                 "requests": 12},
+            ],
+            "tenants": {"default": {
+                "admission_shed": 0, "count": 32, "issued": 32,
+                "mean_latency_s": 0.00014583235727148752,
+                "p50_latency_s": 2.1980000000000003e-05,
+                "p99_latency_s": 0.001964011449034261,
+                "shed": 0, "slo_attainment": None, "slo_target_s": None,
+                "unserved": 0,
+            }},
+        },
+    ),
+}
 
 
 class TestOracle:
-    SPECS = [
-        "kill:shard0@0.002,restore@0.01",
-        "kill:shard0@0.002",
-        "kill:shard0@0.001, kill:shard1@0.003, restore:shard0@0.005",
-    ]
+    SPECS = list(GOLDEN)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_compiled_events_match_legacy_steps(self, spec):
-        legacy = FailureScenario.parse(spec)
-        events = ChaosScenario.from_failure(legacy).compile()
+        events = parse_scenario(spec).compile()
         assert [
             (type(e).__name__, e.shard, e.time) for e in events
-        ] == [
-            ("ShardDown" if s.kind == "kill" else "ShardUp", s.shard, s.at)
-            for s in sorted(legacy.steps,
-                            key=lambda s: (s.at, s.kind != "kill"))
-        ]
+        ] == GOLDEN[spec][0]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_serve_reports_identical(self, pool, spec):
         traffic = make_requests("poisson", 32, qps=4000.0, seed=11)
-        old = serve(pool, traffic, FailureScenario.parse(spec))
-        new = serve(pool, traffic, parse_scenario(spec))
-        assert old == new
+        report = serve(pool, traffic, parse_scenario(spec))
         drop = ("wall_seconds", "events_per_second",
                 "replay_requests_per_second")
-        assert (
-            {k: v for k, v in old.to_dict().items() if k not in drop}
-            == {k: v for k, v in new.to_dict().items() if k not in drop}
-        )
+        assert {
+            k: v for k, v in report.to_dict().items() if k not in drop
+        } == GOLDEN[spec][1]
 
 
 # -- degrade semantics -----------------------------------------------------

@@ -28,6 +28,7 @@ from repro.serving import (
     ShardPool,
     ShardServer,
     ShardUp,
+    WorkloadSpec,
     make_requests,
 )
 
@@ -260,8 +261,8 @@ class TestKernelOrderingProperties:
 
     def test_report_carries_kernel_throughput(self):
         pool = ShardPool.replicate(make_session(), 1)
-        report = ShardServer(pool, "round-robin").serve(
-            make_requests("uniform", 8)
+        report = ShardServer(pool).run(
+            WorkloadSpec(traffic=make_requests("uniform", 8))
         )
         assert report.events_processed > 0
         assert report.wall_seconds > 0.0
@@ -377,9 +378,10 @@ class TestClosedLoopClientPool:
         pool = ShardPool.replicate(make_session(instances=2), 2)
         source = ClosedLoopClientPool(clients=3, requests=17,
                                       think_time_s=0.0, seed=4)
-        report = ShardServer(
-            pool, "least-loaded", BatcherOptions(max_batch=2)
-        ).serve(source)
+        report = ShardServer(pool).run(WorkloadSpec(
+            traffic=source, policy="least-loaded",
+            batcher=BatcherOptions(max_batch=2),
+        ))
         assert report.count == 17
         assert [r.index for r in report.records] == list(range(17))
 
@@ -389,9 +391,9 @@ class TestClosedLoopClientPool:
         think = 0.5 * per_image
         source = ClosedLoopClientPool(clients=2, requests=10,
                                       think_time_s=think, seed=4)
-        report = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=1)
-        ).serve(source)
+        report = ShardServer(pool).run(WorkloadSpec(
+            traffic=source, batcher=BatcherOptions(max_batch=1)
+        ))
         assert report.count == 10
         # At most 2 requests are ever in flight, and a client's next
         # arrival is exactly one think time after a completion.
@@ -413,26 +415,29 @@ class TestClosedLoopClientPool:
 
     def test_closed_loop_run_is_deterministic(self):
         pool = ShardPool.replicate(make_session(instances=2), 2)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=2))
+        server = ShardServer(pool)
+        spec = WorkloadSpec(
+            policy="least-loaded", batcher=BatcherOptions(max_batch=2)
+        )
         source = ClosedLoopClientPool(
             clients=4, requests=20, think_time_s=1e-5,
             distribution="exponential", seed=9,
         )
-        first = server.serve(source)
-        second = server.serve(source)  # prime() resets per-run state
+        first = server.run(spec.with_traffic(source))
+        # prime() resets per-run state.
+        second = server.run(spec.with_traffic(source))
         assert first.records == second.records
-        other = server.serve(ClosedLoopClientPool(
+        other = server.run(spec.with_traffic(ClosedLoopClientPool(
             clients=4, requests=20, think_time_s=1e-5,
             distribution="exponential", seed=10,
-        ))
+        )))
         assert other.records != first.records
 
     def test_zero_requests_gives_empty_report(self):
         pool = ShardPool.replicate(make_session(), 1)
-        report = ShardServer(pool, "round-robin").serve(
-            ClosedLoopClientPool(clients=2, requests=0)
-        )
+        report = ShardServer(pool).run(WorkloadSpec(
+            traffic=ClosedLoopClientPool(clients=2, requests=0)
+        ))
         assert report.count == 0
         assert report.makespan_seconds == 0.0
 
@@ -457,18 +462,16 @@ class TestEmptyReport:
         assert "5 shed" in text
 
     def test_mixed_traffic_types_rejected(self):
-        pool = ShardPool.replicate(make_session(), 1)
-        server = ShardServer(pool)
         with pytest.raises(ServingError):
-            server.serve([Request(0, 0.0), OpenLoopSource([Request(1, 0.0)])])
+            WorkloadSpec(
+                traffic=[Request(0, 0.0), OpenLoopSource([Request(1, 0.0)])]
+            )
 
     def test_multiple_sources_rejected(self):
         # Independent sources would mint colliding request indices and
         # cross-advance each other's clients — one source per run.
-        pool = ShardPool.replicate(make_session(), 1)
-        server = ShardServer(pool)
         with pytest.raises(ServingError):
-            server.serve([
+            WorkloadSpec(traffic=[
                 ClosedLoopClientPool(clients=1, requests=2, seed=1),
                 ClosedLoopClientPool(clients=1, requests=2, seed=2),
             ])

@@ -9,6 +9,7 @@ the kernel.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from repro.serving import (
     ShardPool,
     ShardServer,
     TraceSource,
+    WorkloadSpec,
     ineligible_reason,
     make_requests,
     parse_scenario,
@@ -74,11 +76,11 @@ def comparable(report):
     }
 
 
-def serve_both(server, traffic):
+def serve_both(server, spec):
     """The same workload on both engines; returns (kernel, fast)."""
-    kernel = server.serve(list(traffic), engine="kernel")
+    kernel = server.run(replace(spec, engine="kernel"))
     assert server.last_engine == "kernel"
-    fast = server.serve(list(traffic), engine="fastforward")
+    fast = server.run(replace(spec, engine="fastforward"))
     assert server.last_engine == "fastforward"
     return kernel, fast
 
@@ -99,14 +101,14 @@ class TestByteIdentity:
         self, session, policy, pool_size, max_batch, wait_ms, kind, seed
     ):
         pool = ShardPool.replicate(session, pool_size)
-        server = ShardServer(
-            pool, policy,
-            BatcherOptions(
+        spec = WorkloadSpec(
+            traffic=make_requests(kind, 40, qps=500.0, seed=seed, burst=5),
+            policy=policy,
+            batcher=BatcherOptions(
                 max_batch=max_batch, max_wait_s=wait_ms * 1e-3
             ),
         )
-        traffic = make_requests(kind, 40, qps=500.0, seed=seed, burst=5)
-        kernel, fast = serve_both(server, traffic)
+        kernel, fast = serve_both(ShardServer(pool), spec)
         # Dataclass equality covers records, usage, counters and
         # shard_seconds; the wall fields are compare=False, so the
         # equivalent event count gets its own assertion.
@@ -115,117 +117,110 @@ class TestByteIdentity:
         assert comparable(fast) == comparable(kernel)
 
     def test_trace_source_replays_identically(self, session):
-        pool = ShardPool.replicate(session, 2)
-        server = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=3)
-        )
+        server = ShardServer(ShardPool.replicate(session, 2))
         arrivals = [0.0, 0.0, 1e-4, 2.5e-4, 2.5e-4, 2.5e-4, 9e-4]
-        kernel = server.serve(
-            TraceSource(arrivals, time_scale=0.5, loop=3),
-            engine="kernel",
+        spec = WorkloadSpec(
+            traffic=TraceSource(arrivals, time_scale=0.5, loop=3),
+            batcher=BatcherOptions(max_batch=3),
         )
-        fast = server.serve(
-            TraceSource(arrivals, time_scale=0.5, loop=3),
-            engine="fastforward",
-        )
+        kernel, fast = serve_both(server, spec)
         assert fast == kernel
         assert fast.events_processed == kernel.events_processed
 
     def test_post_run_state_mirrors_kernel(self, session):
         pool = ShardPool.replicate(session, 2)
-        server = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=2)
+        server = ShardServer(pool)
+        spec = WorkloadSpec(
+            traffic=make_requests("poisson", 17, qps=800.0, seed=4),
+            batcher=BatcherOptions(max_batch=2),
         )
-        traffic = make_requests("poisson", 17, qps=800.0, seed=4)
-        server.serve(list(traffic), engine="kernel")
+        server.run(replace(spec, engine="kernel"))
         kernel_busy = [shard.busy_until for shard in pool]
         kernel_next = server.scheduler.policy._next
-        server.serve(list(traffic), engine="fastforward")
+        server.run(replace(spec, engine="fastforward"))
         assert [shard.busy_until for shard in pool] == kernel_busy
         assert server.scheduler.policy._next == kernel_next
 
     def test_event_budget_error_matches_kernel(self, session):
-        pool = ShardPool.replicate(session, 2)
-        server = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=4)
+        server = ShardServer(ShardPool.replicate(session, 2))
+        spec = WorkloadSpec(
+            traffic=make_requests("poisson", 30, qps=500.0, seed=1),
+            batcher=BatcherOptions(max_batch=4),
+            max_events=20,
         )
-        traffic = make_requests("poisson", 30, qps=500.0, seed=1)
         with pytest.raises(ServingError) as kernel_error:
-            server.serve(list(traffic), engine="kernel", max_events=20)
+            server.run(replace(spec, engine="kernel"))
         with pytest.raises(ServingError) as fast_error:
-            server.serve(
-                list(traffic), engine="fastforward", max_events=20
-            )
+            server.run(replace(spec, engine="fastforward"))
         assert str(fast_error.value) == str(kernel_error.value)
 
 
+def plain(traffic, **fields):
+    """A plain open-loop workload unless ``fields`` add more."""
+    return WorkloadSpec(
+        traffic=traffic, batcher=BatcherOptions(max_batch=2), **fields
+    )
+
+
 class TestEligibility:
-    def plain_server(self, session, **kwargs):
-        pool = ShardPool.replicate(session, 2)
-        return ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=2), **kwargs
-        )
+    def plain_server(self, session):
+        return ShardServer(ShardPool.replicate(session, 2))
 
     def test_auto_selects_fastforward_on_plain_open_loop(self, session):
         server = self.plain_server(session)
-        server.serve(make_requests("poisson", 8, qps=500.0))
+        server.run(plain(make_requests("poisson", 8, qps=500.0)))
         assert server.last_engine == "fastforward"
 
     def test_explicit_kernel_forces_kernel(self, session):
         server = self.plain_server(session)
-        server.serve(make_requests("poisson", 8, qps=500.0),
-                     engine="kernel")
+        server.run(plain(make_requests("poisson", 8, qps=500.0),
+                         engine="kernel"))
         assert server.last_engine == "kernel"
 
     def test_closed_loop_selects_kernel(self, session):
         server = self.plain_server(session)
-        server.serve(ClosedLoopClientPool(
+        server.run(plain(ClosedLoopClientPool(
             clients=2, requests=6, think_time_s=0.0
-        ))
+        )))
         assert server.last_engine == "kernel"
 
     def test_chaos_scenario_selects_kernel(self, session):
         server = self.plain_server(session)
         scenario = parse_scenario("kill:shard0@0.001,restore@0.002")
-        server.serve(
+        server.run(plain(
             make_requests("poisson", 8, qps=500.0), scenario=scenario
-        )
+        ))
         assert server.last_engine == "kernel"
 
     def test_slo_controller_selects_kernel(self, session):
-        server = self.plain_server(
-            session, slo=SloOptions(p99_target_s=0.5)
-        )
-        server.serve(make_requests("poisson", 8, qps=500.0))
+        server = self.plain_server(session)
+        server.run(plain(make_requests("poisson", 8, qps=500.0),
+                         slo=SloOptions(p99_target_s=0.5)))
         assert server.last_engine == "kernel"
 
     def test_autoscaler_selects_kernel(self, session):
-        pool = ShardPool.replicate(session, 2)
-        server = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=2),
+        server = self.plain_server(session)
+        server.run(plain(
+            make_requests("poisson", 8, qps=500.0),
             autoscale=AutoscalerOptions(
                 min_shards=1, max_shards=2, target_utilisation=0.5,
             ),
-        )
-        server.serve(make_requests("poisson", 8, qps=500.0))
+        ))
         assert server.last_engine == "kernel"
 
     def test_forced_fastforward_on_ineligible_run_raises(self, session):
         server = self.plain_server(session)
         scenario = parse_scenario("kill:shard0@0.001,restore@0.002")
         with pytest.raises(ServingError, match="plain open-loop"):
-            server.serve(
+            server.run(plain(
                 make_requests("poisson", 8, qps=500.0),
                 scenario=scenario,
                 engine="fastforward",
-            )
+            ))
 
     def test_unknown_engine_rejected(self, session):
-        server = self.plain_server(session)
         with pytest.raises(ServingError, match="unknown serve engine"):
-            server.serve(
-                make_requests("poisson", 4, qps=500.0), engine="warp"
-            )
+            plain(make_requests("poisson", 4, qps=500.0), engine="warp")
         assert ENGINES == ("auto", "kernel", "fastforward")
 
     def test_ineligible_reason_spells_out_each_gate(self, session):

@@ -1,4 +1,4 @@
-"""Tests for repro.serving.scenarios + slo — failures and SLO control."""
+"""Tests for kill/restore chaos runs + slo — failures and SLO control."""
 
 import pytest
 
@@ -10,13 +10,15 @@ from repro.ir import zoo
 from repro.pipeline import PipelineSession
 from repro.serving import (
     BatcherOptions,
+    ChaosScenario,
     ClosedLoopClientPool,
-    FailureScenario,
-    ScenarioStep,
+    Kill,
     ShardPool,
     ShardServer,
     SloOptions,
+    WorkloadSpec,
     make_requests,
+    parse_scenario,
 )
 
 
@@ -35,58 +37,30 @@ def make_session(instances=1, frequency=100.0):
     )
 
 
-# -- scenario parsing ------------------------------------------------------
+def workload(traffic, policy="round-robin", max_batch=None, **fields):
+    """A :class:`WorkloadSpec` for ``traffic`` under ``policy``."""
+    batcher = BatcherOptions(max_batch=max_batch) if max_batch else None
+    return WorkloadSpec(
+        traffic=traffic, policy=policy, batcher=batcher, **fields
+    )
+
+
+def kill(shard, at, restore_at=None):
+    """Kill ``shard`` at ``at``, restoring it at ``restore_at``."""
+    return ChaosScenario([Kill(shard, at, until=restore_at)])
+
+
+# -- scenario validation at serve time --------------------------------------
 
 
 class TestScenarioParse:
-    def test_kill_and_implicit_restore(self):
-        scenario = FailureScenario.parse("kill:shard0@0.05,restore@0.1")
-        assert [
-            (s.kind, s.shard, s.at) for s in scenario.steps
-        ] == [("kill", "shard0", 0.05), ("restore", "shard0", 0.1)]
-        assert scenario.spans() == [("shard0", 0.05, 0.1)]
-        assert "kill shard0" in scenario.describe()
-
-    def test_explicit_restore_and_multiple_shards(self):
-        scenario = FailureScenario.parse(
-            "kill:a@0.2, kill:b@0.1, restore:a@0.3"
-        )
-        # Steps sort by time; b stays down forever.
-        assert [s.shard for s in scenario.steps] == ["b", "a", "a"]
-        spans = dict(
-            (shard, (down, up)) for shard, down, up in scenario.spans()
-        )
-        assert spans["a"] == (0.2, 0.3)
-        assert spans["b"] == (0.1, float("inf"))
-
-    def test_parse_errors(self):
-        for spec in (
-            "kill:shard0",            # no time
-            "kill:shard0@soon",       # bad time
-            "restore@0.1",            # no preceding kill
-            "kill:@0.1",              # no shard name
-            "pause:shard0@0.1",       # unknown verb
-            "kill:shard0@-0.1",       # negative time
-            "kill:shard0@nan",        # non-finite time
-            "kill:a@0.2,restore:a@0.1",  # restore precedes its kill
-            "kill:a@0.1,kill:a@0.2",  # double kill while down
-            "",                       # empty
-        ):
-            with pytest.raises(ServingError):
-                FailureScenario.parse(spec)
-        with pytest.raises(ServingError):
-            FailureScenario.kill("s", at=0.5, restore_at=0.2)
-        with pytest.raises(ServingError):
-            ScenarioStep("explode", "s", 0.0)
-
     def test_unknown_shard_rejected_at_serve(self):
         pool = ShardPool.replicate(make_session(), 2)
         server = ShardServer(pool)
         with pytest.raises(ServingError):
-            server.serve(
-                make_requests("uniform", 4),
-                scenario=FailureScenario.kill("shard9", at=0.0),
-            )
+            server.run(workload(
+                make_requests("uniform", 4), scenario=kill("shard9", 0.0)
+            ))
 
 
 # -- shard availability ----------------------------------------------------
@@ -112,13 +86,12 @@ class TestShardAvailability:
 class TestFailureInjection:
     def test_kill_at_zero_routes_everything_to_survivor(self):
         pool = ShardPool.replicate(make_session(), 2)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=2))
+        server = ShardServer(pool)
         requests = make_requests("uniform", 12)
-        baseline = server.serve(requests)
-        dead = server.serve(
-            requests, scenario=FailureScenario.kill("shard0", at=0.0)
-        )
+        baseline = server.run(workload(requests, "least-loaded", 2))
+        dead = server.run(workload(
+            requests, "least-loaded", 2, scenario=kill("shard0", 0.0)
+        ))
         assert dead.count == 12
         assert dead.per_shard()["shard0"].requests == 0
         assert dead.per_shard()["shard1"].requests == 12
@@ -130,13 +103,13 @@ class TestFailureInjection:
     def test_mid_stream_kill_requeues_in_flight_work(self):
         pool = ShardPool.replicate(make_session(), 2)
         per_image = pool.shards[0].probe_seconds()
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=1))
         requests = make_requests("uniform", 10)
         # 5 per shard, back to back; kill shard0 at 2.5 per-image
         # times: 2 of its singles completed, 3 are lost and re-served.
-        scenario = FailureScenario.kill("shard0", at=2.5 * per_image)
-        report = server.serve(requests, scenario=scenario)
+        scenario = kill("shard0", 2.5 * per_image)
+        report = ShardServer(pool).run(
+            workload(requests, max_batch=1, scenario=scenario)
+        )
         assert report.count == 10
         usage = report.per_shard()
         assert usage["shard0"].requests == 2
@@ -150,14 +123,12 @@ class TestFailureInjection:
     def test_restore_rebalances_under_least_loaded(self):
         pool = ShardPool.replicate(make_session(), 2)
         per_image = pool.shards[0].probe_seconds()
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=1))
         # A long spaced stream; shard0 is down for an early window.
         requests = make_requests("fixed-qps", 20, qps=2.0 / per_image)
-        scenario = FailureScenario.kill(
-            "shard0", at=2.5 * per_image, restore_at=5.5 * per_image
-        )
-        report = server.serve(requests, scenario=scenario)
+        scenario = kill("shard0", 2.5 * per_image, 5.5 * per_image)
+        report = ShardServer(pool).run(workload(
+            requests, "least-loaded", 1, scenario=scenario
+        ))
         assert report.count == 20
         shares = report.per_shard()
         # The survivor hoards the downtime backlog; after the restore
@@ -174,14 +145,11 @@ class TestFailureInjection:
     def test_whole_pool_down_parks_batches_until_restore(self):
         pool = ShardPool.replicate(make_session(), 1)
         per_image = pool.shards[0].probe_seconds()
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=4))
         down_for = 10 * per_image
-        scenario = FailureScenario.kill(
-            "shard0", at=0.0, restore_at=down_for
-        )
-        report = server.serve(make_requests("uniform", 4),
-                              scenario=scenario)
+        scenario = kill("shard0", 0.0, down_for)
+        report = ShardServer(pool).run(workload(
+            make_requests("uniform", 4), max_batch=4, scenario=scenario
+        ))
         # Batches parked during the outage dispatch at the restore
         # instant; latency accounts the downtime.
         assert report.count == 4
@@ -191,11 +159,9 @@ class TestFailureInjection:
 
     def test_never_restored_pool_strands_requests_accountably(self):
         pool = ShardPool.replicate(make_session(), 1)
-        server = ShardServer(pool, "round-robin")
-        report = server.serve(
-            make_requests("uniform", 4),
-            scenario=FailureScenario.kill("shard0", at=0.0),
-        )
+        report = ShardServer(pool).run(workload(
+            make_requests("uniform", 4), scenario=kill("shard0", 0.0)
+        ))
         # Nothing completes, but nothing vanishes either: the parked
         # requests are reported as unserved.
         assert report.count == 0
@@ -207,26 +173,25 @@ class TestFailureInjection:
     def test_failure_run_is_deterministic(self):
         pool = ShardPool.replicate(make_session(), 3)
         per_image = pool.shards[0].probe_seconds()
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=2))
+        server = ShardServer(pool)
         requests = make_requests("poisson", 30, qps=2.0 / per_image,
                                  seed=13)
-        scenario = FailureScenario.parse(
+        scenario = parse_scenario(
             f"kill:shard1@{3 * per_image},restore@{9 * per_image}"
         )
-        first = server.serve(requests, scenario=scenario)
-        second = server.serve(requests, scenario=scenario)
+        spec = workload(requests, "least-loaded", 2, scenario=scenario)
+        first = server.run(spec)
+        second = server.run(spec)
         assert first.records == second.records
         assert first.shards == second.shards
 
     def test_usage_counts_only_completed_work(self):
         pool = ShardPool.replicate(make_session(), 2)
         per_image = pool.shards[0].probe_seconds()
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=1))
-        scenario = FailureScenario.kill("shard0", at=1.5 * per_image)
-        report = server.serve(make_requests("uniform", 8),
-                              scenario=scenario)
+        scenario = kill("shard0", 1.5 * per_image)
+        report = ShardServer(pool).run(workload(
+            make_requests("uniform", 8), max_batch=1, scenario=scenario
+        ))
         usage = report.per_shard()
         # Busy time never exceeds the completed work's span.
         assert usage["shard0"].busy_seconds == pytest.approx(per_image)
@@ -261,10 +226,9 @@ class TestSloControl:
         per_image = pool.shards[0].probe_seconds()
         slo = SloOptions(p99_target_s=3 * per_image, window=8,
                          min_samples=2)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=1), slo=slo)
+        server = ShardServer(pool)
         requests = make_requests("fixed-qps", 80, qps=6.0 / per_image)
-        report = server.serve(requests)
+        report = server.run(workload(requests, "least-loaded", 1, slo=slo))
         assert report.shed > 0
         assert report.count + report.shed == 80
         assert report.rerouted == 0
@@ -275,9 +239,9 @@ class TestSloControl:
         assert "p99 target" in controller.describe()
         # Shedding keeps the *served* tail near the target while an
         # uncontrolled run blows far past it.
-        uncontrolled = ShardServer(
-            pool, "least-loaded", BatcherOptions(max_batch=1)
-        ).serve(requests)
+        uncontrolled = ShardServer(pool).run(
+            workload(requests, "least-loaded", 1)
+        )
         assert (
             report.latency_percentile(99)
             < uncontrolled.latency_percentile(99)
@@ -290,13 +254,11 @@ class TestSloControl:
         per_image = pool.shards[0].probe_seconds()
         slo = SloOptions(p99_target_s=4 * per_image, action="reroute",
                          window=8, min_samples=2)
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=1), slo=slo)
         requests = make_requests("fixed-qps", 60, qps=3.0 / per_image)
-        report = server.serve(requests)
-        blind = ShardServer(
-            pool, "round-robin", BatcherOptions(max_batch=1)
-        ).serve(requests)
+        report = ShardServer(pool).run(
+            workload(requests, max_batch=1, slo=slo)
+        )
+        blind = ShardServer(pool).run(workload(requests, max_batch=1))
         assert report.rerouted > 0
         assert report.shed == 0
         assert report.count == 60
@@ -311,11 +273,12 @@ class TestSloControl:
         per_image = pool.shards[0].probe_seconds()
         slo = SloOptions(p99_target_s=2 * per_image, window=4,
                          min_samples=1, tick_s=0.5 * per_image)
-        server = ShardServer(pool, "round-robin",
-                             BatcherOptions(max_batch=1), slo=slo)
         source = ClosedLoopClientPool(clients=6, requests=30,
                                       think_time_s=0.0, seed=2)
-        report = server.serve(source)  # terminates: sheds unblock clients
+        # Terminates: sheds unblock clients.
+        report = ShardServer(pool).run(
+            workload(source, max_batch=1, slo=slo)
+        )
         assert report.count + report.shed == 30
 
     def test_slo_run_is_deterministic(self):
@@ -323,12 +286,12 @@ class TestSloControl:
         per_image = pool.shards[0].probe_seconds()
         slo = SloOptions(p99_target_s=3 * per_image, window=8,
                          min_samples=2)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=2), slo=slo)
+        server = ShardServer(pool)
         requests = make_requests("poisson", 50, qps=5.0 / per_image,
                                  seed=21)
-        first = server.serve(requests)
-        second = server.serve(requests)
+        spec = workload(requests, "least-loaded", 2, slo=slo)
+        first = server.run(spec)
+        second = server.run(spec)
         assert first.records == second.records
         assert first.shed == second.shed
 
@@ -336,11 +299,11 @@ class TestSloControl:
         pool = ShardPool.replicate(make_session(instances=2), 2)
         per_image = pool.shards[0].probe_seconds()
         slo = SloOptions(p99_target_s=100 * per_image)
-        server = ShardServer(pool, "least-loaded",
-                             BatcherOptions(max_batch=2), slo=slo)
-        report = server.serve(
-            make_requests("fixed-qps", 20, qps=0.5 / per_image)
-        )
+        server = ShardServer(pool)
+        report = server.run(workload(
+            make_requests("fixed-qps", 20, qps=0.5 / per_image),
+            "least-loaded", 2, slo=slo,
+        ))
         assert report.shed == 0
         assert report.rerouted == 0
         assert report.count == 20

@@ -1,11 +1,12 @@
-"""Tests for repro.serving.sweep — seeded chaos grids, two executors.
+"""Tests for repro.serving.sweep — seeded chaos grids, worker pools.
 
-The load-bearing test is serial-vs-process byte identity: the process
-executor must be the same computation scheduled differently, or a CI
-sweep artifact would depend on the runner's core count.
+The load-bearing test is serial-vs-process byte identity: ``jobs=2``
+must be the same computation as ``jobs=1`` scheduled differently, or a
+CI sweep artifact would depend on the runner's core count.
 """
 
 import json
+import os
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.serving import (
     SweepOptions,
     run_sweep,
 )
+from repro.serving.sweep import map_pinned
 
 
 def make_session(instances=1, frequency=100.0):
@@ -91,8 +93,6 @@ class TestSweepGrid:
 class TestSweepOptions:
     def test_validates_eagerly(self):
         with pytest.raises(ServingError):
-            SweepOptions(executor="threads")
-        with pytest.raises(ServingError):
             SweepOptions(jobs=0)
         with pytest.raises(ServingError):
             SweepOptions(requests=0)
@@ -153,6 +153,29 @@ class TestSweepOptions:
 # -- running ---------------------------------------------------------------
 
 
+class _Scaled:
+    """A pinned state for :func:`map_pinned`: multiplies by its payload."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.pid = os.getpid()
+
+    def run(self, item):
+        return item * self.factor, self.pid
+
+
+class TestMapPinned:
+    def test_serial_runs_the_parent_state(self):
+        results = map_pinned(_Scaled(3), _Scaled, 5, [1, 2], jobs=1)
+        assert results == [(3, os.getpid()), (6, os.getpid())]
+
+    def test_workers_are_primed_from_the_payload_in_item_order(self):
+        items = list(range(9))
+        results = map_pinned(_Scaled(3), _Scaled, 5, items, jobs=2)
+        assert [value for value, _ in results] == [5 * i for i in items]
+        assert os.getpid() not in {pid for _, pid in results}
+
+
 class TestRunSweep:
     @pytest.fixture(scope="class")
     def reports(self):
@@ -163,7 +186,7 @@ class TestRunSweep:
         )
         process = run_sweep(
             session, grid,
-            SweepOptions(requests=16, executor="process", jobs=2),
+            SweepOptions(requests=16, jobs=2),
             seed=7,
         )
         return serial, process
@@ -263,7 +286,7 @@ class TestRunSweep:
         )
         process = run_sweep(
             session, grid,
-            SweepOptions(executor="process", jobs=2, **kwargs),
+            SweepOptions(jobs=2, **kwargs),
             seed=5,
         )
         assert serial.to_json() == process.to_json()

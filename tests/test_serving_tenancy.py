@@ -1,7 +1,7 @@
 """Tests for multi-tenant serving and the WorkloadSpec serve API."""
 
 import json
-import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +237,8 @@ class TestWorkloadSpec:
             WorkloadSpec(max_events=0)
         with pytest.raises(ServingError):
             WorkloadSpec(batcher="not options")
+        with pytest.raises(ServingError, match="ChaosScenario"):
+            WorkloadSpec(scenario="kill:shard0@0.01")  # unparsed spec
 
     def test_tagged_traffic_needs_registered_tenants(self):
         traffic = [Request(0, 0.0, tenant="ghost")]
@@ -259,11 +261,11 @@ class TestWorkloadSpec:
         assert len(spec.with_traffic(spec.traffic).traffic) == 3
 
     def test_scenario_excludes_autoscaler(self):
-        from repro.serving import AutoscalerOptions, FailureScenario
+        from repro.serving import AutoscalerOptions, parse_scenario
 
         with pytest.raises(ServingError):
             WorkloadSpec(
-                scenario=FailureScenario.kill("shard0", at=0.01),
+                scenario=parse_scenario("kill:shard0@0.01"),
                 autoscale=AutoscalerOptions(
                     min_shards=1, max_shards=2,
                     target_utilisation=0.5, warmup_s=0.01, tick_s=0.01,
@@ -282,39 +284,6 @@ class TestWorkloadSpec:
         text = spec.describe()
         assert "weighted-fair" in text
         assert "fast" in text and "bulk" in text
-
-
-class TestDeprecatedConstructor:
-    def test_warns_and_builds_equivalent_spec(self, session):
-        pool = ShardPool.replicate(session, 2)
-        options = BatcherOptions(max_batch=3, max_wait_s=5e-4)
-        with pytest.warns(DeprecationWarning):
-            legacy = ShardServer(pool, "least-loaded", options)
-        assert legacy.spec.policy == "least-loaded"
-        assert legacy.spec.batcher == options
-
-    def test_event_identical_to_spec_form(self, session):
-        pool = ShardPool.replicate(session, 2)
-        traffic = make_requests("poisson", 24, qps=600.0, seed=3)
-        options = BatcherOptions(max_batch=3, max_wait_s=5e-4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = ShardServer(pool, "least-loaded", options).serve(
-                list(traffic), engine="kernel"
-            )
-        new = ShardServer(pool, spec=WorkloadSpec(
-            policy="least-loaded", batcher=options
-        )).serve(list(traffic), engine="kernel")
-        assert old == new
-
-    def test_spec_plus_knobs_rejected(self, session):
-        pool = ShardPool.replicate(session, 1)
-        with pytest.raises(ServingError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                ShardServer(
-                    pool, "round-robin", spec=WorkloadSpec()
-                )
 
 
 # -- serving with tenants --------------------------------------------------
@@ -480,7 +449,9 @@ class TestReportSchema:
 
     def test_default_run_schema_unchanged_otherwise(self, session):
         pool = ShardPool.replicate(session, 1)
-        report = ShardServer(pool).serve(make_requests("uniform", 4))
+        report = ShardServer(pool).run(
+            WorkloadSpec(traffic=make_requests("uniform", 4))
+        )
         payload = report.to_dict()
         assert payload["schema"] == 2
         assert payload["admission_shed"] == 0
@@ -494,14 +465,14 @@ class TestReportSchema:
 
 class TestEngineIdentity:
     def test_default_tenant_byte_identity(self, session):
-        pool = ShardPool.replicate(session, 2)
-        server = ShardServer(pool, spec=WorkloadSpec(
+        server = ShardServer(ShardPool.replicate(session, 2))
+        spec = WorkloadSpec(
+            traffic=make_requests("poisson", 30, qps=900.0, seed=9),
             policy="weighted-fair",
             batcher=BatcherOptions(max_batch=3, max_wait_s=5e-4),
-        ))
-        traffic = make_requests("poisson", 30, qps=900.0, seed=9)
-        kernel = server.serve(list(traffic), engine="kernel")
-        fast = server.serve(list(traffic), engine="fastforward")
+        )
+        kernel = server.run(replace(spec, engine="kernel"))
+        fast = server.run(replace(spec, engine="fastforward"))
         assert fast == kernel
 
     def test_tenanted_run_falls_back_to_kernel(self, session):
