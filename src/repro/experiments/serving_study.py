@@ -89,7 +89,7 @@ def run_replica_scaling(seed: int = 2020
 def run_heterogeneous(seed: int = 2020) -> List[Tuple[str, ServingReport]]:
     """VU9P + PYNQ-Z1 pool: round-robin vs shortest-latency.
 
-    One pool serves both policies — ``ShardServer.serve`` resets the
+    One pool serves both policies — ``ShardServer.run`` resets the
     timelines and the policy state per run, so the deployments and
     timing probes are paid once.
     """

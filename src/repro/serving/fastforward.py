@@ -20,20 +20,38 @@ module computes it batch-granularly:
   the next head is just the batch end: the scan replays
   :class:`~repro.serving.batcher._BatcherFeed`'s token semantics
   flush for flush in O(#batches) after one vectorized searchsorted;
-* **shard assignment** is a per-*batch* recurrence (``~max_batch``
-  times fewer iterations than kernel events): round-robin is modular
-  indexing, least-loaded and shortest-latency are K-way argmin loops
-  over the ``busy_until`` horizons, computing byte-for-byte the keys
-  the policies compute (including ``math.ceil`` vs floor-div and the
-  first-minimum tie-break on the lowest shard index);
-* **completion accounting** replays the shard timeline scalar ops in
-  dispatch order — ``start = max(at, busy_until)``, per-round
-  ``completed = start + r * per_image`` and the telescoping-but-not-
-  in-floats ``busy_delta`` accumulation — then computes the
-  per-request columns as numpy arrays: ``completed = start +
-  (position // NI + 1) * per_image`` elementwise is IEEE-identical to
-  the kernel's per-record arithmetic.  The arrays go to the report as
-  its :class:`~repro.serving.metrics.RequestColumns` unchanged; no
+* **shard assignment** is a speculate-and-verify scan over windows of
+  batches.  On an overloaded shard each start is the previous finish
+  (Lindley's recurrence ``start = max(at, busy_until)`` with ``at <=
+  busy_until``), so its horizons are a running sum.  A window
+  *guesses* its shard sequence — the rotation for round-robin; for
+  least-loaded and shortest-latency, the merged order of the shards'
+  projected next-free instants (plus the batch's analytical cost for
+  shortest-latency, ties to the lowest shard index) — and *assumes*
+  every chosen shard backlogged, so each shard's horizons are one
+  ``np.cumsum`` of its service times ``rounds * p`` seeded with its
+  carried ``busy_until``.  It then *verifies* every batch against
+  those prefix states: the policy's exact keys and first-minimum
+  choice must pick the guessed shard, and ``at <= busy_until`` must
+  hold there.  The window is accepted up to its first failing batch.
+  Acceptance is exact by induction — each accepted batch was computed
+  from exact prior state — and ``np.cumsum`` is a sequential left
+  fold, the very IEEE additions the per-batch recurrence makes.  The
+  failing batch takes the one scalar step, the only copy of the
+  policies' per-batch arithmetic (``math.ceil`` vs floor-div and the
+  lowest-index tie-break included); while windows keep failing early
+  (light load) the step runs a doubling chunk of batches, so a run
+  that never backlogs costs what a per-batch loop does;
+* **completion accounting** is one vectorized pass after the scan:
+  the per-round ``busy_delta = (start + r * p) - (start + (r - 1) *
+  p)`` terms (telescoping on paper, not in floats) form one flat
+  array in dispatch order, and each shard's ``busy_seconds`` is the
+  last element of the ``np.cumsum`` of its own terms — the kernel's
+  ``+=`` sequence.  The per-request columns are numpy arrays too:
+  ``completed = start + (position // NI + 1) * per_image``
+  elementwise is IEEE-identical to the kernel's per-record
+  arithmetic.  The arrays go to the report as its
+  :class:`~repro.serving.metrics.RequestColumns` unchanged; no
   per-request Python object is built.
 
 The kernel is the oracle: every field of the resulting
@@ -73,6 +91,19 @@ from repro.serving.traffic import OpenLoopSource, TraceSource
 #: The kernel's default runaway budget (mirrored so the fast-forward
 #: path enforces the same bound with the same error).
 DEFAULT_EVENT_BUDGET = 1_000_000
+
+#: Speculative windows start at ``_WINDOW_START`` batches and grow to
+#: twice what the last one verified, up to ``_WINDOW_CELLS //
+#: pool_size``: a window builds a few ``window x pool_size`` float64
+#: arrays, so the cap holds each of them to 2 MB.
+_WINDOW_START = 64
+_WINDOW_CELLS = 1 << 18
+#: A window verifying fewer than ``_WINDOW_START`` batches failed
+#: early (it cost more than the scalar step would have): the scalar
+#: step then runs a chunk of ``_CHUNK_START`` batches, doubling (up to
+#: ``_CHUNK_MAX``) while windows keep failing early.
+_CHUNK_START = 16
+_CHUNK_MAX = 4096
 
 
 def ineligible_reason(server, source, scenario) -> Optional[str]:
@@ -148,7 +179,11 @@ def _form_batches(array: np.ndarray, max_batch: int, max_wait_s: float):
     if max_batch == 1:
         # Degenerate per-request dispatch: every arrival size-flushes
         # instantly and the batcher schedules no wakeups at all.
-        return list(range(count)), [1] * count, array.tolist()
+        return (
+            np.arange(count, dtype=np.int64),
+            np.ones(count, dtype=np.int64),
+            array,
+        )
     if max_wait_s == 0.0:
         # Zero wait budget means a batch can never outlive its head's
         # instant, so batches never span runs of equal arrivals: each
@@ -177,11 +212,7 @@ def _form_batches(array: np.ndarray, max_batch: int, max_wait_s: float):
             array[heads_array + sizes_array - 1],
             array[heads_array] + max_wait_s,
         )
-        return (
-            heads_array.tolist(),
-            sizes_array.tolist(),
-            flush_array.tolist(),
-        )
+        return heads_array, sizes_array, flush_array
     limits = np.searchsorted(
         array, array + max_wait_s, side="right"
     ).tolist()
@@ -203,7 +234,168 @@ def _form_batches(array: np.ndarray, max_batch: int, max_wait_s: float):
         sizes.append(end - head)
         flush_times.append(at)
         head = end
-    return heads, sizes, flush_times
+    return (
+        np.asarray(heads, dtype=np.int64),
+        np.asarray(sizes, dtype=np.int64),
+        np.asarray(flush_times, dtype=np.float64),
+    )
+
+
+class _Dispatch:
+    """Every batch's shard and start instant, in dispatch order.
+
+    :meth:`run` alternates speculative windows (:meth:`window`) with
+    the scalar step (:meth:`steps`); both advance the same carried
+    ``busy`` horizons, so any interleaving replays the policy exactly.
+    """
+
+    def __init__(self, mode, flush_times, sizes, shards):
+        #: ``"round-robin"`` (weighted-fair over the trivial tenant
+        #: set is round-robin turn for turn), ``"least-loaded"`` or
+        #: ``"shortest-latency"``.
+        self.mode = mode
+        self.at = flush_times
+        self.sizes = sizes
+        # Warm every probe up front (replicas seed from their twin),
+        # the way the kernel path does on each shard's first execute().
+        self.per_image = [shard.probe_seconds() for shard in shards]
+        self.instances = [shard.instances for shard in shards]
+        self.analytical = (
+            [shard.analytical_seconds() for shard in shards]
+            if mode == "shortest-latency" else None
+        )
+        self.busy = [0.0] * len(shards)
+        self.shard = np.empty(len(sizes), dtype=np.int64)
+        self.start = np.empty(len(sizes), dtype=np.float64)
+        #: Batches placed by verified windows (the rest took the
+        #: scalar step): the speculation's coverage.
+        self.speculated = 0
+
+    def run(self) -> "_Dispatch":
+        batches = len(self.sizes)
+        window_cap = max(_WINDOW_START, _WINDOW_CELLS // len(self.busy))
+        window, chunk, head = _WINDOW_START, _CHUNK_START, 0
+        while head < batches:
+            span = min(window, batches - head)
+            accepted = self.window(head, span)
+            head += accepted
+            window = min(window_cap, max(_WINDOW_START, 2 * accepted))
+            if accepted == span:
+                chunk = _CHUNK_START
+                continue
+            if accepted >= _WINDOW_START:
+                steps, chunk = 1, _CHUNK_START
+            else:
+                steps, chunk = chunk, min(2 * chunk, _CHUNK_MAX)
+            end = min(head + steps, batches)
+            self.steps(head, end)
+            head = end
+        return self
+
+    def steps(self, low: int, high: int) -> None:
+        """The scalar step over batches ``low..high-1``: the policies'
+        own per-batch arithmetic, one batch at a time."""
+        busy = self.busy
+        pool = range(1, len(busy))
+        per_image, instances = self.per_image, self.instances
+        analytical = self.analytical
+        ceil = math.ceil
+        shards: List[int] = []
+        starts: List[float] = []
+        for batch, at, size in zip(
+            range(low, high),
+            self.at[low:high].tolist(),
+            self.sizes[low:high].tolist(),
+        ):
+            if self.mode == "round-robin":
+                chosen = batch % len(busy)
+            elif self.mode == "least-loaded":
+                chosen, best = 0, max(busy[0] - at, 0.0)
+                for j in pool:
+                    key = max(busy[j] - at, 0.0)
+                    if key < best:
+                        chosen, best = j, key
+            else:
+                chosen = 0
+                best = max(at, busy[0]) + (
+                    ceil(size / instances[0]) * analytical[0]
+                )
+                for j in pool:
+                    key = max(at, busy[j]) + (
+                        ceil(size / instances[j]) * analytical[j]
+                    )
+                    if key < best:
+                        chosen, best = j, key
+            start = max(at, busy[chosen])
+            rounds = (size + instances[chosen] - 1) // instances[chosen]
+            busy[chosen] = start + rounds * per_image[chosen]
+            shards.append(chosen)
+            starts.append(start)
+        self.shard[low:high] = shards
+        self.start[low:high] = starts
+
+    def window(self, low: int, span: int) -> int:
+        """Speculate batches ``low..low+span-1`` at once; returns how
+        many of them verified (those are recorded, the rest are not)."""
+        at = self.at[low:low + span]
+        sizes = self.sizes[low:low + span]
+        per_image = np.asarray(self.per_image)
+        instances = np.asarray(self.instances)
+        guess = self.guess(low, sizes, per_image, instances)
+        rows = np.arange(span)
+        chosen_instances = instances[guess]
+        # Row b + 1 holds batch b's service time on its guessed shard
+        # and zeros elsewhere (x + 0.0 == x), so the column cumsum is
+        # each shard's own left fold: row b is every horizon as batch
+        # b is dispatched, row ``span`` the horizons after the window.
+        horizons = np.zeros((span + 1, len(self.busy)))
+        horizons[0] = self.busy
+        horizons[rows + 1, guess] = (
+            (sizes + chosen_instances - 1) // chosen_instances
+        ) * per_image[guess]
+        horizons = np.cumsum(horizons, axis=0)
+        before = horizons[:-1]
+        chosen_busy = before[rows, guess]
+        holds = at <= chosen_busy
+        if self.mode != "round-robin":
+            if self.mode == "least-loaded":
+                keys = np.maximum(before - at[:, None], 0.0)
+            else:
+                keys = np.maximum(before, at[:, None]) + (
+                    (sizes[:, None] + instances - 1) // instances
+                ) * np.asarray(self.analytical)
+            # argmin returns the first minimum: the lowest-index
+            # tie-break the policies apply.
+            holds &= np.argmin(keys, axis=1) == guess
+        accepted = span if holds.all() else int(np.argmin(holds))
+        self.speculated += accepted
+        self.shard[low:low + accepted] = guess[:accepted]
+        # Python's max(at, busy): ``at`` on a tie, as the scalar step.
+        self.start[low:low + accepted] = np.where(
+            chosen_busy > at, chosen_busy, at
+        )[:accepted]
+        self.busy = horizons[accepted].tolist()
+        return accepted
+
+    def guess(self, low, sizes, per_image, instances) -> np.ndarray:
+        """The window's likely shard sequence (verified by the caller)."""
+        span = len(sizes)
+        if self.mode == "round-robin":
+            return np.arange(low, low + span) % len(self.busy)
+        # Project every shard's next-free instants as if each batch in
+        # the window had the window's commonest size, then merge them.
+        size = int(np.argmax(np.bincount(sizes)))
+        rounds = (size + instances - 1) // instances
+        projected = np.empty((len(self.busy), span))
+        projected[:, 0] = self.busy
+        projected[:, 1:] = (rounds * per_image)[:, None]
+        projected = np.cumsum(projected, axis=1)
+        if self.mode == "shortest-latency":
+            projected += (rounds * np.asarray(self.analytical))[:, None]
+        # Shard-major flattening: the stable sort puts equal instants
+        # in shard-index order, the policies' tie-break.
+        merged = np.argsort(projected, axis=None, kind="stable")[:span]
+        return merged // span
 
 
 def fastforward_serve(
@@ -211,7 +403,7 @@ def fastforward_serve(
 ) -> ServingReport:
     """Replay ``source`` over ``server``'s pool without the kernel.
 
-    The caller (:meth:`~repro.serving.server.ShardServer.serve`) has
+    The caller (:meth:`~repro.serving.server.ShardServer.run`) has
     already checked :func:`ineligible_reason`; this function mirrors
     the kernel path's observable effects — the report byte for byte
     (wall-clock fields aside) and the post-run pool/policy state
@@ -237,114 +429,20 @@ def fastforward_serve(
     batches = len(heads)
 
     shards = server.pool.shards
-    pool_size = len(shards)
-    # Warm every probe up front (replicas seed from their twin), the
-    # way the kernel path does on each shard's first execute().
-    per_image = [shard.probe_seconds() for shard in shards]
-    instances = [shard.instances for shard in shards]
     policy = server.scheduler.policy
-    # Weighted-fair over the trivial tenant set (the only set that
-    # passes eligibility) is round-robin turn for turn: the single
-    # tenant's slice is the whole pool.
     weighted = type(policy) is WeightedFair
-    round_robin = type(policy) is RoundRobin or weighted
-    least_loaded = type(policy) is LeastLoaded
-    analytical = (
-        [shard.analytical_seconds() for shard in shards]
-        if not (round_robin or least_loaded) else None
-    )
-
-    busy = [0.0] * pool_size
-    usage_busy = [0.0] * pool_size
-    usage_requests = [0] * pool_size
-    usage_batches = [0] * pool_size
-    batch_shard = [0] * batches
-    batch_start = [0.0] * batches
-    total_rounds = 0
-    rotation = 0
-    ceil = math.ceil
-
-    if round_robin:
-        # Round-robin's shard sequence is position-only, so each
-        # shard's timeline replays independently over its stride of
-        # the batch list — a tight two-local loop per shard instead of
-        # a policy branch per batch.  Per-shard chronological order is
-        # exactly dispatch order restricted to that shard, so the
-        # float accumulation sequences are unchanged.
-        for j in range(pool_size):
-            p = per_image[j]
-            spaces = instances[j]
-            shard_busy = 0.0
-            shard_acc = 0.0
-            shard_requests = 0
-            shard_rounds = 0
-            starts: List[float] = []
-            append = starts.append
-            for at, size in zip(
-                flush_times[j::pool_size], sizes[j::pool_size]
-            ):
-                start = max(at, shard_busy)
-                rounds = (size + spaces - 1) // spaces
-                shard_rounds += rounds
-                previous = start
-                for r in range(1, rounds + 1):
-                    completed = start + r * p
-                    shard_acc += completed - previous
-                    previous = completed
-                shard_busy = previous
-                shard_requests += size
-                append(start)
-            busy[j] = shard_busy
-            usage_busy[j] = shard_acc
-            usage_requests[j] = shard_requests
-            usage_batches[j] = len(starts)
-            total_rounds += shard_rounds
-            batch_shard[j::pool_size] = [j] * len(starts)
-            batch_start[j::pool_size] = starts
-        rotation = batches
-    else:
-        for b in range(batches):
-            at = flush_times[b]
-            size = sizes[b]
-            if least_loaded:
-                chosen = 0
-                best = max(busy[0] - at, 0.0)
-                for j in range(1, pool_size):
-                    key = max(busy[j] - at, 0.0)
-                    if key < best:
-                        chosen, best = j, key
-            else:
-                chosen = 0
-                best = max(at, busy[0]) + (
-                    ceil(size / instances[0]) * analytical[0]
-                )
-                for j in range(1, pool_size):
-                    key = max(at, busy[j]) + (
-                        ceil(size / instances[j]) * analytical[j]
-                    )
-                    if key < best:
-                        chosen, best = j, key
-            p = per_image[chosen]
-            start = max(at, busy[chosen])
-            rounds = (size + instances[chosen] - 1) // instances[chosen]
-            total_rounds += rounds
-            # busy_delta accumulation telescopes on paper but not in
-            # floats: replay the kernel's per-round += sequence
-            # exactly.
-            previous = start
-            for r in range(1, rounds + 1):
-                completed = start + r * p
-                usage_busy[chosen] += completed - previous
-                previous = completed
-            busy[chosen] = previous
-            usage_requests[chosen] += size
-            usage_batches[chosen] += 1
-            batch_shard[b] = chosen
-            batch_start[b] = start
+    mode = "round-robin" if weighted else policy.name
+    dispatch = _Dispatch(mode, flush_times, sizes, shards).run()
+    batch_shard, batch_start = dispatch.shard, dispatch.start
+    instance_array = np.asarray(dispatch.instances, dtype=np.int64)
+    per_image_array = np.asarray(dispatch.per_image, dtype=np.float64)
 
     # Equivalent kernel event count: one Arrival per request, one
     # Flush wakeup per batch (only when max_batch > 1 — size flushes
     # at budget 1 never schedule one), one BatchDone per round.
+    batch_instances = instance_array[batch_shard]
+    rounds = (sizes + batch_instances - 1) // batch_instances
+    total_rounds = int(rounds.sum())
     equivalent = count + total_rounds + (
         batches if options.max_batch > 1 else 0
     )
@@ -354,24 +452,32 @@ def fastforward_serve(
             "- runaway event loop?"
         )
 
+    # busy_delta telescopes on paper but not in floats: build the
+    # kernel's per-round terms in dispatch order and fold each shard's
+    # own terms left to right, as its += sequence does.
+    round_batch = np.repeat(np.arange(batches, dtype=np.int64), rounds)
+    round_number = np.arange(total_rounds, dtype=np.int64) - np.repeat(
+        np.cumsum(rounds) - rounds, rounds
+    )
+    round_start = batch_start[round_batch]
+    round_shard = batch_shard[round_batch]
+    round_per_image = per_image_array[round_shard]
+    busy_delta = (
+        round_start + (round_number + 1) * round_per_image
+    ) - (round_start + round_number * round_per_image)
+    busy_seconds = []
+    for j in range(len(shards)):
+        own = busy_delta[round_shard == j]
+        busy_seconds.append(float(np.cumsum(own)[-1]) if len(own) else 0.0)
+
     # The per-request columns.  Every elementwise op below is
     # the kernel's per-record scalar op (int // int + 1, int * float,
     # float + float) applied across the whole array.
-    size_array = np.asarray(sizes, dtype=np.int64)
-    shard_array = np.asarray(batch_shard, dtype=np.int64)
-    started = np.repeat(
-        np.asarray(batch_start, dtype=np.float64), size_array
-    )
-    dispatched = np.repeat(
-        np.asarray(flush_times, dtype=np.float64), size_array
-    )
-    request_shard = np.repeat(shard_array, size_array)
-    batch_size = np.repeat(size_array, size_array)
-    position = np.arange(count, dtype=np.int64) - np.repeat(
-        np.asarray(heads, dtype=np.int64), size_array
-    )
-    instance_array = np.asarray(instances, dtype=np.int64)
-    per_image_array = np.asarray(per_image, dtype=np.float64)
+    started = np.repeat(batch_start, sizes)
+    dispatched = np.repeat(flush_times, sizes)
+    request_shard = np.repeat(batch_shard, sizes)
+    batch_size = np.repeat(sizes, sizes)
+    position = np.arange(count, dtype=np.int64) - np.repeat(heads, sizes)
     completed = started + (
         position // instance_array[request_shard] + 1
     ) * per_image_array[request_shard]
@@ -391,6 +497,10 @@ def fastforward_serve(
         completed = completed[order]
         request_shard = request_shard[order]
         batch_size = batch_size[order]
+    usage_requests = np.bincount(
+        request_shard, minlength=len(shards)
+    ).tolist()
+    usage_batches = np.bincount(batch_shard, minlength=len(shards)).tolist()
     total_ops = sum(
         shard.ops_per_image * usage_requests[j]
         for j, shard in enumerate(shards)
@@ -400,7 +510,7 @@ def fastforward_serve(
             name=shard.name,
             requests=usage_requests[j],
             batches=usage_batches[j],
-            busy_seconds=usage_busy[j],
+            busy_seconds=busy_seconds[j],
             active_spans=None,
         )
         for j, shard in enumerate(shards)
@@ -410,11 +520,11 @@ def fastforward_serve(
     # (and anything inspecting the pool) cannot tell the engines
     # apart.
     for j, shard in enumerate(shards):
-        shard.busy_until = busy[j]
+        shard.busy_until = dispatch.busy[j]
     if weighted:
-        policy._next = {DEFAULT_TENANT: rotation}
-    elif round_robin:
-        policy._next = rotation
+        policy._next = {DEFAULT_TENANT: batches}
+    elif mode == "round-robin":
+        policy._next = batches
 
     wall = time.perf_counter() - wall_start
     return ServingReport(

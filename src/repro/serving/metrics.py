@@ -351,7 +351,7 @@ class ShardUsage:
 
 @dataclass(frozen=True)
 class ServingReport:
-    """Everything one :meth:`ShardServer.serve` run measured.
+    """Everything one :meth:`ShardServer.run` call measured.
 
     ``shed`` counts requests the SLO controller dropped, ``rerouted``
     counts requests it steered away from the policy's pick (both zero

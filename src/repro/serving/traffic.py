@@ -405,17 +405,16 @@ class TraceSource(EventSource):
         self.name = name
         self.time_scale = time_scale
         self.loop = loop
-        self.arrivals = [
-            iteration * cycle + value
-            for iteration in range(loop)
-            for value in scaled
-        ]
-        self.tags = [
-            tag for _iteration in range(loop) for _value, tag in pairs
-        ]
+        # ``iteration * cycle + value`` for every loop and arrival, as
+        # one broadcast (int64 -> float64 is exact below 2**53).
+        self.arrivals = (
+            np.arange(loop)[:, None] * cycle + np.asarray(scaled)
+        ).ravel().tolist()
+        base_tags = [tag for _value, tag in pairs]
+        self.tags = base_tags * loop
         #: True when any arrival carries a non-default tenant tag —
         #: precomputed so fast-forward eligibility gating stays O(1).
-        self.tenanted = any(tag != DEFAULT_TENANT for tag in self.tags)
+        self.tenanted = any(tag != DEFAULT_TENANT for tag in base_tags)
 
     @classmethod
     def load(

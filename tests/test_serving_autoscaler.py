@@ -20,6 +20,7 @@ from repro.fpga import get_device
 from repro.ir import zoo
 from repro.pipeline import PipelineSession
 from repro.serving import (
+    DEFAULT_TENANT,
     AutoscalerOptions,
     BatcherOptions,
     Request,
@@ -389,6 +390,65 @@ class TestTraceReplay:
         requests = source.requests()
         assert [r.index for r in requests] == list(range(6))
         assert source.mean_qps() == pytest.approx(2.0)
+
+    @staticmethod
+    def looped(arrivals, time_scale, loop, tenants):
+        """The per-arrival loop construction: ``(arrivals, tags,
+        tenanted)``."""
+        tags = [DEFAULT_TENANT] * len(arrivals) if tenants is None else (
+            list(tenants)
+        )
+        pairs = sorted(
+            zip((float(value) for value in arrivals), tags),
+            key=lambda pair: pair[0],
+        )
+        origin = pairs[0][0]
+        scaled = [(value - origin) * time_scale for value, _tag in pairs]
+        span = scaled[-1]
+        gap = span / (len(scaled) - 1) if len(scaled) > 1 else 0.0
+        cycle = span + gap
+        looped = [
+            iteration * cycle + value
+            for iteration in range(loop)
+            for value in scaled
+        ]
+        looped_tags = [
+            tag for _iteration in range(loop) for _value, tag in pairs
+        ]
+        tenanted = any(tag != DEFAULT_TENANT for tag in looped_tags)
+        return looped, looped_tags, tenanted
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrivals=hst.lists(
+            hst.floats(min_value=0.0, max_value=2e9), min_size=1,
+            max_size=40,
+        ),
+        time_scale=hst.floats(min_value=1e-6, max_value=10.0),
+        loop=hst.integers(min_value=1, max_value=60),
+        data=hst.data(),
+    )
+    def test_loop_equals_the_per_arrival_construction(
+        self, arrivals, time_scale, loop, data
+    ):
+        tenants = data.draw(hst.none() | hst.lists(
+            hst.sampled_from([DEFAULT_TENANT, "bulk", "interactive"]),
+            min_size=len(arrivals), max_size=len(arrivals),
+        ))
+        source = TraceSource(
+            arrivals, time_scale=time_scale, loop=loop, tenants=tenants
+        )
+        expected, tags, tenanted = self.looped(
+            arrivals, time_scale, loop, tenants
+        )
+        # Lists of Python floats, bit for bit (tests compare with ==).
+        assert type(source.arrivals) is list
+        assert all(type(value) is float for value in source.arrivals)
+        assert [value.hex() for value in source.arrivals] == [
+            value.hex() for value in expected
+        ]
+        assert source.tags == tags
+        assert source.tenanted is tenanted
 
     def test_epoch_timestamps_rebase(self):
         source = TraceSource([1690000000.0, 1690000001.0])

@@ -9,8 +9,10 @@ the kernel.
 """
 
 import math
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from repro.serving import (
     percentile,
 )
 from repro.serving.autoscaler import AutoscalerOptions
+from repro.serving.fastforward import _Dispatch, _form_batches
 from repro.serving.scheduler import POLICIES
 from repro.serving.slo import SloOptions
 from repro.serving.traffic import ClosedLoopClientPool
@@ -49,10 +52,10 @@ WALL_KEYS = (
 )
 
 
-def make_session(instances=1):
+def make_session(instances=1, frequency=100.0):
     device = get_device("vu9p")
     cfg = AcceleratorConfig(
-        pi=4, po=4, pt=4, instances=instances, frequency_mhz=100.0,
+        pi=4, po=4, pt=4, instances=instances, frequency_mhz=frequency,
         input_buffer_vecs=4096, weight_buffer_vecs=2048,
         output_buffer_vecs=2048,
     )
@@ -69,6 +72,33 @@ def session():
     return make_session(instances=2)
 
 
+@pytest.fixture(scope="module")
+def pools(session):
+    """Replicated pools and ``ShardPool.of`` pools mixing 1- and
+    2-instance designs and two clock rates (runs reset the timelines,
+    so tests share them)."""
+    single = make_session(instances=1)
+    return {
+        "replicated-1": ShardPool.replicate(session, 1),
+        "replicated-2": ShardPool.replicate(session, 2),
+        "replicated-3": ShardPool.replicate(session, 3),
+        "mixed-2": ShardPool.of(single, session),
+        "mixed-3": ShardPool.of(
+            session, make_session(instances=1, frequency=150.0), single
+        ),
+    }
+
+
+def post_run_state(server):
+    """What a run leaves behind: busy horizons (bit for bit) and the
+    policy's rotation."""
+    rotation = getattr(server.scheduler.policy, "_next", None)
+    return (
+        [shard.busy_until.hex() for shard in server.pool],
+        dict(rotation) if isinstance(rotation, dict) else rotation,
+    )
+
+
 def comparable(report):
     return {
         key: value for key, value in report.to_dict().items()
@@ -77,41 +107,86 @@ def comparable(report):
 
 
 def serve_both(server, spec):
-    """The same workload on both engines; returns (kernel, fast)."""
+    """The same workload on both engines; returns (kernel, fast) once
+    both runs left the pool and policy in the same state."""
     kernel = server.run(replace(spec, engine="kernel"))
     assert server.last_engine == "kernel"
+    kernel_state = post_run_state(server)
     fast = server.run(replace(spec, engine="fastforward"))
     assert server.last_engine == "fastforward"
+    assert post_run_state(server) == kernel_state
     return kernel, fast
 
 
 class TestByteIdentity:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         policy=st.sampled_from(POLICIES),
-        pool_size=st.integers(min_value=1, max_value=3),
+        pool_name=st.sampled_from(
+            ["replicated-1", "replicated-2", "replicated-3",
+             "mixed-2", "mixed-3"]
+        ),
+        load=st.one_of(
+            st.just(0.005), st.floats(min_value=0.3, max_value=3.0)
+        ),
+        count=st.integers(min_value=40, max_value=3000),
         max_batch=st.integers(min_value=1, max_value=6),
-        wait_ms=st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+        wait_us=st.sampled_from([0.0, 50.0, 500.0, 2000.0]),
         kind=st.sampled_from(
             ["uniform", "fixed-qps", "poisson", "burst"]
         ),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_fastforward_equals_kernel(
-        self, session, policy, pool_size, max_batch, wait_ms, kind, seed
+        self, pools, policy, pool_name, load, count, max_batch, wait_us,
+        kind, seed,
     ):
-        pool = ShardPool.replicate(session, pool_size)
+        """Idle pools through 3x overload (loads are multiples of the
+        pool's simulated capacity): loaded runs span many speculative
+        windows, misses and scalar chunks."""
+        pool = pools[pool_name]
         spec = WorkloadSpec(
-            traffic=make_requests(kind, 40, qps=500.0, seed=seed, burst=5),
+            traffic=make_requests(
+                kind, count, qps=load * pool.simulated_images_per_second(),
+                seed=seed, burst=5,
+            ),
             policy=policy,
             batcher=BatcherOptions(
-                max_batch=max_batch, max_wait_s=wait_ms * 1e-3
+                max_batch=max_batch, max_wait_s=wait_us * 1e-6
             ),
         )
         kernel, fast = serve_both(ShardServer(pool), spec)
         # Dataclass equality covers records, usage, counters and
         # shard_seconds; the wall fields are compare=False, so the
         # equivalent event count gets its own assertion.
+        assert fast == kernel
+        assert fast.events_processed == kernel.events_processed
+        assert comparable(fast) == comparable(kernel)
+
+    #: CI's benchmark job runs this matrix with ``REPRO_FULL_ORACLE=1
+    #: pytest -m slow tests/test_serving_fastforward.py``.
+    @pytest.mark.slow
+    @pytest.mark.skipif(
+        os.environ.get("REPRO_FULL_ORACLE") != "1",
+        reason="20k-request oracle matrix: set REPRO_FULL_ORACLE=1",
+    )
+    @pytest.mark.parametrize("wait_us", [0.0, 50.0])
+    @pytest.mark.parametrize("pool_name", ["replicated-3", "mixed-3"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("load", [0.5, 1.0, 2.0])
+    def test_large_runs_equal_kernel(
+        self, pools, load, policy, pool_name, wait_us
+    ):
+        pool = pools[pool_name]
+        spec = WorkloadSpec(
+            traffic=make_requests(
+                "poisson", 20_000,
+                qps=load * pool.simulated_images_per_second(), seed=20,
+            ),
+            policy=policy,
+            batcher=BatcherOptions(max_batch=4, max_wait_s=wait_us * 1e-6),
+        )
+        kernel, fast = serve_both(ShardServer(pool), spec)
         assert fast == kernel
         assert fast.events_processed == kernel.events_processed
         assert comparable(fast) == comparable(kernel)
@@ -153,6 +228,122 @@ class TestByteIdentity:
         with pytest.raises(ServingError) as fast_error:
             server.run(replace(spec, engine="fastforward"))
         assert str(fast_error.value) == str(kernel_error.value)
+
+
+def dispatch(pool, mode, arrivals, max_batch, max_wait_s, scalar=False):
+    """Shard choices and starts from the windowed scan, or from the
+    scalar step alone (the scan's own reference)."""
+    _heads, sizes, flush_times = _form_batches(
+        np.asarray(arrivals, dtype=np.float64), max_batch, max_wait_s
+    )
+    scan = _Dispatch(mode, flush_times, sizes, pool.shards)
+    if scalar:
+        scan.steps(0, len(sizes))
+        return scan
+    return scan.run()
+
+
+#: The scan's policy arithmetic modes (weighted-fair runs as
+#: round-robin over the trivial tenant set).
+MODES = ("round-robin", "least-loaded", "shortest-latency")
+
+
+class TestSpeculation:
+    """The windowed scan against the scalar step it replaces, and the
+    speculation's coverage where the pool is backlogged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        pool_name=st.sampled_from(
+            ["replicated-2", "replicated-3", "mixed-2", "mixed-3"]
+        ),
+        load=st.floats(min_value=0.3, max_value=3.0),
+        count=st.integers(min_value=500, max_value=6000),
+        max_batch=st.integers(min_value=1, max_value=6),
+        wait_us=st.sampled_from([0.0, 50.0, 500.0]),
+        kind=st.sampled_from(["fixed-qps", "poisson", "burst"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_windows_equal_scalar_steps(
+        self, pools, mode, pool_name, load, count, max_batch, wait_us,
+        kind, seed,
+    ):
+        pool = pools[pool_name]
+        arrivals = [
+            request.arrival for request in make_requests(
+                kind, count, qps=load * pool.simulated_images_per_second(),
+                seed=seed, burst=5,
+            )
+        ]
+        args = (pool, mode, arrivals, max_batch, wait_us * 1e-6)
+        scan, scalar = dispatch(*args), dispatch(*args, scalar=True)
+        assert np.array_equal(scan.shard, scalar.shard)
+        assert scan.start.tobytes() == scalar.start.tobytes()
+        assert [value.hex() for value in scan.busy] == [
+            value.hex() for value in scalar.busy
+        ]
+
+    @pytest.mark.parametrize("kind", ["uniform", "poisson"])
+    @pytest.mark.parametrize("pool_name", ["replicated-2", "mixed-3"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_backlogged_runs_are_speculated(
+        self, pools, mode, pool_name, kind
+    ):
+        """Past capacity nearly every batch is placed by a verified
+        window.  ``uniform`` queues everything at t=0, so identical
+        shards stay in lockstep and every choice is a tie the guess
+        must break as the policies do (lowest shard index)."""
+        pool = pools[pool_name]
+        arrivals = [
+            request.arrival for request in make_requests(
+                kind, 4000, qps=3 * pool.simulated_images_per_second(),
+                seed=3,
+            )
+        ]
+        scan = dispatch(pool, mode, arrivals, 2, 0.0)
+        assert scan.speculated >= 0.9 * len(scan.shard)
+
+
+class TestCumsumFold:
+    """Speculation is exact only because ``np.cumsum`` (``add.
+    accumulate``) is the sequential left fold ``total += x``: the scan
+    folds 1-D usage terms, horizons along axis 0 and projected
+    instants along axis 1.  A numpy change to that order must fail
+    here, not drift reports by an ulp.  (The builtin ``sum`` is no
+    reference: Python 3.12 compensates it.)"""
+
+    @staticmethod
+    def fold(values):
+        folded, total = [], None
+        for value in values.tolist():
+            total = value if total is None else total + value
+            folded.append(total.hex())
+        return folded
+
+    @staticmethod
+    def hexes(values):
+        return [value.hex() for value in values.tolist()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=3000),
+        cols=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        spread=st.integers(min_value=0, max_value=30),
+    )
+    def test_cumsum_is_the_left_fold(self, rows, cols, seed, spread):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(
+            -spread, spread + 1, size=(rows, cols)
+        )
+        flat = data.ravel()
+        assert self.hexes(np.cumsum(flat)) == self.fold(flat)
+        down = np.cumsum(data, axis=0)
+        across = np.cumsum(np.ascontiguousarray(data.T), axis=1)
+        for j in range(cols):
+            assert self.hexes(down[:, j]) == self.fold(data[:, j])
+            assert self.hexes(across[j]) == self.fold(data[:, j])
 
 
 def plain(traffic, **fields):
