@@ -10,8 +10,10 @@ Components
     reordering transforms implemented by the SAVE module.
 ``buffers``
     On-chip buffer models with the Table-1 partition factors.
-``HandshakeFifo``
-    Token FIFOs between producer/consumer module pairs (Section 4.1).
+``HandshakeFifo`` / ``match_tokens``
+    Token FIFOs between producer/consumer module pairs (Section 4.1):
+    one FIFO token by token, or all of a program's pops matched to
+    their pushes at once.
 ``pe``
     Functional model of the hybrid Spatial/Winograd PE: a PT x PT array
     of PI x PO GEMM cores (Section 4.2.2).
@@ -20,7 +22,7 @@ Components
 """
 
 from repro.arch.params import AcceleratorConfig
-from repro.arch.fifo import HandshakeFifo
+from repro.arch.fifo import HandshakeFifo, match_tokens
 from repro.arch.dram import ExternalMemoryModel, MemoryRegion
 from repro.arch import layouts, buffers, pe
 
@@ -31,5 +33,6 @@ __all__ = [
     "MemoryRegion",
     "buffers",
     "layouts",
+    "match_tokens",
     "pe",
 ]

@@ -39,14 +39,7 @@ from repro.ir.layers import (
     MaxPool2D,
     ReLU,
 )
-from repro.isa.instructions import (
-    Comp,
-    DeptFlag,
-    LoadBias,
-    LoadInp,
-    LoadWgt,
-    Save,
-)
+from repro.isa.instructions import DeptFlag, Opcode
 from repro.isa.program import Program
 from repro.mapping.partition import (
     LayerPartition,
@@ -69,10 +62,6 @@ class FeatureMapSpec:
     height: int
     width: int
     layout: int  # layouts.SPAT | layouts.WINO
-
-    @property
-    def elems(self) -> int:
-        return 0  # computed with lane width by words_for()
 
     def words(self, lanes: int) -> int:
         return layouts.feature_words(
@@ -163,8 +152,27 @@ def _consumer_layout(network: Network, index: int,
     return layouts.SPAT
 
 
+# Plain-int opcodes and DEPT_FLAG bits for the emitter's hot path.
+_LOAD_INP = int(Opcode.LOAD_INP)
+_LOAD_WGT = int(Opcode.LOAD_WGT)
+_LOAD_BIAS = int(Opcode.LOAD_BIAS)
+_COMP = int(Opcode.COMP)
+_SAVE = int(Opcode.SAVE)
+_WAIT_INP = int(DeptFlag.WAIT_INP)
+_WAIT_WGT = int(DeptFlag.WAIT_WGT)
+_EMIT = int(DeptFlag.EMIT)
+_WAIT_FREE = int(DeptFlag.WAIT_FREE)
+_FREE_INP = int(DeptFlag.FREE_INP)
+_FREE_WGT = int(DeptFlag.FREE_WGT)
+
+
 class _Emitter:
-    """Per-segment emission state (FIFO half counters, descriptors)."""
+    """Per-segment emission state (FIFO half counters, descriptors).
+
+    Instructions go straight into the program's columns: each helper
+    appends its opcode, DEPT_FLAG bits and a row tuple in the layout's
+    field order (:data:`repro.isa.encoding.ROW_FIELDS`).
+    """
 
     def __init__(self, cfg: AcceleratorConfig):
         self.cfg = cfg
@@ -174,9 +182,12 @@ class _Emitter:
         self.wgt_half = 0
         self.out_half = 0
 
-    def _push(self, instruction, desc: dict) -> int:
-        index = len(self.program)
-        self.program.append(instruction)
+    def _push(self, opcode: int, dept: int, row: tuple, desc: dict) -> int:
+        program = self.program
+        index = len(program.opcodes)
+        program.opcodes.append(opcode)
+        program.depts.append(dept)
+        program.rows.append(row)
         self.descriptors[index] = desc
         return index
 
@@ -195,23 +206,16 @@ class _Emitter:
         self.inp_half ^= 1
         pad_top = max(0, -y_start)
         pad_bottom = max(0, y_start + rows - src.height)
-        rows_read = rows - pad_top - pad_bottom
+        rows_read = max(rows - pad_top - pad_bottom, 0)
         c_vecs = -(-c_count // self.cfg.pi)
-        instruction = LoadInp(
-            dept_flag=DeptFlag.WAIT_FREE | DeptFlag.EMIT,
-            buff_id=half,
-            buff_base=0,
-            dram_base=0,
-            size_chan=c_vecs,
-            size_rows=max(rows_read, 0),
-            size_cols=src.width,
-            pads_top=pad_top,
-            pads_bottom=pad_bottom,
-            pads_left=pad_left,
-            pads_right=pad_right,
-            wino_flag=1 if src.layout == layouts.WINO else 0,
+        # buff_id, buff_base, dram_base, size_chan, size_rows, size_cols,
+        # pads_top, pads_bottom, pads_left, pads_right, wino_flag,
+        # wino_offset
+        row = (
+            half, 0, 0, c_vecs, rows_read, src.width,
+            pad_top, pad_bottom, pad_left, pad_right,
+            1 if src.layout == layouts.WINO else 0, 0,
         )
-        elems = max(rows_read, 0) * src.width * c_vecs * self.cfg.pi
         desc = {
             "kind": "load_inp",
             "region": src.region,
@@ -225,10 +229,10 @@ class _Emitter:
             "c_count": c_count,
             "pad_left": pad_left,
             "pad_right": pad_right,
-            "elems": elems,
+            "elems": rows_read * src.width * c_vecs * self.cfg.pi,
             "half": half,
         }
-        return self._push(instruction, desc)
+        return self._push(_LOAD_INP, _WAIT_FREE | _EMIT, row, desc)
 
     def load_wgt(self, *, layer_name: str, slot, partition: LayerPartition,
                  mode: str) -> int:
@@ -239,13 +243,9 @@ class _Emitter:
         coeff_rows, coeff_cols = (
             (self.cfg.pt, self.cfg.pt) if mode == "wino" else partition.kernel
         )
-        instruction = LoadWgt(
-            dept_flag=DeptFlag.WAIT_FREE | DeptFlag.EMIT,
-            buff_id=half,
-            size_chan=k_vecs * c_vecs,
-            size_rows=coeff_rows,
-            size_cols=coeff_cols,
-            wino_flag=1 if mode == "wino" else 0,
+        row = (
+            half, 0, 0, k_vecs * c_vecs, coeff_rows, coeff_cols,
+            0, 0, 0, 0, 1 if mode == "wino" else 0, 0,
         )
         desc = {
             "kind": "load_wgt",
@@ -255,53 +255,43 @@ class _Emitter:
             "elems": slot.elems,
             "half": half,
         }
-        return self._push(instruction, desc)
+        return self._push(_LOAD_WGT, _WAIT_FREE | _EMIT, row, desc)
 
     def load_bias(self, *, layer_name: str, count: int) -> int:
-        instruction = LoadBias(
-            dept_flag=DeptFlag.NONE,
-            size_chan=-(-count // self.cfg.po),
-        )
+        row = (0, 0, 0, -(-count // self.cfg.po), 1, 1, 0, 0, 0, 0, 0, 0)
         desc = {
             "kind": "load_bias",
             "region": f"bias:{layer_name}",
             "count": count,
             "elems": count,
         }
-        return self._push(instruction, desc)
+        return self._push(_LOAD_BIAS, 0, row, desc)
 
     def comp(self, *, partition: LayerPartition, k0: int, k_count: int,
              c0: int, c_count: int, out_w: int, rows_out: int,
              wait_inp: bool, free_inp: bool, wait_wgt: bool, free_wgt: bool,
              clear: bool, flush: bool, relu: bool, quan_param: int,
              inp_half: int, wgt_half: int, wgt_scales=None) -> int:
-        dept = DeptFlag.NONE
-        if wait_inp:
-            dept |= DeptFlag.WAIT_INP
-        if free_inp:
-            dept |= DeptFlag.FREE_INP
-        if wait_wgt:
-            dept |= DeptFlag.WAIT_WGT
-        if free_wgt:
-            dept |= DeptFlag.FREE_WGT
+        dept = (
+            (_WAIT_INP if wait_inp else 0)
+            | (_FREE_INP if free_inp else 0)
+            | (_WAIT_WGT if wait_wgt else 0)
+            | (_FREE_WGT if free_wgt else 0)
+        )
         out_half = self.out_half
         if flush:
-            dept |= DeptFlag.EMIT | DeptFlag.WAIT_FREE
+            dept |= _EMIT | _WAIT_FREE
             self.out_half ^= 1
-        instruction = Comp(
-            dept_flag=dept,
-            iw_number=out_w,
-            ic_number=-(-c_count // self.cfg.pi),
-            oc_number=-(-k_count // self.cfg.po),
-            stride_size=partition.stride,
-            relu_flag=1 if (relu and flush) else 0,
-            quan_param=quan_param,
-            wino_flag=1 if partition.mode == "wino" else 0,
-            accum_clear=1 if clear else 0,
-            accum_flush=1 if flush else 0,
-            inp_buff_id=inp_half,
-            wgt_buff_id=wgt_half,
-            out_buff_id=out_half,
+        wino = partition.mode == "wino"
+        # buff_id, inp/out/wgt_buff_base, iw_number, ic_number,
+        # oc_number, stride_size, relu_flag, quan_param, wino_flag,
+        # wino_offset, accum_clear, accum_flush, inp/wgt/out_buff_id
+        row = (
+            0, 0, 0, 0, out_w, -(-c_count // self.cfg.pi),
+            -(-k_count // self.cfg.po), partition.stride,
+            1 if (relu and flush) else 0, quan_param, 1 if wino else 0, 0,
+            1 if clear else 0, 1 if flush else 0,
+            inp_half, wgt_half, out_half,
         )
         desc = {
             "kind": "comp",
@@ -323,26 +313,21 @@ class _Emitter:
             "out_half": out_half,
             "wgt_scales": wgt_scales,
         }
-        return self._push(instruction, desc)
+        return self._push(_COMP, dept, row, desc)
 
     def save(self, *, dst: FeatureMapSpec, partition: LayerPartition,
              y0_out: int, rows_valid: int, k0: int, k_count: int,
              pool: int, out_half: int) -> int:
-        instruction = Save(
-            dept_flag=DeptFlag.WAIT_INP | DeptFlag.FREE_INP,
-            buff_id=out_half,
-            size_chan=-(-k_count // self.cfg.po),
-            size_rows=max(rows_valid // max(pool, 1), 1) if pool > 1 else rows_valid,
-            size_cols=dst.width,
-            wino_flag=1 if partition.mode == "wino" else 0,
-            dst_wino_flag=1 if dst.layout == layouts.WINO else 0,
-            pool_size=pool,
-            oc_blk_number=-(-k_count // self.cfg.po),
-            ow_blk_number=max(1, dst.width // 255 + 1),
-        )
         rows_dst = rows_valid // pool if pool > 1 else rows_valid
-        elems = (
-            -(-k_count // self.cfg.po) * self.cfg.po * rows_dst * dst.width
+        k_vecs = -(-k_count // self.cfg.po)
+        # buff_id, buff_base, dram_base, size_chan, size_rows, size_cols,
+        # wino_flag, dst_wino_flag, pool_size, iw/oc/ow_blk_number
+        row = (
+            out_half, 0, 0, k_vecs,
+            max(rows_dst, 1) if pool > 1 else rows_valid, dst.width,
+            1 if partition.mode == "wino" else 0,
+            1 if dst.layout == layouts.WINO else 0,
+            pool, 1, k_vecs, max(1, dst.width // 255 + 1),
         )
         desc = {
             "kind": "save",
@@ -356,10 +341,10 @@ class _Emitter:
             "k0": k0,
             "k_count": k_count,
             "pool": pool,
-            "elems": max(elems, 0),
+            "elems": max(k_vecs * self.cfg.po * rows_dst * dst.width, 0),
             "half": out_half,
         }
-        return self._push(instruction, desc)
+        return self._push(_SAVE, _WAIT_INP | _FREE_INP, row, desc)
 
 
 def _emit_layer(

@@ -11,7 +11,8 @@ DNN parameters to 8 bits, Table 4 footnote).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,13 +65,17 @@ class PackedWeights:
     def elems(self) -> int:
         return self.total_elems or int(self.image.size)
 
+    @cached_property
+    def _slot_index(self) -> Dict[Tuple[int, int], WeightGroupSlot]:
+        return {(slot.k0, slot.c0): slot for slot in self.slots}
+
     def slot(self, k0: int, c0: int) -> WeightGroupSlot:
-        for slot in self.slots:
-            if slot.k0 == k0 and slot.c0 == c0:
-                return slot
-        raise CompileError(
-            f"{self.layer_name}: no weight slot at k0={k0} c0={c0}"
-        )
+        try:
+            return self._slot_index[k0, c0]
+        except KeyError:
+            raise CompileError(
+                f"{self.layer_name}: no weight slot at k0={k0} c0={c0}"
+            ) from None
 
 
 def _scale_per_position(

@@ -56,17 +56,15 @@ def run_instruction_stats(
             by_opcode[opcode.name] = by_opcode.get(opcode.name, 0) + count
         valid = valid and validate_program(program).ok
         for marker in program.markers:
-            chunk = program.instructions[marker.start : marker.end]
+            opcodes = program.opcodes[marker.start : marker.end]
             part = compiled.partitions[marker.layer_name]
             layers.append(
                 LayerStats(
                     layer_name=marker.layer_name,
                     mode=marker.mode,
                     dataflow=marker.dataflow,
-                    instructions=len(chunk),
-                    comp_instructions=sum(
-                        1 for i in chunk if i.opcode == Opcode.COMP
-                    ),
+                    instructions=len(opcodes),
+                    comp_instructions=opcodes.count(Opcode.COMP),
                     row_groups=part.n_row_groups,
                     k_groups=part.n_k_groups,
                     c_groups=part.n_c_groups,

@@ -15,7 +15,8 @@ Public API
 ``encode`` / ``decode``
     128-bit word conversion.
 ``Program``
-    Instruction container with binary and textual round-trips.
+    Column-stored instruction stream with binary and textual
+    round-trips.
 ``assemble`` / ``disassemble``
     Human-readable assembly.
 """

@@ -66,7 +66,7 @@ def disassemble(program: Program) -> str:
     """Full program listing with layer-marker comments."""
     lines: List[str] = []
     marker_starts = {m.start: m for m in program.markers}
-    for index, instruction in enumerate(program.instructions):
+    for index, instruction in enumerate(program):
         if index in marker_starts:
             marker = marker_starts[index]
             lines.append(

@@ -9,7 +9,7 @@ corruption, mirroring what an RTL assertion would catch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import EncodingError
 
@@ -84,9 +84,17 @@ class BitLayout:
         missing = set(self._by_name) - set(values)
         if missing:
             raise EncodingError(f"{self.name}: missing fields {sorted(missing)}")
+        return self.pack_values([values[field.name] for field in self.fields])
+
+    def pack_values(self, values: Sequence[int]) -> int:
+        """Pack one value per field, in field order."""
+        if len(values) != len(self.fields):
+            raise EncodingError(
+                f"{self.name}: expected {len(self.fields)} values, "
+                f"got {len(values)}"
+            )
         word = 0
-        for field in self.fields:
-            value = values[field.name]
+        for field, value in zip(self.fields, values):
             if not isinstance(value, int) or isinstance(value, bool):
                 value = int(value)
             if value < 0 or value > field.max_value:
@@ -99,16 +107,20 @@ class BitLayout:
 
     def unpack(self, word: int) -> Dict[str, int]:
         """Unpack a 128-bit integer; reserved bits must be zero."""
+        return dict(zip(self._by_name, self.unpack_values(word)))
+
+    def unpack_values(self, word: int) -> Tuple[int, ...]:
+        """Field values of ``word`` in field order; reserved bits must be
+        zero."""
         if word < 0 or word >= 1 << WORD_BITS:
             raise EncodingError(
                 f"{self.name}: word out of 128-bit range"
             )
-        values = {}
-        for field in self.fields:
-            values[field.name] = (word >> field.offset) & field.mask
         reserved = word >> self.used_bits
         if reserved:
             raise EncodingError(
                 f"{self.name}: reserved bits are non-zero (0x{reserved:x})"
             )
-        return values
+        return tuple(
+            (word >> field.offset) & field.mask for field in self.fields
+        )

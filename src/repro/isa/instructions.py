@@ -11,9 +11,10 @@ Every instruction carries:
 * ``WINO_FLAG`` — Winograd (1) or Spatial (0) mode.
 
 The exact bit widths are this reproduction's choice (the paper fixes the
-128-bit total and the field names but not the widths); they are sized for
-feature maps up to 4095x4095 with 4095 channel-vectors, far beyond any
-DNN in the evaluation.
+128-bit total and the field names but not the widths; see
+:mod:`repro.isa.encoding`).  They fit feature maps up to 4095x4095, COMP
+and SAVE channel counts up to 4095 vectors, and LOAD transfers up to
+65,535 channel vectors (LOAD_WGT counts k-vectors x c-vectors).
 """
 
 from __future__ import annotations

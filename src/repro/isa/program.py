@@ -1,19 +1,36 @@
 """Instruction stream container.
 
-A :class:`Program` is the compiler's output: an ordered instruction list
-plus metadata (layer boundaries, buffer plan) that the runtime and the
-simulator consume.  It round-trips losslessly through the 16-byte binary
-format (the paper's "Inst. files", Figure 1).
+A :class:`Program` is the compiler's output: an ordered instruction
+stream plus metadata (layer boundaries, buffer plan) that the runtime and
+the simulator consume.  It round-trips losslessly through the 16-byte
+binary format (the paper's "Inst. files", Figure 1).
+
+The stream is stored as three parallel columns, not as objects: an int
+``opcodes`` column, an int ``depts`` column (the DEPT_FLAG bits) and
+``rows``, one tuple per instruction holding its remaining fields in
+:class:`~repro.isa.fields.BitLayout` order
+(:data:`~repro.isa.encoding.ROW_FIELDS`, ``buff_id`` first).  The
+compiler appends plain ints, the simulator reads the columns, and the
+binary format is packed from and unpacked into them.
+:class:`~repro.isa.instructions.Instruction` dataclasses are built only
+on demand: by indexing, iteration, disassembly and validation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import EncodingError
-from repro.isa.encoding import decode, encode_bytes
+from repro.isa.encoding import (
+    decode_row,
+    encode_row,
+    instruction_from_row,
+    row_of,
+)
 from repro.isa.instructions import Instruction, Opcode
 
 
@@ -28,38 +45,87 @@ class LayerMarker:
     dataflow: str = "is"  # "is" | "ws"
 
 
-@dataclass
 class Program:
-    """An executable instruction stream.
+    """An executable instruction stream, stored as columns.
 
     Attributes
     ----------
-    instructions:
-        The stream, in fetch order.
+    opcodes, depts, rows:
+        The stream in fetch order: per instruction its opcode, its
+        DEPT_FLAG bits and the tuple of its other fields.
     markers:
         Per-layer instruction ranges (in stream order).
     metadata:
         Free-form compiler annotations (buffer plan, config echo, ...).
+
+    :attr:`instructions` is an immutable snapshot; ``program[i] =
+    instruction`` is the way to replace one.
     """
 
-    instructions: List[Instruction] = field(default_factory=list)
-    markers: List[LayerMarker] = field(default_factory=list)
-    metadata: Dict[str, object] = field(default_factory=dict)
+    def __init__(
+        self,
+        instructions: Iterable[Instruction] = (),
+        markers: Optional[List[LayerMarker]] = None,
+        metadata: Optional[Dict[str, object]] = None,
+    ):
+        self.opcodes: List[int] = []
+        self.depts: List[int] = []
+        self.rows: List[Tuple[int, ...]] = []
+        self.markers: List[LayerMarker] = [] if markers is None else markers
+        self.metadata: Dict[str, object] = {} if metadata is None else metadata
+        self.extend(instructions)
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.opcodes)
 
     def __iter__(self) -> Iterator[Instruction]:
-        return iter(self.instructions)
+        return map(instruction_from_row, self.opcodes, self.depts, self.rows)
 
-    def __getitem__(self, index: int) -> Instruction:
-        return self.instructions[index]
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[Instruction, List[Instruction]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return instruction_from_row(
+            self.opcodes[index], self.depts[index], self.rows[index]
+        )
+
+    def __setitem__(self, index: int, instruction: Instruction) -> None:
+        index = operator.index(index)
+        row = row_of(instruction)
+        self.opcodes[index] = int(instruction.opcode)
+        self.depts[index] = int(instruction.dept_flag)
+        self.rows[index] = row
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Program):
+            return NotImplemented
+        return (
+            self.opcodes == other.opcodes
+            and self.depts == other.depts
+            and self.rows == other.rows
+            and self.markers == other.markers
+            and self.metadata == other.metadata
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Program({len(self)} instructions, {len(self.markers)} layers)"
+        )
+
+    @property
+    def instructions(self) -> Tuple[Instruction, ...]:
+        """The stream as an immutable tuple of instructions."""
+        return tuple(self)
 
     def append(self, instruction: Instruction) -> None:
-        self.instructions.append(instruction)
+        self.opcodes.append(int(instruction.opcode))
+        self.depts.append(int(instruction.dept_flag))
+        self.rows.append(row_of(instruction))
 
-    def extend(self, instructions) -> None:
-        self.instructions.extend(instructions)
+    def extend(self, instructions: Iterable[Instruction]) -> None:
+        for instruction in instructions:
+            self.append(instruction)
 
     def mark_layer(
         self, layer_name: str, start: int, mode: str, dataflow: str
@@ -70,7 +136,7 @@ class Program:
             LayerMarker(
                 layer_name=layer_name,
                 start=start,
-                end=len(self.instructions),
+                end=len(self),
                 mode=mode,
                 dataflow=dataflow,
             )
@@ -80,20 +146,23 @@ class Program:
         """The instructions implementing ``layer_name``."""
         for marker in self.markers:
             if marker.layer_name == layer_name:
-                return self.instructions[marker.start : marker.end]
+                return self[marker.start : marker.end]
         raise KeyError(f"no layer {layer_name!r} in program")
 
     def count_by_opcode(self) -> Dict[Opcode, int]:
-        counts: Dict[Opcode, int] = {}
-        for instruction in self.instructions:
-            counts[instruction.opcode] = counts.get(instruction.opcode, 0) + 1
-        return counts
+        return {
+            Opcode(opcode): count
+            for opcode, count in Counter(self.opcodes).items()
+        }
 
     # -- binary round-trip ------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialise to the on-DRAM binary format (16 bytes/instruction)."""
-        return b"".join(encode_bytes(i) for i in self.instructions)
+        return b"".join(
+            encode_row(opcode, dept, row).to_bytes(16, "little")
+            for opcode, dept, row in zip(self.opcodes, self.depts, self.rows)
+        )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Program":
@@ -103,11 +172,16 @@ class Program:
             raise EncodingError(
                 f"binary length {len(blob)} is not a multiple of 16"
             )
-        instructions = [
-            decode(blob[offset : offset + 16])
-            for offset in range(0, len(blob), 16)
-        ]
-        return cls(instructions=instructions)
+        program = cls()
+        view = memoryview(blob)
+        for offset in range(0, len(blob), 16):
+            opcode, dept, row = decode_row(
+                int.from_bytes(view[offset : offset + 16], "little")
+            )
+            program.opcodes.append(opcode)
+            program.depts.append(dept)
+            program.rows.append(row)
+        return program
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_bytes(self.to_bytes())

@@ -5,17 +5,41 @@ Timing model
 Instructions are dispatched in program order by the CTRL module (a
 4-stage fetch/decode pipeline issuing one instruction every
 ``CTRL_ISSUE_CYCLES``).  Each functional module executes its own
-instructions in order; an instruction starts at::
+instructions in order, and the handshake FIFOs of Section 4.1 carry a
+producer's finish time to its consumer as a token.  Instruction ``i``
+runs for ``d[i]`` cycles, given by the DDR/port transfer model (loads
+and saves) or the PE cycle model (COMP), and::
 
-    max(module free time, CTRL issue time, handshake token times)
+    start[i]  = max(finish[previous instruction of i's module],
+                    CTRL_ISSUE_CYCLES * i,
+                    finish[matched push of every token i pops])
+    finish[i] = start[i] + d[i]
 
-and runs for a duration given by the DDR/port transfer model (loads and
-saves) or the PE cycle model (COMP).  Handshake tokens carry the
-producer's finish timestamp, so producer/consumer overlap emerges
-naturally and the makespan reflects the ``max(...)`` structure of
-Eq. 12-15 plus all the discretisation the analytical model abstracts
-away — the measured few-percent gap between the two reproduces the
-paper's estimation-error experiment.
+This is a max-plus recurrence over a timed event graph (Baccelli,
+Cohen, Olsder & Quadrat, *Synchronization and Linearity*, Wiley 1992).
+Its dependencies are static.  Each FIFO has one producer module and one
+consumer module, and both push and pop in program order, so the k-th
+pop always takes the (k - preload)-th push, whatever the timing.  The
+opcode and DEPT_FLAG columns of the program therefore fix every edge
+before any time is known, and :meth:`AcceleratorSimulator.run` works in
+three steps:
+
+1. durations, as column math per opcode;
+2. token matching from per-FIFO push and pop positions
+   (:func:`~repro.arch.fifo.match_tokens`), which also finds the first
+   FIFO overflow or underflow in program order;
+3. one pass of the recurrence over plain ints.
+
+Replaying the FIFOs token by token computes the same times: a token's
+timestamp is its producer's finish time, and the replay hands the k-th
+pop the same push.  Because durations are positive, each FIFO's token
+times rise, so the replay's monotonicity check cannot fire.
+``tests/test_sim_oracle.py`` keeps that replay as the oracle.
+
+Producer/consumer overlap emerges naturally, and the makespan reflects
+the ``max(...)`` structure of Eq. 12-15 plus all the discretisation the
+analytical model abstracts away — the measured few-percent gap between
+the two reproduces the paper's estimation-error experiment.
 
 Functional model
 ----------------
@@ -23,15 +47,16 @@ With ``functional=True`` every instruction also moves real data: strips
 are gathered from the DRAM image, the PE computes through the
 Spatial/Winograd paths of :mod:`repro.arch.pe`, and SAVE applies ReLU /
 pooling / re-quantisation and the Figure-5 layout transform before
-writing back.  The end-to-end result is compared against the numpy
-reference in the integration tests.
+writing back.  The data movement never changes the timing, which comes
+from the same recurrence.  The end-to-end result is compared against
+the numpy reference in the integration tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,11 +64,14 @@ from repro.errors import SimulationError
 from repro.arch import layouts, pe
 from repro.arch.buffers import PingPongBuffer
 from repro.arch.dram import ExternalMemoryModel
-from repro.arch.fifo import HandshakeFifo
+from repro.arch.fifo import match_tokens, overflow_error, underflow_error
 from repro.arch.params import AcceleratorConfig
 from repro.fpga.device import FpgaDevice
+from repro.isa.encoding import ROW_FIELDS
 from repro.isa.instructions import DeptFlag, Opcode
 from repro.isa.program import Program
+from repro.isa.validate import FIFO_DEPTH, FREE_PRELOAD
+from repro.sim.trace import TraceRecord
 from repro.winograd.reference import max_pool2d
 
 #: CTRL issue interval (cycles per instruction through the 4-stage
@@ -53,6 +81,44 @@ CTRL_ISSUE_CYCLES = 2
 #: DDR burst/setup cycles per transfer (matches the estimator's
 #: GROUP_OVERHEAD_CYCLES together with the COMP pipeline depth).
 DDR_FIXED_CYCLES = 64
+
+#: The functional modules, and the one executing each opcode.
+MODULES = ("LOAD_INP", "LOAD_WGT", "COMP", "SAVE")
+_MODULE_OF = {
+    Opcode.LOAD_INP: 0,
+    Opcode.LOAD_WGT: 1,
+    Opcode.LOAD_BIAS: 1,
+    Opcode.COMP: 2,
+    Opcode.SAVE: 3,
+}
+_MODULE_LOOKUP = np.array([_MODULE_OF.get(op, 0) for op in range(16)])
+
+#: The handshake FIFOs (``FIFO_DEPTH`` tokens each): name, preloaded
+#: tokens, producer opcode and DEPT_FLAG bit, consumer opcode and bit.
+#: The free FIFOs start with both ping-pong halves free.  The table is
+#: in the order an instruction pops, and separately pushes, its FIFOs:
+#: COMP waits for input, then weights, then a free output half, and
+#: emits to SAVE before releasing its input and weight halves.
+_FIFOS: Tuple[Tuple[str, int, Opcode, DeptFlag, Opcode, DeptFlag], ...] = (
+    ("inp_data", 0, Opcode.LOAD_INP, DeptFlag.EMIT,
+     Opcode.COMP, DeptFlag.WAIT_INP),
+    ("wgt_data", 0, Opcode.LOAD_WGT, DeptFlag.EMIT,
+     Opcode.COMP, DeptFlag.WAIT_WGT),
+    ("out_free", FREE_PRELOAD, Opcode.SAVE, DeptFlag.FREE_INP,
+     Opcode.COMP, DeptFlag.WAIT_FREE),
+    ("out_data", 0, Opcode.COMP, DeptFlag.EMIT,
+     Opcode.SAVE, DeptFlag.WAIT_INP),
+    ("inp_free", FREE_PRELOAD, Opcode.COMP, DeptFlag.FREE_INP,
+     Opcode.LOAD_INP, DeptFlag.WAIT_FREE),
+    ("wgt_free", FREE_PRELOAD, Opcode.COMP, DeptFlag.FREE_WGT,
+     Opcode.LOAD_WGT, DeptFlag.WAIT_FREE),
+)
+
+#: Most FIFOs one instruction pops (COMP's three).
+_MAX_WAITS = 3
+
+_QUAN_PARAM = ROW_FIELDS[Opcode.COMP].index("quan_param")
+_COMP_FIELDS = itemgetter("k_count", "c_count", "out_w", "rows_out")
 
 
 @dataclass
@@ -137,8 +203,6 @@ class SimulationResult:
                     )
                 )
             if result.trace:
-                from repro.sim.trace import TraceRecord
-
                 base = len(total.trace)
                 total.trace.extend(
                     TraceRecord(
@@ -191,26 +255,51 @@ class AcceleratorSimulator:
         self.feature_bytes = max(1, (cfg.data_width + 7) // 8)
         self.weight_bytes = max(1, (cfg.weight_width + 7) // 8)
 
-    # -- timing helpers ---------------------------------------------------
+    # -- timing ------------------------------------------------------------
 
-    def _xfer_cycles(self, elems: int, bytes_per_elem: int,
-                     port_elems_per_cycle: float) -> int:
-        if elems <= 0:
-            return DDR_FIXED_CYCLES
-        ddr = elems * bytes_per_elem / self.bytes_per_cycle
-        port = elems / port_elems_per_cycle
-        return int(math.ceil(max(ddr, port))) + DDR_FIXED_CYCLES
+    def _durations(self, opcodes: np.ndarray, descriptors) -> np.ndarray:
+        """Cycles of every instruction, as column math per opcode.
 
-    def _comp_cycles(self, desc: dict) -> int:
-        kc, cc = desc["k_count"], desc["c_count"]
-        if desc["mode"] == "wino":
-            n_tiles = -(-desc["out_w"] // self.cfg.m)
-            per_block = pe.winograd_cycles(self.cfg, kc, cc, n_tiles)
-            return per_block * len(desc["blocks"])
-        r, s = desc["kernel"]
-        return pe.spatial_cycles(
-            self.cfg, kc, cc, r, s, desc["rows_out"], desc["out_w"]
+        Loads and saves take ``ceil(max(elems * bytes / DDR bytes per
+        cycle, elems / port lanes)) + DDR_FIXED_CYCLES``; COMP follows
+        the PE cycle model of :mod:`repro.arch.pe`.  The int64 columns
+        go through the same float operations, in the same order, as one
+        instruction's ints would, so every duration is exact.
+        """
+        cfg = self.cfg
+        durations = np.empty(len(opcodes), dtype=np.int64)
+        ports = (
+            (Opcode.LOAD_INP, self.feature_bytes, cfg.pi * cfg.pt),
+            (Opcode.LOAD_WGT, self.weight_bytes, cfg.pi * cfg.po * cfg.pt),
+            (Opcode.LOAD_BIAS, self.weight_bytes, cfg.po),
+            (Opcode.SAVE, self.feature_bytes, cfg.po * cfg.pt),
         )
+        for opcode, elem_bytes, lanes in ports:
+            at = np.flatnonzero(opcodes == opcode)
+            elems = np.array(
+                [descriptors[i]["elems"] for i in at.tolist()], dtype=np.int64
+            )
+            ddr = elems * elem_bytes / self.bytes_per_cycle
+            port = elems / lanes
+            cycles = np.ceil(np.maximum(ddr, port)).astype(np.int64)
+            durations[at] = np.where(elems > 0, cycles, 0) + DDR_FIXED_CYCLES
+
+        at = np.flatnonzero(opcodes == Opcode.COMP)
+        descs = [descriptors[i] for i in at.tolist()]
+        k, c, out_w, rows = np.array(
+            [_COMP_FIELDS(desc) for desc in descs], dtype=np.int64
+        ).reshape(-1, 4).T
+        r, s = np.array(
+            [desc["kernel"] for desc in descs], dtype=np.int64
+        ).reshape(-1, 2).T
+        blocks = np.array([len(desc["blocks"]) for desc in descs], dtype=np.int64)
+        wino = np.array([desc["mode"] == "wino" for desc in descs], dtype=bool)
+        durations[at] = np.where(
+            wino,
+            pe.winograd_cycles(cfg, k, c, -(-out_w // cfg.m)) * blocks,
+            pe.spatial_cycles(cfg, k, c, r, s, rows, out_w),
+        )
+        return durations
 
     # -- functional helpers -----------------------------------------------
 
@@ -287,124 +376,89 @@ class AcceleratorSimulator:
                 "program has no descriptors; run a compiler-produced "
                 "program (binary round-trips drop host-side metadata)"
             )
-        cfg = self.cfg
+        opcodes = np.array(program.opcodes, dtype=np.int64)
+        depts = np.array(program.depts, dtype=np.int64)
+        durations = self._durations(opcodes, descriptors)
+        waits, failure = _match_fifos(opcodes, depts)
 
-        fifos = {
-            "inp_data": HandshakeFifo("inp_data", depth=2),
-            "inp_free": HandshakeFifo("inp_free", depth=2, preload=2),
-            "wgt_data": HandshakeFifo("wgt_data", depth=2),
-            "wgt_free": HandshakeFifo("wgt_free", depth=2, preload=2),
-            "out_data": HandshakeFifo("out_data", depth=2),
-            "out_free": HandshakeFifo("out_free", depth=2, preload=2),
-        }
-        modules = {
-            name: ModuleStats(name)
-            for name in ("LOAD_INP", "LOAD_WGT", "COMP", "SAVE")
-        }
-        module_time = {name: 0 for name in modules}
-        module_of = {
-            Opcode.LOAD_INP: "LOAD_INP",
-            Opcode.LOAD_WGT: "LOAD_WGT",
-            Opcode.LOAD_BIAS: "LOAD_WGT",
-            Opcode.COMP: "COMP",
-            Opcode.SAVE: "SAVE",
-        }
-
-        if self.functional:
-            input_buf = PingPongBuffer("input", cfg.input_buffer_vecs)
-            weight_buf = PingPongBuffer("weight", cfg.weight_buffer_vecs)
-            output_buf = PingPongBuffer("output", cfg.output_buffer_vecs)
-            bias_buf: Optional[np.ndarray] = None
-            accum: Optional[np.ndarray] = None
-
-        start_cycle: Dict[int, int] = {}
-        finish_cycle: Dict[int, int] = {}
-        trace_records = []
         read0 = self.dram.total_read_elems
         written0 = self.dram.total_written_elems
+        if self.functional:
+            # The replay stops at the first FIFO violation, so the data
+            # moves up to it (and may fail earlier on its own).
+            stop = len(program) if failure is None else failure[0]
+            self._move_data(program, descriptors, stop)
+        if failure is not None:
+            raise failure[1]
 
-        for idx, inst in enumerate(program):
+        module = _MODULE_LOOKUP[opcodes]
+        members = [
+            np.flatnonzero(module == index) for index in range(len(MODULES))
+        ]
+        previous = np.full(len(program), -1, dtype=np.int64)
+        for at in members:
+            previous[at[1:]] = at[:-1]
+        finish_list = _finish_times(previous, waits, durations)
+        finish = np.array(finish_list, dtype=np.int64)
+        start = finish - durations
+
+        modules = {
+            name: ModuleStats(
+                name,
+                instructions=len(at),
+                busy_cycles=int(durations[at].sum()),
+                finish_time=int(finish[at[-1]]) if len(at) else 0,
+            )
+            for name, at in zip(MODULES, members)
+        }
+        layer_timings = [
+            LayerTiming(
+                layer_name=marker.layer_name,
+                mode=marker.mode,
+                dataflow=marker.dataflow,
+                start_cycle=int(start[marker.start : marker.end].min()),
+                finish_cycle=int(finish[marker.start : marker.end].max()),
+            )
+            for marker in program.markers
+        ]
+        trace_records = []
+        if self.trace:
+            trace_records = [
+                TraceRecord(
+                    index=index,
+                    opcode=Opcode(opcode).name,
+                    module=MODULES[_MODULE_OF[opcode]],
+                    start=begin,
+                    finish=end,
+                )
+                for index, (opcode, begin, end) in enumerate(
+                    zip(program.opcodes, start.tolist(), finish_list)
+                )
+            ]
+        return SimulationResult(
+            cycles=max(finish_list, default=0),
+            frequency_hz=self.cfg.frequency_hz,
+            modules=modules,
+            layers=layer_timings,
+            instructions=len(program),
+            dram_read_elems=self.dram.total_read_elems - read0,
+            dram_written_elems=self.dram.total_written_elems - written0,
+            trace=trace_records,
+        )
+
+    def _move_data(self, program: Program, descriptors, stop: int) -> None:
+        """Functional mode: move and compute the data of instructions
+        ``0 .. stop - 1`` in program order."""
+        cfg = self.cfg
+        input_buf = PingPongBuffer("input", cfg.input_buffer_vecs)
+        weight_buf = PingPongBuffer("weight", cfg.weight_buffer_vecs)
+        output_buf = PingPongBuffer("output", cfg.output_buffer_vecs)
+        bias_buf: Optional[np.ndarray] = None
+        accum: Optional[np.ndarray] = None
+
+        for idx in range(stop):
             desc = descriptors[idx]
-            opcode = inst.opcode
-            mod = module_of[opcode]
-            start = max(module_time[mod], idx * CTRL_ISSUE_CYCLES)
-            dept = inst.dept_flag
-
-            # -- token waits ---------------------------------------------
-            if opcode in (Opcode.LOAD_INP, Opcode.LOAD_WGT):
-                fifo = "inp_free" if opcode == Opcode.LOAD_INP else "wgt_free"
-                if dept & DeptFlag.WAIT_FREE:
-                    start = max(start, fifos[fifo].pop())
-            elif opcode == Opcode.COMP:
-                if dept & DeptFlag.WAIT_INP:
-                    start = max(start, fifos["inp_data"].pop())
-                if dept & DeptFlag.WAIT_WGT:
-                    start = max(start, fifos["wgt_data"].pop())
-                if dept & DeptFlag.WAIT_FREE:
-                    start = max(start, fifos["out_free"].pop())
-            elif opcode == Opcode.SAVE:
-                if dept & DeptFlag.WAIT_INP:
-                    start = max(start, fifos["out_data"].pop())
-
-            # -- duration ---------------------------------------------------
-            if opcode == Opcode.LOAD_INP:
-                duration = self._xfer_cycles(
-                    desc["elems"], self.feature_bytes, cfg.pi * cfg.pt
-                )
-            elif opcode == Opcode.LOAD_WGT:
-                duration = self._xfer_cycles(
-                    desc["elems"], self.weight_bytes,
-                    cfg.pi * cfg.po * cfg.pt,
-                )
-            elif opcode == Opcode.LOAD_BIAS:
-                duration = self._xfer_cycles(
-                    desc["elems"], self.weight_bytes, cfg.po
-                )
-            elif opcode == Opcode.COMP:
-                duration = self._comp_cycles(desc)
-            elif opcode == Opcode.SAVE:
-                duration = self._xfer_cycles(
-                    desc["elems"], self.feature_bytes, cfg.po * cfg.pt
-                )
-            else:
-                raise SimulationError(f"unhandled opcode {opcode}")
-
-            finish = start + duration
-            module_time[mod] = finish
-            stats = modules[mod]
-            stats.instructions += 1
-            stats.busy_cycles += duration
-            stats.finish_time = finish
-            start_cycle[idx] = start
-            finish_cycle[idx] = finish
-            if self.trace:
-                from repro.sim.trace import TraceRecord
-
-                trace_records.append(
-                    TraceRecord(
-                        index=idx, opcode=opcode.name, module=mod,
-                        start=start, finish=finish,
-                    )
-                )
-
-            # -- token emission --------------------------------------------
-            if opcode == Opcode.LOAD_INP and dept & DeptFlag.EMIT:
-                fifos["inp_data"].push(finish)
-            elif opcode == Opcode.LOAD_WGT and dept & DeptFlag.EMIT:
-                fifos["wgt_data"].push(finish)
-            elif opcode == Opcode.COMP:
-                if dept & DeptFlag.EMIT:
-                    fifos["out_data"].push(finish)
-                if dept & DeptFlag.FREE_INP:
-                    fifos["inp_free"].push(finish)
-                if dept & DeptFlag.FREE_WGT:
-                    fifos["wgt_free"].push(finish)
-            elif opcode == Opcode.SAVE and dept & DeptFlag.FREE_INP:
-                fifos["out_free"].push(finish)
-
-            # -- functional data movement ---------------------------------
-            if not self.functional:
-                continue
+            opcode = program.opcodes[idx]
             if opcode == Opcode.LOAD_INP:
                 strip = self._load_strip(desc)
                 input_buf.write(desc["half"], strip, strip.size // cfg.pi)
@@ -461,7 +515,7 @@ class AcceleratorSimulator:
                     out = accum
                     if desc["relu"]:
                         out = np.maximum(out, 0.0)
-                    if inst.quan_param > 0:
+                    if program.rows[idx][_QUAN_PARAM] > 0:
                         out = cfg.feature_type.quantize(out)
                     output_buf.write(
                         desc["out_half"], out, out.size // cfg.po
@@ -479,26 +533,69 @@ class AcceleratorSimulator:
                 if valid.shape[1]:
                     self._store_rows(desc, valid)
 
-        total_cycles = max(finish_cycle.values(), default=0)
-        layer_timings = []
-        for marker in program.markers:
-            indices = range(marker.start, marker.end)
-            layer_timings.append(
-                LayerTiming(
-                    layer_name=marker.layer_name,
-                    mode=marker.mode,
-                    dataflow=marker.dataflow,
-                    start_cycle=min(start_cycle[i] for i in indices),
-                    finish_cycle=max(finish_cycle[i] for i in indices),
-                )
+
+def _match_fifos(
+    opcodes: np.ndarray, depts: np.ndarray
+) -> Tuple[np.ndarray, Optional[Tuple[int, SimulationError]]]:
+    """Match every FIFO pop of a program with its push.
+
+    Returns ``waits``, a ``(_MAX_WAITS, n)`` array holding per
+    instruction the positions of the pushes whose tokens it pops (-1
+    where it pops fewer FIFOs, or a preloaded token), and the first
+    FIFO violation in program order as ``(position, error)``, or None.
+    An instruction pops before it pushes, and pops (and pushes) its
+    FIFOs in ``_FIFOS`` order.
+    """
+    waits = np.full((_MAX_WAITS, len(opcodes)), -1, dtype=np.int64)
+    slots: Dict[int, int] = {}
+    failures = []
+    for rank, (name, preload, producer, emit, consumer, wait) in enumerate(
+        _FIFOS
+    ):
+        pushes = np.flatnonzero((opcodes == producer) & (depts & emit > 0))
+        pops = np.flatnonzero((opcodes == consumer) & (depts & wait > 0))
+        match = match_tokens(pushes, pops, FIFO_DEPTH, preload)
+        slot = slots.get(consumer, 0)
+        slots[consumer] = slot + 1
+        waits[slot, pops] = match.sources
+        if match.underflow >= 0:
+            failures.append(
+                ((match.underflow, 0, rank), underflow_error(name))
             )
-        return SimulationResult(
-            cycles=total_cycles,
-            frequency_hz=cfg.frequency_hz,
-            modules=modules,
-            layers=layer_timings,
-            instructions=len(program),
-            dram_read_elems=self.dram.total_read_elems - read0,
-            dram_written_elems=self.dram.total_written_elems - written0,
-            trace=trace_records,
+        if match.overflow >= 0:
+            failures.append(
+                ((match.overflow, 1, rank), overflow_error(name, FIFO_DEPTH))
+            )
+    if not failures:
+        return waits, None
+    (position, _, _), error = min(failures, key=itemgetter(0))
+    return waits, (position, error)
+
+
+def _finish_times(
+    previous: np.ndarray, waits: np.ndarray, durations: np.ndarray
+) -> List[int]:
+    """One pass of the max-plus recurrence, over plain ints.
+
+    ``previous[i]`` is the module's previous instruction and ``waits[:,
+    i]`` the matched pushes of ``i``'s tokens; -1 reads the trailing 0,
+    which stands for "no dependency".
+    """
+    n = len(durations)
+    finish = [0] * (n + 1)
+    first, second, third = waits.tolist()
+    for i, issue, before, a, b, c, duration in zip(
+        range(n),
+        range(0, CTRL_ISSUE_CYCLES * n, CTRL_ISSUE_CYCLES),
+        previous.tolist(),
+        first,
+        second,
+        third,
+        durations.tolist(),
+    ):
+        finish[i] = (
+            max(issue, finish[before], finish[a], finish[b], finish[c])
+            + duration
         )
+    finish.pop()
+    return finish

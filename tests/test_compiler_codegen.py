@@ -186,3 +186,41 @@ class TestMetadata:
         assert compiled.total_instructions == sum(
             len(p) for p in compiled.programs()
         )
+
+
+#: Digests of every emitted instruction's field values (opcode,
+#: dept_flag, then the layout fields) for tiny_cnn, as the compiler
+#: emitted them when it built one Instruction dataclass per
+#: instruction.  The column emitter writes positional row tuples, so
+#: these pin each value to its field.
+EMITTED_FIELDS = {
+    (4, "wino", "is"): "32e8f4e72605daeb",
+    (4, "wino", "ws"): "1dc0aa3a69b5bdc3",
+    (4, "spat", "is"): "4b5d2e83e61a861e",
+    (4, "spat", "ws"): "7ede65a4dbd0d1fb",
+    (6, "wino", "is"): "e1aa5f3a30e53807",
+    (6, "wino", "ws"): "d92190e8214fadd6",
+}
+
+
+class TestEmittedFields:
+    @pytest.mark.parametrize("pt,mode,dataflow", sorted(EMITTED_FIELDS))
+    def test_fields_match_dataclass_emitter(
+        self, cfg_pt4, cfg_pt6, pt, mode, dataflow
+    ):
+        import hashlib
+        import json
+
+        cfg = cfg_pt4 if pt == 4 else cfg_pt6
+        net = zoo.tiny_cnn()
+        compiled = compile_network(
+            net, cfg, NetworkMapping.uniform(net, mode, dataflow),
+            generate_parameters(net, seed=1),
+            CompilerOptions(quantize=True, pack_data=False),
+        )
+        rows = [
+            [list(inst.field_values().values()) for inst in program]
+            for program in compiled.programs()
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest[:16] == EMITTED_FIELDS[pt, mode, dataflow]

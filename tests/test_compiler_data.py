@@ -81,6 +81,21 @@ class TestPackWeights:
         with pytest.raises(CompileError):
             packed.slot(99999, 0)
 
+    def test_slot_index_covers_every_group(self, cfg):
+        """Every (k0, c0) group origin finds its own slot; an offset
+        inside a group is not an origin and fails with CompileError."""
+        part, _ = layer_setup(cfg, c=512, k=512, kernel=3, mode="spat")
+        packed = pack_weights(cfg, part, (512, 512, 3, 3), None, data=False)
+        origins = {(s.k0, s.c0) for s in packed.slots}
+        assert len(origins) == len(packed.slots) > 1
+        assert len({k0 for k0, _ in origins}) > 1
+        assert len({c0 for _, c0 in origins}) > 1
+        for slot in packed.slots:
+            assert packed.slot(slot.k0, slot.c0) is slot
+        inner = packed.slots[-1]
+        with pytest.raises(CompileError, match=r"no weight slot at k0=\d+ c0="):
+            packed.slot(inner.k0, inner.c0 + 1)
+
     def test_directory_only_mode(self, cfg):
         part, kernels = layer_setup(cfg, c=32, k=64)
         full = pack_weights(cfg, part, kernels, None, data=True)

@@ -74,6 +74,27 @@ class TestEncodeDecode:
 
 
 class TestLayouts:
+    def test_dataclass_fields_follow_layout_order(self):
+        """Program rows double as positional dataclass arguments."""
+        from dataclasses import fields
+
+        from repro.isa.encoding import ROW_FIELDS
+        from repro.isa.instructions import INSTRUCTION_CLASSES
+
+        for opcode, cls in INSTRUCTION_CLASSES.items():
+            names = tuple(f.name for f in fields(cls))
+            assert names == ("dept_flag",) + ROW_FIELDS[opcode]
+
+    def test_load_size_chan_holds_weight_groups(self):
+        """LOAD_WGT's size_chan counts k-vectors x c-vectors: 16,384 on
+        DarkNet-19 / VU9P, so the field is 16 bits wide."""
+        assert LAYOUTS[Opcode.LOAD_WGT].field("size_chan").width == 16
+        assert LAYOUTS[Opcode.LOAD_WGT].used_bits == 125
+        wide = LoadWgt(size_chan=(1 << 16) - 1)
+        assert decode(encode(wide)) == wide
+        with pytest.raises(EncodingError, match="size_chan"):
+            encode(LoadWgt(size_chan=1 << 16))
+
     def test_all_layouts_fit_128_bits(self):
         for layout in LAYOUTS.values():
             assert layout.used_bits <= 128

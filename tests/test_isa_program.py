@@ -1,10 +1,16 @@
 """Tests for repro.isa.program — instruction stream container."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.compiler import CompilerOptions
+from repro.dse.space import DseOptions
 from repro.errors import EncodingError
-from repro.isa import Comp, LoadInp, LoadWgt, Program, Save
-from repro.isa.instructions import Opcode
+from repro.ir import zoo
+from repro.isa import Comp, LoadInp, LoadWgt, Program, Save, validate_program
+from repro.isa.instructions import DeptFlag, Opcode
+from repro.pipeline import PipelineSession
 
 
 def sample_program():
@@ -68,3 +74,63 @@ class TestProgram:
         program.mark_layer("conv2", 4, mode="spat", dataflow="ws")
         assert program.markers[1].start == 4
         assert program.markers[1].end == 5
+
+    def test_columns_hold_the_stream(self):
+        program = sample_program()
+        assert program.opcodes == [
+            Opcode.LOAD_INP, Opcode.LOAD_WGT, Opcode.COMP, Opcode.SAVE,
+        ]
+        assert program.rows[1][:4] == (0, 0, 0, 8)  # buff_id .. size_chan
+        assert Program(program.instructions) == Program(program)
+
+    def test_instructions_snapshot_is_immutable(self):
+        program = sample_program()
+        snapshot = program.instructions
+        assert isinstance(snapshot, tuple)
+        with pytest.raises(TypeError):
+            snapshot[0] = Comp()
+        with pytest.raises(AttributeError):
+            program.instructions = []
+        assert program.instructions == snapshot
+
+    def test_item_assignment_replaces_one_instruction(self):
+        program = sample_program()
+        flagged = replace(program[2], dept_flag=DeptFlag.WAIT_INP, oc_number=7)
+        program[2] = flagged
+        assert program[2] == flagged
+        assert program[-2] == flagged
+        assert program.depts[2] == DeptFlag.WAIT_INP
+        program[0] = Save(size_chan=3)
+        assert program.count_by_opcode()[Opcode.SAVE] == 2
+        with pytest.raises(IndexError):
+            program[4] = Comp()
+        with pytest.raises(TypeError):
+            program[0:1] = [Comp()]
+        assert len(program) == 4
+
+    def test_slices_build_instructions(self):
+        program = sample_program()
+        assert program[1:3] == list(program.instructions[1:3])
+        assert program[::-1][0] == program[3]
+
+
+TIMING_ONLY = CompilerOptions(quantize=True, pack_data=False)
+
+
+@pytest.mark.parametrize("device", ["vu9p", "pynq-z1"])
+@pytest.mark.parametrize("model", sorted(zoo.MODELS))
+def test_zoo_streams_encode(model, device):
+    """The stream ``repro compile`` writes for every zoo model fits the
+    128-bit formats (LOAD_WGT's k-vector x c-vector count reaches
+    16,384 on DarkNet-19 / VU9P), decodes back to the same stream and
+    passes the static handshake checks."""
+    session = PipelineSession(
+        model, device, DseOptions(), compiler_options=TIMING_ONLY
+    )
+    for program in session.compiled().programs():
+        back = Program.from_bytes(program.to_bytes())
+        assert back.opcodes == program.opcodes
+        assert back.depts == program.depts
+        assert back.rows == program.rows
+        report = validate_program(program)
+        assert report.ok, str(report)

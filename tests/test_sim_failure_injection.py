@@ -45,8 +45,7 @@ def run(compiled, device, functional=True):
 
 def corrupt(program, index, **changes):
     """Replace instruction ``index`` with a mutated copy."""
-    inst = program.instructions[index]
-    program.instructions[index] = replace(inst, **changes)
+    program[index] = replace(program[index], **changes)
 
 
 def first_of(program, opcode, flag=None):
@@ -57,6 +56,17 @@ def first_of(program, opcode, flag=None):
 
 
 class TestFailureInjection:
+    def test_instruction_snapshot_is_read_only(self, setup):
+        """Editing ``program.instructions`` cannot silently miss the
+        stream the simulator reads: the snapshot refuses assignment."""
+        cfg, device, net, compiled = setup
+        program = compiled.steps[0].program
+        idx = first_of(program, Opcode.LOAD_INP)
+        inst = program.instructions[idx]
+        with pytest.raises(TypeError):
+            program.instructions[idx] = replace(inst, dept_flag=DeptFlag.NONE)
+        assert program[idx] == inst
+
     def test_dropped_emit_deadlocks(self, setup):
         cfg, device, net, compiled = setup
         program = compiled.steps[0].program
