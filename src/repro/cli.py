@@ -724,7 +724,21 @@ def _cmd_emit_hls(args) -> int:
     return 0
 
 
-def _cmd_experiments(args) -> int:
+#: ``repro experiments`` names, in help order and in the order of
+#: :func:`_experiment_registry`'s keys.
+EXPERIMENTS = (
+    "table3", "table4", "figure6", "estimation-error", "overhead",
+    "vgg16-case", "ablation", "scalability", "roofline",
+    "instruction-stats", "serving", "scenarios", "autoscale", "chaos",
+    "plan", "tenants",
+)
+
+#: The studies ``--seed`` drives: every experiment from ``serving`` on.
+SEEDED_EXPERIMENTS = EXPERIMENTS[EXPERIMENTS.index("serving"):]
+
+
+def _experiment_registry(args) -> dict:
+    """``name -> runner`` for every experiment in :data:`EXPERIMENTS`."""
     from repro.experiments import (
         ablation,
         autoscale_study,
@@ -744,7 +758,7 @@ def _cmd_experiments(args) -> int:
     )
     from repro.experiments import figure6 as fig6
 
-    registry = {
+    return {
         "table3": table3.main,
         "table4": table4.main,
         "figure6": lambda: (fig6.main("vu9p"), fig6.main("pynq-z1")),
@@ -764,6 +778,10 @@ def _cmd_experiments(args) -> int:
             seed=args.seed, report_json=args.report_json
         ),
     }
+
+
+def _cmd_experiments(args) -> int:
+    registry = _experiment_registry(args)
     if args.name not in registry:
         print(f"unknown experiment {args.name!r}; "
               f"available: {sorted(registry)}", file=sys.stderr)
@@ -1100,12 +1118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_emit_hls)
 
     p = sub.add_parser("experiments", help="regenerate a paper artifact")
-    p.add_argument("name", help="table3|table4|figure6|estimation-error|"
-                                "overhead|vgg16-case|ablation|serving|"
-                                "scenarios|autoscale|chaos|tenants")
+    p.add_argument("name", help="|".join(EXPERIMENTS))
     p.add_argument("--seed", type=int, default=2020,
-                   help="traffic seed for the serving/scenarios/"
-                        "autoscale/chaos/tenants studies")
+                   help="traffic seed for the "
+                        + "/".join(SEEDED_EXPERIMENTS) + " studies")
     p.add_argument("--report-json", default=None, metavar="PATH",
                    dest="report_json",
                    help="tenants study: also write the protected run's "

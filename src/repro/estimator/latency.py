@@ -24,6 +24,7 @@ from repro.fpga.device import FpgaDevice
 from repro.ir.graph import LayerInfo, Network
 from repro.mapping.partition import fused_pool_for, partition_layer
 from repro.mapping.strategy import NetworkMapping
+from repro.numeric import left_sum
 
 #: Per-instruction overhead folded into T_penalty: DDR setup plus COMP
 #: pipeline fill (see repro.arch.dram / repro.arch.pe).
@@ -69,7 +70,7 @@ class NetworkEstimate:
     @cached_property
     def latency(self) -> float:
         """End-to-end latency of one image (seconds, Table-2 objective)."""
-        return sum(layer.latency for layer in self.layers)
+        return left_sum([layer.latency for layer in self.layers])
 
     @cached_property
     def ops(self) -> int:

@@ -30,9 +30,11 @@ element-wise with the same operation order and associativity, and IEEE
 754 float64 operations are deterministic and correctly rounded, so
 each intermediate is bit-equal.  The bound column sums its per-layer
 minima from ``0.0`` in layer order, exactly like the scalar loop; a
-network latency is the builtin ``sum`` over the candidate's per-layer
-values in layer order, the same call ``NetworkEstimate.latency``
-makes (so it stays bit-equal on Pythons whose ``sum`` compensates).
+network latency is the left fold (:func:`~repro.numeric.left_sums`)
+of the candidate's per-layer values in layer order, every candidate
+at once, the same fold ``NetworkEstimate.latency`` makes (so it is
+bit-equal on every Python, including those whose ``sum``
+compensates).
 The one place the two paths differ structurally — the scalar path
 forms integer numerators such as ``k * c * r * s * out_h * out_w`` in
 exact Python-int arithmetic and converts to float once, while the
@@ -84,6 +86,7 @@ from repro.mapping.strategy import (
     NetworkMapping,
     winograd_supported,
 )
+from repro.numeric import left_sums
 
 #: (mode, dataflow) combinations in ``map_network``'s iteration order —
 #: ``argmin`` over this axis replicates its first-strict-minimum pick.
@@ -385,8 +388,8 @@ class BatchLayerEstimator:
             return []
         _, latency, alive = self._select(self._evaluate(cfgs), len(cfgs))
         return [
-            sum(layers) if ok else None
-            for layers, ok in zip(latency.T.tolist(), alive.tolist())
+            total if ok else None
+            for total, ok in zip(left_sums(latency).tolist(), alive.tolist())
         ]
 
     @staticmethod

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import PlanningError
+from repro.numeric import left_sum
 from repro.serving.batcher import BatcherOptions
 from repro.serving.server import ShardServer
 from repro.serving.workload import WorkloadSpec
@@ -115,10 +116,10 @@ class _ReplayState:
             max_events=self.event_budget,
         ))
         p99 = report.latency_percentile(99)
-        weight = sum(
+        weight = left_sum([
             count * self.kinds[kind_index].weight
             for kind_index, count in enumerate(job.counts)
-        )
+        ])
         return {
             "plan": job.plan_index,
             "served": report.count,

@@ -61,6 +61,7 @@ from repro.serving.metrics import (
     ShardUsage,
     TenantBreakdown,
     percentile,
+    percentiles,
 )
 from repro.serving.scheduler import (
     POLICIES,
@@ -150,6 +151,7 @@ __all__ = [
     "parse_tenant",
     "parse_tenants",
     "percentile",
+    "percentiles",
     "POLICIES",
     "PolicyTick",
     "Request",

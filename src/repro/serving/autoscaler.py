@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ServingError
+from repro.numeric import left_sum
 from repro.serving.events import (
     Arrival,
     BatchDone,
@@ -291,10 +292,10 @@ class AutoscalerController:
         span = min(now, window)
         if span <= 0:
             return float("nan")
-        busy = sum(
+        busy = left_sum([
             min(at, now) - max(at - delta, start)
             for at, delta in self._busy
-        )
+        ])
         return busy / (span * max(len(self._active), 1))
 
     def p99_estimate(self) -> float:

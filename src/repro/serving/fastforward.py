@@ -151,10 +151,11 @@ def _arrival_stream(source):
 
     Both eligible sources prime arrivals sorted by ``(arrival,
     index)``; ``indices`` is ``None`` when they are simply
-    ``0..N-1`` (the trace case), saving the argsort.
+    ``0..N-1`` (the trace case, whose read-only column is used as
+    is: no copy, no argsort).
     """
     if type(source) is TraceSource:
-        return np.asarray(source.arrivals, dtype=np.float64), None
+        return source.arrivals, None
     requests = source.requests  # already (arrival, index)-sorted
     return (
         np.asarray(

@@ -13,8 +13,11 @@ its answer.  A :class:`ServingReport` therefore carries both views:
 The per-request view is stored as :class:`RequestColumns` — one numpy
 array per lifecycle field — and every statistic is a column operation.
 Both engines hand the report the same columns, so a million-request
-replay never mints a million Python objects unless a caller iterates
-``report.records``.
+replay never mints a million Python objects (or a million-element
+list) unless a caller iterates ``report.records``.  Means are
+sequential left folds (:func:`~repro.numeric.left_sum`), bit-equal on
+every Python version; the percentiles of one column come from one
+selection (:func:`percentiles`).
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ from __future__ import annotations
 import collections.abc
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ServingError
+from repro.numeric import left_sum
 from repro.serving.tenancy import DEFAULT_TENANT
 
 
@@ -64,27 +69,39 @@ class RequestRecord:
         return self.started - self.arrival
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (``q`` in [0, 100]) of ``values``.
+def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """Nearest-rank percentiles (each ``q`` in [0, 100]) of ``values``.
 
-    Selection runs in O(n) via :func:`numpy.partition` — the k-th
-    order statistic is the same value the old full sort produced, so
-    reports over million-record replays stop paying an O(n log n)
-    sort per percentile.  A sample containing NaN falls back to the
-    sorted-list path: NaN ordering under ``sorted`` is
-    comparison-dependent, and preserving the legacy result exactly
-    matters more than speed on a degenerate sample.
+    One :func:`numpy.partition` places every requested rank at once in
+    O(n): the k-th order statistic is the value a full sort puts at
+    index k, so a report over a million-record replay pays one
+    selection for p50/p90/p99, not a sort or a pass per percentile.
+    A sample containing NaN falls back to one sorted list: NaN ordering
+    under ``sorted`` is comparison-dependent, and preserving the legacy
+    result exactly matters more than speed on a degenerate sample.  A
+    percentile that lands on a zero reads ``+0.0``: when a sample holds
+    both signed zeros the selection order picks either, and the report
+    must not depend on it.
     """
-    if len(values) == 0:
+    count = len(values)
+    if count == 0:
         raise ServingError("percentile of an empty sample")
-    if not 0 <= q <= 100:
-        raise ServingError(f"percentile must be in [0, 100], got {q}")
-    rank = max(1, math.ceil(q / 100 * len(values)))
-    k = min(rank, len(values)) - 1
+    ranks = []
+    for q in qs:
+        if not 0 <= q <= 100:
+            raise ServingError(f"percentile must be in [0, 100], got {q}")
+        ranks.append(min(max(1, math.ceil(q / 100 * count)), count) - 1)
     array = np.asarray(values, dtype=np.float64)
     if np.isnan(array).any():
-        return sorted(array.tolist())[k]
-    return float(np.partition(array, k)[k])
+        ordered = sorted(array.tolist())
+        return [ordered[k] + 0.0 for k in ranks]
+    return (np.partition(array, ranks)[ranks] + 0.0).tolist()
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]) of ``values`` — the
+    one-rank case of :func:`percentiles`."""
+    return percentiles(values, (q,))[0]
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -129,7 +146,8 @@ class RequestColumns(collections.abc.Sequence):
     ``dispatched``/``started``/``completed`` float64 arrays (see
     :class:`RequestRecord` for their meaning); ``shard`` and ``tenant``
     are integer codes into the ``shard_names``/``tenant_names`` tuples.
-    The arrays are read-only.
+    The arrays are read-only, and so is the :attr:`latency` column,
+    computed once on first use.
 
     The object is also a read-only sequence of :class:`RequestRecord`:
     indexing or iterating it builds every record once, on first use,
@@ -140,7 +158,7 @@ class RequestColumns(collections.abc.Sequence):
     __slots__ = (
         "index", "arrival", "dispatched", "started", "completed",
         "shard", "shard_names", "batch_size", "tenant", "tenant_names",
-        "_records",
+        "_records", "_latency",
     )
 
     def __init__(self, index, arrival, dispatched, started, completed,
@@ -157,6 +175,7 @@ class RequestColumns(collections.abc.Sequence):
         self.tenant = _column(tenant, np.int64)
         self.tenant_names = tuple(tenant_names)
         self._records: Optional[List[RequestRecord]] = None
+        self._latency: Optional[np.ndarray] = None
         count = len(self.index)
         if any(
             len(column) != count
@@ -194,7 +213,9 @@ class RequestColumns(collections.abc.Sequence):
     @property
     def latency(self) -> np.ndarray:
         """End-to-end latency per request (arrival to completion)."""
-        return self.completed - self.arrival
+        if self._latency is None:
+            self._latency = _column(self.completed - self.arrival, np.float64)
+        return self._latency
 
     @property
     def queue_seconds(self) -> np.ndarray:
@@ -346,7 +367,7 @@ class ShardUsage:
         shard was never autoscaled (fixed-pool shards)."""
         if self.active_spans is None:
             return makespan
-        return sum(end - start for start, end in self.active_spans)
+        return left_sum([end - start for start, end in self.active_spans])
 
 
 @dataclass(frozen=True)
@@ -425,10 +446,11 @@ class ServingReport:
     def count(self) -> int:
         return len(self.records)
 
-    @property
+    @cached_property
     def makespan_seconds(self) -> float:
         """First arrival to last completion — the Table-4 span
-        (0.0 when nothing completed)."""
+        (0.0 when nothing completed).  The columns are read-only, so
+        the two passes run once per report."""
         if not self.count:
             return 0.0
         start = float(self.records.arrival.min())
@@ -454,30 +476,36 @@ class ServingReport:
 
     # -- per-request view -------------------------------------------------
 
-    # Means sum ``column.tolist()`` with the builtin ``sum``: numpy's
-    # pairwise summation rounds differently in the last place, and the
-    # builtin keeps every mean bit-identical to a left-to-right walk
-    # over the records on every Python version.
+    # Means are left folds (:func:`~repro.numeric.left_sum`): numpy's
+    # pairwise ``sum`` and 3.12's compensated builtin both round
+    # differently in the last place, and the fold keeps every mean
+    # bit-identical to a left-to-right walk over the records on every
+    # Python version.
 
     def latencies(self) -> List[float]:
         return self.records.latency.tolist()
 
-    def latency_percentile(self, q: float) -> float:
+    def latency_percentiles(self, qs: Sequence[float]) -> List[float]:
+        """Latency percentiles for every ``q`` in ``qs``, from one
+        selection (NaN each when nothing was served)."""
         if not self.count:
-            return float("nan")
-        return percentile(self.records.latency, q)
+            return [float("nan")] * len(qs)
+        return percentiles(self.records.latency, qs)
+
+    def latency_percentile(self, q: float) -> float:
+        return self.latency_percentiles((q,))[0]
 
     @property
     def mean_latency(self) -> float:
         if not self.count:
             return float("nan")
-        return sum(self.latencies()) / self.count
+        return left_sum(self.records.latency) / self.count
 
     @property
     def mean_queue_seconds(self) -> float:
         if not self.count:
             return float("nan")
-        return sum(self.records.queue_seconds.tolist()) / self.count
+        return left_sum(self.records.queue_seconds) / self.count
 
     def served_within(self, target_s: float) -> int:
         """How many served requests finished within ``target_s`` of
@@ -490,12 +518,13 @@ class ServingReport:
     def tenants(self) -> List[str]:
         """Every tenant the run touched (served, shed or stranded), in
         deterministic sorted order with the default tenant first."""
-        names = set(self._latencies_by_tenant())
+        return self._touched_tenants(self._latencies_by_tenant())
+
+    def _touched_tenants(self, served: Dict[str, np.ndarray]) -> List[str]:
+        names = set(served)
         names.update(self.shed_by_tenant)
         names.update(self.unserved_by_tenant)
         names.update(self.tenant_slo_targets)
-        if not names:
-            return []
         return sorted(
             names, key=lambda name: (name != DEFAULT_TENANT, name)
         )
@@ -508,7 +537,7 @@ class ServingReport:
         grouped = self._latencies_by_tenant()
         empty = np.empty(0, dtype=np.float64)
         breakdowns = {}
-        for name in self.tenants():
+        for name in self._touched_tenants(grouped):
             latencies = grouped.get(name, empty)
             served = len(latencies)
             target = self.tenant_slo_targets.get(name)
@@ -521,22 +550,19 @@ class ServingReport:
                     int(np.count_nonzero(latencies <= target)) / issued
                     if issued else 0.0
                 )
+            mean = p50 = p99 = float("nan")
+            if served:
+                mean = left_sum(latencies) / served
+                p50, p99 = percentiles(latencies, (50, 99))
             breakdowns[name] = TenantBreakdown(
                 tenant=name,
                 count=served,
                 shed=shed,
                 admission_shed=self.admission_shed_by_tenant.get(name, 0),
                 unserved=unserved,
-                mean_latency_s=(
-                    sum(latencies.tolist()) / served
-                    if served else float("nan")
-                ),
-                p50_latency_s=(
-                    percentile(latencies, 50) if served else float("nan")
-                ),
-                p99_latency_s=(
-                    percentile(latencies, 99) if served else float("nan")
-                ),
+                mean_latency_s=mean,
+                p50_latency_s=p50,
+                p99_latency_s=p99,
                 slo_target_s=target,
                 slo_attainment=attainment,
             )
@@ -544,12 +570,15 @@ class ServingReport:
 
     def _latencies_by_tenant(self) -> Dict[str, np.ndarray]:
         """``tenant -> latency column`` over the served tenants, each in
-        request-index order."""
+        request-index order.  A run that served one tenant maps it to
+        the whole column, uncopied."""
         columns = self.records
         served = np.flatnonzero(np.bincount(
             columns.tenant, minlength=len(columns.tenant_names)
         ))
         latency = columns.latency
+        if len(served) == 1:
+            return {columns.tenant_names[served[0]]: latency}
         return {
             columns.tenant_names[code]: latency[columns.tenant == code]
             for code in served
@@ -639,6 +668,7 @@ class ServingReport:
         def safe(value: float) -> Optional[float]:
             return None if value != value else value
 
+        p50, p90, p99 = self.latency_percentiles((50, 90, 99))
         return {
             "schema": 2,
             "count": self.count,
@@ -656,9 +686,9 @@ class ServingReport:
             "throughput_gops": safe(self.throughput_gops),
             "mean_batch_size": self.mean_batch_size,
             "mean_latency_s": safe(self.mean_latency),
-            "p50_latency_s": safe(self.latency_percentile(50)),
-            "p90_latency_s": safe(self.latency_percentile(90)),
-            "p99_latency_s": safe(self.latency_percentile(99)),
+            "p50_latency_s": safe(p50),
+            "p90_latency_s": safe(p90),
+            "p99_latency_s": safe(p99),
             "mean_queue_s": safe(self.mean_queue_seconds),
             "shard_seconds": self.total_shard_seconds(),
             "events_processed": self.events_processed,
@@ -730,7 +760,7 @@ class ServingReport:
                     "the p99 SLO was never evaluated"
                 )
             return text
-        latency = self.records.latency
+        p50, p90, p99 = self.latency_percentiles((50, 90, 99))
         lines = [
             f"served {self.count} requests over "
             f"{len(self.shards)} shard(s) in "
@@ -739,10 +769,9 @@ class ServingReport:
             f"  throughput: {self.images_per_second:.1f} img/s, "
             f"{self.throughput_gops:.1f} GOPS aggregate",
             f"  latency ms: mean {self.mean_latency * 1e3:.2f}, "
-            f"p50 {percentile(latency, 50) * 1e3:.2f}, "
-            f"p90 {percentile(latency, 90) * 1e3:.2f}, "
-            f"p99 {percentile(latency, 99) * 1e3:.2f}, "
-            f"max {float(latency.max()) * 1e3:.2f} "
+            f"p50 {p50 * 1e3:.2f}, p90 {p90 * 1e3:.2f}, "
+            f"p99 {p99 * 1e3:.2f}, "
+            f"max {float(self.records.latency.max()) * 1e3:.2f} "
             f"(queue {self.mean_queue_seconds * 1e3:.2f} mean)",
         ]
         if self.wall_seconds > 0.0:

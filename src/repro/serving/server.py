@@ -48,6 +48,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import ServingError
+from repro.numeric import left_sum
 from repro.serving.autoscaler import AutoscalerController
 from repro.serving.batcher import BatcherOptions, DynamicBatcher
 from repro.serving.events import (
@@ -467,7 +468,7 @@ class _ServeRun:
                     if min(span_stop, end) > max(span_start, start)
                 )
                 spans[name] = clipped
-                shard_seconds += sum(b - a for a, b in clipped)
+                shard_seconds += left_sum([b - a for a, b in clipped])
             scale_events = list(self.autoscaler.scale_events)
         usage = [
             ShardUsage(

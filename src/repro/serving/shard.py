@@ -24,6 +24,7 @@ import math
 from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import ServingError
+from repro.numeric import left_sum
 from repro.runtime.batch import BatchRunner
 from repro.serving.metrics import RequestRecord
 from repro.serving.traffic import Request
@@ -289,10 +290,10 @@ class ShardPool:
 
     def capacity_images_per_second(self) -> float:
         """Analytical aggregate service rate (images/s) of the pool."""
-        return sum(
+        return left_sum([
             shard.instances / shard.analytical_seconds()
             for shard in self.shards
-        )
+        ])
 
     def simulated_images_per_second(self) -> float:
         """Probe-measured aggregate service rate (images/s).
@@ -303,10 +304,10 @@ class ShardPool:
         in simulated time (the estimate can be several times optimistic
         on quantised configs, turning "1.2x capacity" traffic into a
         de-facto closed batch)."""
-        return sum(
+        return left_sum([
             shard.instances / shard.probe_seconds()
             for shard in self.shards
-        )
+        ])
 
     def reset(self) -> None:
         for shard in self.shards:

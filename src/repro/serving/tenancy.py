@@ -33,11 +33,13 @@ byte-identical across PRs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import math
 
 from repro.errors import ServingError
+from repro.numeric import left_sum
 
 #: The tenant every untagged request belongs to.
 DEFAULT_TENANT = "default"
@@ -153,9 +155,11 @@ class TenantSet:
     def tier_of(self, name: str) -> str:
         return self.spec_for(name).tier
 
-    @property
+    @cached_property
     def total_weight(self) -> float:
-        return sum(spec.weight for spec in self)
+        """The tenants' summed weight (the set is fixed at construction,
+        so the weighted-fair policy's per-dispatch reads fold once)."""
+        return left_sum([spec.weight for spec in self])
 
     def slo_targets(self) -> Dict[str, float]:
         """``name -> p99 target`` for the tenants that declare one."""

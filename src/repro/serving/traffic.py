@@ -361,6 +361,14 @@ class TraceSource(EventSource):
     run sequentially across loops, so a trace composes with everything
     keyed on request identity (SLO shed counts, failure re-queues,
     closed-loop think-time clients sharing the same benchmark).
+
+    ``arrivals`` may be any 1-D sequence of numbers, a numpy array
+    included.  The replayed instants are :attr:`arrivals`, one
+    read-only float64 array in request-index order: a million-arrival
+    replay stays one column from the trace file to the report (the
+    fast-forward engine hands it to the report uncopied, so nothing
+    may write to it); :attr:`tags` is the matching list of tenant
+    names.
     """
 
     def __init__(
@@ -371,7 +379,8 @@ class TraceSource(EventSource):
         name: str = "trace",
         tenants: Optional[Sequence[str]] = None,
     ):
-        if not arrivals:
+        count = len(arrivals)
+        if count == 0:
             raise ServingError("nothing to serve: empty trace")
         if time_scale <= 0 or not math.isfinite(time_scale):
             raise ServingError(
@@ -380,27 +389,31 @@ class TraceSource(EventSource):
         if loop < 1:
             raise ServingError(f"loop must be >= 1, got {loop}")
         tags = (
-            [DEFAULT_TENANT] * len(arrivals)
+            [DEFAULT_TENANT] * count
             if tenants is None else [str(tag) for tag in tenants]
         )
-        if len(tags) != len(arrivals):
+        if len(tags) != count:
             raise ServingError(
-                f"trace has {len(arrivals)} arrivals but "
+                f"trace has {count} arrivals but "
                 f"{len(tags)} tenant tags"
             )
         if not all(tags):
             raise ServingError("trace tenant tags must be non-empty")
-        pairs = sorted(
-            zip((float(value) for value in arrivals), tags),
-            key=lambda pair: pair[0],
-        )
-        base = [value for value, _tag in pairs]
-        if not all(math.isfinite(value) for value in base):
+        values = np.array(arrivals, dtype=np.float64)
+        if values.ndim != 1:
+            raise ServingError(
+                f"trace arrivals must be one-dimensional, got shape "
+                f"{values.shape}"
+            )
+        if not np.isfinite(values).all():
             raise ServingError("trace arrivals must be finite")
+        # A stable sort keeps simultaneous arrivals in trace order.
+        order = np.argsort(values, kind="stable")
+        base = values[order]
         origin = base[0]
-        scaled = [(value - origin) * time_scale for value in base]
-        span = scaled[-1]
-        gap = span / (len(scaled) - 1) if len(scaled) > 1 else 0.0
+        scaled = (base - origin) * time_scale
+        span = float(scaled[-1])
+        gap = span / (count - 1) if count > 1 else 0.0
         cycle = span + gap
         self.name = name
         self.time_scale = time_scale
@@ -408,13 +421,19 @@ class TraceSource(EventSource):
         # ``iteration * cycle + value`` for every loop and arrival, as
         # one broadcast (int64 -> float64 is exact below 2**53).
         self.arrivals = (
-            np.arange(loop)[:, None] * cycle + np.asarray(scaled)
-        ).ravel().tolist()
-        base_tags = [tag for _value, tag in pairs]
+            np.arange(loop)[:, None] * cycle + scaled
+        ).ravel()
+        self.arrivals.flags.writeable = False
+        base_tags = [tags[position] for position in order.tolist()]
         self.tags = base_tags * loop
         #: True when any arrival carries a non-default tenant tag —
         #: precomputed so fast-forward eligibility gating stays O(1).
         self.tenanted = any(tag != DEFAULT_TENANT for tag in base_tags)
+
+    def __setstate__(self, state) -> None:
+        # Unpickling (sweep workers) rebuilds a writeable array.
+        self.__dict__.update(state)
+        self.arrivals.flags.writeable = False
 
     @classmethod
     def load(
@@ -441,14 +460,14 @@ class TraceSource(EventSource):
         return [
             Request(index=index, arrival=arrival, tenant=tenant)
             for index, (arrival, tenant) in enumerate(
-                zip(self.arrivals, self.tags)
+                zip(self.arrivals.tolist(), self.tags)
             )
         ]
 
     @property
     def span_seconds(self) -> float:
         """First to last replayed arrival."""
-        return self.arrivals[-1] - self.arrivals[0]
+        return float(self.arrivals[-1] - self.arrivals[0])
 
     def mean_qps(self) -> float:
         """Long-run replayed arrival rate (NaN for a single instant)."""
@@ -627,11 +646,11 @@ def shape_arrivals(
     ``samples``-point grid and inverted with ``np.interp`` — pure
     deterministic float math, no randomness.
     """
+    values = np.asarray(arrivals, dtype=np.float64)
     if not shapes:
-        return [float(value) for value in arrivals]
+        return values.tolist()
     if samples < 2:
         raise ServingError(f"shape samples must be >= 2, got {samples}")
-    values = np.asarray(list(arrivals), dtype=float)
     if values.size == 0:
         raise ServingError("nothing to shape: empty arrival list")
     if not np.all(np.isfinite(values)):
@@ -639,7 +658,7 @@ def shape_arrivals(
     origin = float(values.min())
     span = float(values.max()) - origin
     if span <= 0.0:
-        return [float(value) for value in values]
+        return values.tolist()
     grid = np.linspace(0.0, span, samples)
     intensity = np.ones_like(grid)
     for shape in shapes:
@@ -649,7 +668,7 @@ def shape_arrivals(
     # Renormalise so the warp fixes both endpoints: L(span) == span.
     cumulative *= span / cumulative[-1]
     warped = np.interp(values - origin, cumulative, grid) + origin
-    return [float(value) for value in warped]
+    return warped.tolist()
 
 
 def shaped_trace(source: "TraceSource", shapes: Sequence) -> "TraceSource":

@@ -358,6 +358,24 @@ class TestCommands:
         assert args.seed == 7
         assert args.name == "serving"
 
+    def test_experiment_names_are_the_registry(self):
+        args = build_parser().parse_args(["experiments", "plan"])
+        assert tuple(cli._experiment_registry(args)) == cli.EXPERIMENTS
+        assert set(cli.SEEDED_EXPERIMENTS) < set(cli.EXPERIMENTS)
+
+    def test_experiments_help_lists_every_experiment(
+        self, capsys, monkeypatch
+    ):
+        # A wide terminal keeps argparse from wrapping at the hyphens.
+        monkeypatch.setenv("COLUMNS", "400")
+        with pytest.raises(SystemExit):
+            main(["experiments", "--help"])
+        text = capsys.readouterr().out
+        assert "|".join(cli.EXPERIMENTS) in text
+        assert "/".join(cli.SEEDED_EXPERIMENTS) in text
+        for name in ("scalability", "roofline", "instruction-stats", "plan"):
+            assert name in text
+
     def test_cache_info_and_compact(self, tmp_path, capsys):
         from collections import Counter
 

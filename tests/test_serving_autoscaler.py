@@ -9,6 +9,7 @@ re-queue, never drop).
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -36,6 +37,7 @@ from repro.serving import (
     load_trace,
     make_requests,
 )
+from test_numeric import hexes
 
 
 def make_session(instances=2, frequency=100.0):
@@ -362,7 +364,7 @@ class TestTraceReplay:
         assert load_trace(path) == [100.5, 100.0, 101.0]
         source = TraceSource.load(path)
         # Rebased to the earliest arrival, sorted.
-        assert source.arrivals == [0.0, 0.5, 1.0]
+        assert source.arrivals.tolist() == [0.0, 0.5, 1.0]
 
     def test_csv_without_header(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -386,7 +388,7 @@ class TestTraceReplay:
         source = TraceSource([0.0, 1.0, 2.0], time_scale=0.5, loop=2)
         # Scaled span 1.0, mean gap 0.5: the second pass starts one
         # mean gap after the first ends.
-        assert source.arrivals == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+        assert source.arrivals.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
         requests = source.requests()
         assert [r.index for r in requests] == list(range(6))
         assert source.mean_qps() == pytest.approx(2.0)
@@ -441,10 +443,10 @@ class TestTraceReplay:
         expected, tags, tenanted = self.looped(
             arrivals, time_scale, loop, tenants
         )
-        # Lists of Python floats, bit for bit (tests compare with ==).
-        assert type(source.arrivals) is list
-        assert all(type(value) is float for value in source.arrivals)
-        assert [value.hex() for value in source.arrivals] == [
+        # One read-only float64 column, bit for bit.
+        assert source.arrivals.dtype == np.float64
+        assert not source.arrivals.flags.writeable
+        assert [value.hex() for value in source.arrivals.tolist()] == [
             value.hex() for value in expected
         ]
         assert source.tags == tags
@@ -452,7 +454,48 @@ class TestTraceReplay:
 
     def test_epoch_timestamps_rebase(self):
         source = TraceSource([1690000000.0, 1690000001.0])
-        assert source.arrivals == [0.0, 1.0]
+        assert source.arrivals.tolist() == [0.0, 1.0]
+
+    def test_arrays_replay_like_lists(self):
+        listed = TraceSource([2.0, 0.0, 1.0], time_scale=0.5, loop=3)
+        arrayed = TraceSource(
+            np.array([2.0, 0.0, 1.0]), time_scale=0.5, loop=3
+        )
+        assert arrayed.arrivals.tolist() == listed.arrivals.tolist()
+        # A replayed column wraps again as is (already rebased).
+        again = TraceSource(listed.arrivals, tenants=listed.tags)
+        assert again.arrivals.tolist() == listed.arrivals.tolist()
+        assert again.tags == listed.tags
+        with pytest.raises(ServingError, match="empty trace"):
+            TraceSource(np.array([]))
+        with pytest.raises(ServingError, match="one-dimensional"):
+            TraceSource(np.zeros((2, 2)))
+
+    def test_arrivals_are_read_only_even_after_pickling(self):
+        import pickle
+
+        source = TraceSource([0.0, 1.0, 2.0], loop=2)
+        with pytest.raises(ValueError):
+            source.arrivals[0] = 5.0
+        copy = pickle.loads(pickle.dumps(source))
+        assert copy.arrivals.tolist() == source.arrivals.tolist()
+        with pytest.raises(ValueError):
+            copy.arrivals[0] = 5.0
+
+    def test_shapes_read_arrays(self):
+        from repro.serving.traffic import FlashCrowd, shape_arrivals
+
+        source = TraceSource([0.0, 0.001, 0.004, 0.01, 0.02], loop=2)
+        shapes = [FlashCrowd(amplitude=3.0, at=0.01, width_s=0.005)]
+        warped = shape_arrivals(source.arrivals, shapes)
+        assert type(warped) is list
+        assert all(type(value) is float for value in warped)
+        assert hexes(warped) == hexes(
+            shape_arrivals(source.arrivals.tolist(), shapes)
+        )
+        assert shape_arrivals(source.arrivals, []) == (
+            source.arrivals.tolist()
+        )
 
     def test_serves_like_the_equivalent_request_list(self, pool4):
         source = TraceSource([0.0, 0.001, 0.002, 0.003], loop=2)

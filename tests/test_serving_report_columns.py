@@ -3,10 +3,16 @@
 The report computes every statistic over :class:`RequestColumns`.  The
 reference below is the object-walking report it replaced: the same
 formulas over a plain list of :class:`RequestRecord`, kept here
-verbatim.  Hypothesis generates record sets (empty, single, tied,
-multi-tenant, shed/unserved-only) and every statistic, ``describe()``
-and ``to_dict()`` must come out bit-equal — floats are compared by
+verbatim except that its float sums are the 3.11 builtin's left walk
+spelled out (:func:`builtin_sum_311`; 3.12's builtin compensates).
+Hypothesis generates record sets (empty, single, tied, multi-tenant,
+shed/unserved-only) and every statistic, ``describe()`` and
+``to_dict()`` must come out bit-equal — floats are compared by
 ``repr``, which is exact.
+
+:class:`TestColumnStatistics` checks the column math at replay sizes
+against the formulas it replaced: means as ``sum(column.tolist())``
+(the 3.11 builtin) and one ``np.partition`` per percentile.
 """
 
 import math
@@ -25,7 +31,9 @@ from repro.serving import (
     ShardUsage,
     TenantBreakdown,
 )
+from repro.serving.metrics import percentile, percentiles
 from repro.serving.tenancy import DEFAULT_TENANT
+from test_numeric import builtin_sum_311, hexes
 
 SHARDS = ("s0", "s1", "s2")
 TENANTS = (DEFAULT_TENANT, "interactive", "bulk")
@@ -89,13 +97,15 @@ class LegacyReport:
     def mean_latency(self):
         if not self.records:
             return float("nan")
-        return sum(self.latencies()) / self.count
+        return builtin_sum_311(self.latencies()) / self.count
 
     @property
     def mean_queue_seconds(self):
         if not self.records:
             return float("nan")
-        return sum(r.queue_seconds for r in self.records) / self.count
+        return builtin_sum_311(
+            r.queue_seconds for r in self.records
+        ) / self.count
 
     def tenants(self):
         names = {record.tenant for record in self.records}
@@ -132,7 +142,7 @@ class LegacyReport:
                 admission_shed=self.admission_shed_by_tenant.get(name, 0),
                 unserved=unserved,
                 mean_latency_s=(
-                    sum(latencies) / len(latencies)
+                    builtin_sum_311(latencies) / len(latencies)
                     if latencies else float("nan")
                 ),
                 p50_latency_s=(
@@ -518,7 +528,7 @@ class TestStatisticsMatchTheRecordWalk:
             for i, value in enumerate(latencies)
         ]
         report = ServingReport(records, [], total_ops=0)
-        walk = sum(latencies) / len(latencies)
+        walk = builtin_sum_311(latencies) / len(latencies)
         assert report.mean_latency == walk
         assert report.per_tenant()[DEFAULT_TENANT].mean_latency_s == walk
 
@@ -599,3 +609,175 @@ class TestRecordsView:
                 shard_names=["s0"], batch_size=[1], tenant=[0],
                 tenant_names=[DEFAULT_TENANT],
             )
+
+
+# -- column statistics at replay sizes ----------------------------------------
+
+
+def old_mean(column):
+    """The replaced mean: ``sum(column.tolist()) / len(column)``."""
+    return builtin_sum_311(column.tolist()) / len(column)
+
+
+def old_percentile(values, q):
+    """The replaced per-q selection, one ``np.partition`` per call."""
+    rank = max(1, math.ceil(q / 100 * len(values)))
+    k = min(rank, len(values)) - 1
+    array = np.asarray(values, dtype=np.float64)
+    if np.isnan(array).any():
+        return sorted(array.tolist())[k]
+    return float(np.partition(array, k)[k])
+
+
+def signless(value):
+    """``old_percentile`` returns whichever signed zero its partition
+    lands on; the report reads a zero percentile as ``+0.0``."""
+    return value + 0.0
+
+
+@st.composite
+def replay_reports(draw):
+    """Reports over random :class:`RequestColumns` of 1-5,000 requests:
+    spread, tied, constant or signed-zero timestamps, 1-3 served
+    tenants and a ``ghost`` tenant that was only shed."""
+    count = draw(st.integers(min_value=1, max_value=5000))
+    tenants = draw(st.integers(min_value=1, max_value=3))
+    shape = draw(st.sampled_from(("spread", "ties", "constant", "zeros")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "spread":
+        arrival = np.sort(rng.random(count)) * 10.0 ** rng.integers(-3, 4)
+        started = arrival + rng.exponential(1e-3, count) * 10.0 ** (
+            rng.integers(-6, 3, count)
+        )
+        completed = started + rng.exponential(1e-3, count)
+    elif shape == "ties":
+        instants = rng.random(3)
+        arrival = rng.choice(instants, count)
+        started = arrival + rng.choice([0.0, 1e-3, 0.1], count)
+        completed = started + rng.choice([1e-3, 0.25], count)
+    elif shape == "constant":
+        arrival = np.full(count, rng.random())
+        started = arrival + rng.random()
+        completed = started + rng.random()
+    else:
+        zeros = np.array([0.0, -0.0])
+        arrival = rng.choice(zeros, count)
+        started = rng.choice(np.array([0.0, -0.0, 1e-3]), count)
+        completed = rng.choice(np.array([0.0, -0.0, 2e-3]), count)
+    columns = RequestColumns(
+        index=np.arange(count), arrival=arrival, dispatched=arrival,
+        started=started, completed=completed,
+        shard=np.zeros(count, dtype=np.int64), shard_names=["s0"],
+        batch_size=np.ones(count, dtype=np.int64),
+        tenant=rng.integers(0, tenants, count),
+        tenant_names=TENANTS[:tenants],
+    )
+    ghost = draw(st.integers(min_value=1, max_value=5))
+    return ServingReport(
+        columns, [ShardUsage("s0", count, count, 1.0)], total_ops=0,
+        shed=ghost, shed_by_tenant={"ghost": ghost},
+    )
+
+
+class TestColumnStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(replay_reports())
+    def test_statistics_match_the_replaced_formulas(self, report):
+        columns = report.records
+        latency = columns.completed - columns.arrival
+        queue = columns.started - columns.arrival
+        assert report.mean_latency.hex() == old_mean(latency).hex()
+        assert report.mean_queue_seconds.hex() == old_mean(queue).hex()
+        payload = report.to_dict()
+        assert payload["mean_latency_s"].hex() == old_mean(latency).hex()
+        assert payload["mean_queue_s"].hex() == old_mean(queue).hex()
+        assert hexes(
+            payload[f"p{q}_latency_s"] for q in (50, 90, 99)
+        ) == hexes(
+            signless(old_percentile(latency, q)) for q in (50, 90, 99)
+        )
+        breakdowns = report.per_tenant()
+        served = set()
+        for code, name in enumerate(columns.tenant_names):
+            own = latency[columns.tenant == code]
+            if not len(own):
+                assert name not in breakdowns
+                continue
+            served.add(name)
+            breakdown = breakdowns[name]
+            assert breakdown.count == len(own)
+            assert breakdown.mean_latency_s.hex() == old_mean(own).hex()
+            assert hexes(
+                [breakdown.p50_latency_s, breakdown.p99_latency_s]
+            ) == hexes(signless(old_percentile(own, q)) for q in (50, 99))
+            assert payload["tenants"][name] == breakdown.to_dict()
+        ghost = breakdowns["ghost"]
+        assert (ghost.count, ghost.shed) == (0, report.shed)
+        assert ghost.mean_latency_s != ghost.mean_latency_s
+        assert payload["tenants"]["ghost"]["p99_latency_s"] is None
+        assert set(breakdowns) == served | {"ghost"}
+        assert report.describe()
+
+    def test_latency_column_is_computed_once_and_read_only(self):
+        report = ServingReport(
+            [RequestRecord(0, 0.5, 0.5, 0.75, 1.0, "s0", 1)], [],
+            total_ops=0,
+        )
+        latency = report.records.latency
+        assert latency is report.records.latency
+        assert latency.tolist() == [0.5]
+        with pytest.raises(ValueError):
+            latency[0] = 2.0
+
+    def test_one_served_tenant_groups_without_a_copy(self):
+        report = ServingReport(
+            [RequestRecord(i, 0.0, 0.0, 0.0, 1.0 + i, "s0", 1, "bulk")
+             for i in range(4)],
+            [], total_ops=0, shed=1, shed_by_tenant={"ghost": 1},
+        )
+        grouped = report._latencies_by_tenant()
+        assert list(grouped) == ["bulk"]
+        assert grouped["bulk"] is report.records.latency
+
+
+class TestPercentiles:
+    samples = st.lists(
+        st.one_of(
+            st.floats(width=64),
+            st.sampled_from([0.0, -0.0, 1.0, float("nan")]),
+        ),
+        min_size=1, max_size=300,
+    )
+    ranks = st.lists(
+        st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5,
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=samples, qs=ranks)
+    def test_one_selection_equals_per_q(self, values, qs):
+        together = hexes(percentiles(values, qs))
+        assert together == hexes(percentile(values, q) for q in qs)
+        assert together == hexes(
+            signless(old_percentile(values, q)) for q in qs
+        )
+
+    def test_nan_sample_falls_back_to_the_sorted_list(self):
+        values = [3.0, float("nan"), 1.0, -0.0, 2.0]
+        qs = (0, 20, 50, 90, 100)
+        assert hexes(percentiles(values, qs)) == hexes(
+            percentile(values, q) for q in qs
+        )
+        assert hexes(percentiles(values, qs)) == hexes(
+            signless(old_percentile(values, q)) for q in qs
+        )
+
+    def test_windows_and_errors(self):
+        from collections import deque
+
+        window = deque([0.004, 0.001, 0.003, 0.002])
+        assert percentiles(window, (50, 100)) == [0.002, 0.004]
+        assert percentile(window, 99) == 0.004
+        with pytest.raises(ServingError):
+            percentiles([], (50,))
+        with pytest.raises(ServingError):
+            percentiles([1.0], (50, 101))
