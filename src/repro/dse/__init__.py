@@ -12,21 +12,13 @@ Three steps, matching the paper's algorithm:
 """
 
 from repro.dse.space import DseOptions, HardwareCandidate, explore_hardware
-from repro.dse.engine import (
-    DseResult,
-    latency_lower_bound,
-    map_network,
-    objective_lower_bound,
-    run_dse,
-)
+from repro.dse.engine import DseResult, map_network, run_dse
 
 __all__ = [
     "DseOptions",
     "DseResult",
     "HardwareCandidate",
     "explore_hardware",
-    "latency_lower_bound",
     "map_network",
-    "objective_lower_bound",
     "run_dse",
 ]

@@ -9,28 +9,32 @@ candidates by the chosen objective.
 :func:`map_network` is the single-design path: scalar
 :func:`~repro.estimator.latency.estimate_layer` calls, memoized through
 an :class:`~repro.pipeline.cache.EvaluationCache`.  :func:`run_dse`
-evaluates candidates only through
+is one search.  It evaluates candidates only through
 :class:`~repro.estimator.vectorized.BatchLayerEstimator`, whose numpy
-columns are bit-equal to the scalar model, and it preserves the serial
-scalar branch-and-bound exactly — selection, runner-up ranking and the
-evaluated/pruned counts:
+columns are bit-equal to the scalar model.  It selects and ranks
+exactly as a brute-force sweep does, and it evaluates and prunes
+exactly as the serial scalar best-first branch-and-bound does:
 
-* **pruning** — a lower bound over *all four* module times
+* **bound order** — a lower bound over *all four* module times
   (``latency >= sum of per-layer min-over-modes
-  max(T_CP, T_LDI, T_LDW, T_SV)``, Eq. 6-11) is admissible, so any
-  candidate whose bound cannot beat the current ``top_k``-th objective
-  is skipped without affecting the winner *or* the runners-up — the
-  bandwidth terms prune memory-bound candidates a compute-only bound
-  would have to evaluate.  The bounds of every candidate are one
-  column computation, bit-equal to :func:`latency_lower_bound` and
-  :func:`objective_lower_bound`;
-* **batching** — candidates are evaluated in batches along the
-  evaluation order, skipping those the bound already prunes at the
-  start of a batch, and each batch yields an objective column.  The
-  serial branch-and-bound is then replayed over the batch: a
-  candidate prunable at the start of a batch is prunable at its turn
-  (the ``top_k``-th objective only falls), so the replay prunes,
-  admits and counts exactly as the one-candidate-at-a-time loop would;
+  max(T_CP, T_LDI, T_LDW, T_SV)``, Eq. 6-11) is admissible, and every
+  candidate's bound is one column computation
+  (:meth:`~repro.estimator.vectorized.BatchLayerEstimator.latency_bounds`).
+  Candidates are evaluated in ascending-bound order (a stable sort:
+  ties keep enumeration order), so the ``top_k`` fills with the most
+  promising designs first;
+* **pruning** — a candidate whose bound cannot beat the current
+  ``top_k``-th objective is skipped without affecting the winner *or*
+  the runners-up.  The ``top_k``-th objective only falls and the
+  bounds only rise along the order, so the first candidate pruned
+  prunes every later one and the search stops there — the bandwidth
+  terms prune memory-bound candidates a compute-only bound would have
+  to evaluate;
+* **batching** — candidates are evaluated :data:`BATCH` at a time,
+  skipping those the bound already prunes at the start of a batch, and
+  each batch yields an objective column.  The serial branch-and-bound
+  is then replayed over the batch, so it admits and counts exactly as
+  the one-candidate-at-a-time loop would;
 * **top-k only** — mapping and estimate objects are built for the
   ``top_k`` designs returned, nothing else.  Partition lookups go
   through the cache; estimates are never stored in it.
@@ -54,7 +58,6 @@ from repro.errors import DseError, ReproError
 from repro.estimator.calibration import CalibrationProfile, get_calibration
 from repro.estimator.latency import (
     NetworkEstimate,
-    _module_times,
     aggregate_gops,
     estimate_layer,
     estimate_network,
@@ -161,47 +164,6 @@ def _objective(
     raise DseError(f"unknown objective {objective!r}")
 
 
-def latency_lower_bound(
-    cfg: AcceleratorConfig, device: FpgaDevice, network: Network
-) -> float:
-    """Admissible network-latency bound for one candidate (seconds).
-
-    Every (mode, dataflow) latency is ``body + T_penalty`` where the
-    body maxes the Eq. 6-11 module times (Eq. 12-15): ``T_CP`` and
-    ``T_SV`` appear directly, and the load terms appear scaled by a
-    group count ``>= 1`` (``T_LDI`` / ``GK * T_LDI``,
-    ``N_rows * T_LDW`` / ``T_LDW``).  Hence for *either* dataflow
-
-        latency >= max(T_CP, T_LDI, T_LDW, T_SV)
-
-    without partitioning a single layer.  Summing each layer's cheapest
-    supported mode bounds the network from below; including the
-    bandwidth terms (not just ``T_CP``) prunes memory-bound candidates
-    that a compute-only bound would have to evaluate.
-    """
-    total = 0.0
-    for info in network.compute_layers():
-        per_mode = [max(_module_times(cfg, device, info, "spat"))]
-        if winograd_supported(info):
-            per_mode.append(max(_module_times(cfg, device, info, "wino")))
-        total += min(per_mode)
-    return total
-
-
-def objective_lower_bound(
-    lb_latency: float, objective: str, ops: int, instances: int
-) -> float:
-    """Lower bound on ``_objective`` given a latency lower bound."""
-    if objective == "latency":
-        return lb_latency
-    if objective == "throughput":
-        if lb_latency <= 0:
-            return -math.inf
-        # gops <= ops / lb_latency * NI  =>  -gops >= this bound.
-        return -(ops / lb_latency / 1e9) * instances
-    raise DseError(f"unknown objective {objective!r}")
-
-
 def _candidate_bounds(
     estimator: BatchLayerEstimator,
     candidates: List[HardwareCandidate],
@@ -210,9 +172,10 @@ def _candidate_bounds(
 ) -> List[float]:
     """Objective lower bound per candidate, as column math.
 
-    Element for element the value of :func:`objective_lower_bound`
-    over :func:`latency_lower_bound`: the same Eq. 6-11 columns and
-    the same float operations in the same order.
+    Latency bounds it as is; throughput is at most ``ops / latency``
+    per instance, so ``-gops >= -(ops / bound / 1e9) * instances``
+    (``-inf`` for a zero bound).  ``tests/test_dse_oracle.py`` keeps
+    the per-candidate scalar bound this must equal bit for bit.
     """
     cfgs = [candidate.cfg for candidate in candidates]
     latency = estimator.latency_bounds(cfgs)
@@ -224,9 +187,9 @@ def _candidate_bounds(
     return np.where(latency > 0, bound, -math.inf).tolist()
 
 
-#: Candidates per evaluated batch when pruning: large enough to keep the
-#: numpy columns busy, small enough that the bound still skips most of
-#: a sweep once the ``top_k`` fills.
+#: Candidates per evaluated batch: large enough to keep the numpy
+#: columns busy, small enough that the bound still skips most of a
+#: sweep once the ``top_k`` fills.
 BATCH = 64
 
 
@@ -241,68 +204,61 @@ def run_dse(
     """Full 3-step DSE; returns the best design point (with runners-up
     in ``runners_up`` for inspection).
 
-    Selection, ``top_k`` ranking and the evaluated/pruned counts are
-    those of the serial scalar branch-and-bound, bit for bit; the
-    evaluation knobs (``use_cache``, ``prune``, ``best_first``) change
-    how fast it runs, never what it selects.  ``cal`` feeds the Step-1
-    resource model.  Partition lookups go through ``cache`` (a fresh
-    one if omitted) and are counted in ``cache_stats``;
-    ``options.use_cache=False`` disables memoization even when a shared
-    ``cache`` is supplied.  ``candidates`` may carry a pre-enumerated
-    Step-1 result (it must match ``explore_hardware(device, options)``).
+    One search: candidates in ascending-bound order, :data:`BATCH` at
+    a time, pruned against the running ``top_k``-th objective.
+    Selection and ``top_k`` ranking are those of a brute-force sweep,
+    and the evaluated/pruned counts those of the serial best-first
+    branch-and-bound, bit for bit.  ``cal`` feeds the Step-1 resource
+    model.  Partition lookups go through ``cache`` (a fresh one if
+    omitted) and are counted in ``cache_stats``.  ``candidates`` may
+    carry a pre-enumerated Step-1 result (it must match
+    ``explore_hardware(device, options)``).
     """
     options = options or DseOptions()
     if cal is None:
         cal = get_calibration(device.name)
-    if not options.use_cache:
-        cache = None
-    elif cache is None:
+    if cache is None:
         cache = EvaluationCache()
-    stats_before = cache.stats if cache is not None else None
+    stats_before = cache.stats
     if candidates is None:
         candidates = explore_hardware(device, options, cal)
 
     estimator = BatchLayerEstimator(device, network, cache=cache)
     ops = sum(info.ops for info in network.compute_layers())
-    bounds: Optional[List[float]] = None
-    if options.prune or options.best_first:
-        bounds = _candidate_bounds(
-            estimator, candidates, options.objective, ops
-        )
-    order = list(range(len(candidates)))
-    if options.best_first:
-        assert bounds is not None
-        order.sort(key=bounds.__getitem__)
+    bounds = _candidate_bounds(estimator, candidates, options.objective, ops)
+    order = sorted(range(len(candidates)), key=bounds.__getitem__)
 
     scored: List[Tuple[float, int]] = []  # (objective, enumeration index)
     worst_of_top_k: List[float] = []  # max-heap (negated) of size <= top_k
-    pruned = 0
 
     def kth_best() -> float:
         if len(worst_of_top_k) < options.top_k:
             return math.inf
         return -worst_of_top_k[0]
 
-    def prunable(index: int) -> bool:
-        # Strict inequality: a candidate tying the k-th best objective
-        # could still displace it on enumeration order, so it must be
-        # evaluated for the ranking to stay byte-identical.
-        return options.prune and bounds[index] > kth_best()
-
-    step = BATCH if options.prune else max(len(order), 1)
-    for start in range(0, len(order), step):
-        window = order[start:start + step]
-        survivors = [index for index in window if not prunable(index)]
-        latencies = dict(zip(survivors, estimator.network_latencies(
-            [candidates[index].cfg for index in survivors]
-        )))
-        # The serial loop, replayed: every candidate it would evaluate
-        # here is a survivor, since kth_best() only falls.
-        for index in window:
-            if prunable(index):
-                pruned += 1
-                continue
-            latency = latencies[index]
+    # Strict inequality prunes: a candidate tying the k-th best
+    # objective could still displace it on enumeration order, so it
+    # must be evaluated for the ranking to stay byte-identical.  Along
+    # ``order`` the bounds rise and kth_best() falls, so the survivors
+    # of a batch are a prefix of it, and a batch that admits none ends
+    # the search.
+    taken = 0  # candidates of ``order`` evaluated, feasible or not
+    while True:
+        batch = [
+            index for index in order[taken:taken + BATCH]
+            if bounds[index] <= kth_best()
+        ]
+        if not batch:
+            break
+        latencies = estimator.network_latencies(
+            [candidates[index].cfg for index in batch]
+        )
+        # The serial loop, replayed: it stops at the first candidate
+        # the admissions so far have made prunable.
+        for index, latency in zip(batch, latencies):
+            if bounds[index] > kth_best():
+                break
+            taken += 1
             if latency is None:
                 continue  # some layer fits no (mode, dataflow)
             objective = _objective(
@@ -314,6 +270,7 @@ def run_dse(
                 heapq.heappush(worst_of_top_k, -objective)
             elif objective < -worst_of_top_k[0]:
                 heapq.heapreplace(worst_of_top_k, -objective)
+    pruned = len(order) - taken
 
     if not scored:
         raise DseError(
@@ -324,9 +281,7 @@ def run_dse(
     scored.sort()
     top = [candidates[index] for _, index in scored[:options.top_k]]
     mapped = estimator.map_candidates([candidate.cfg for candidate in top])
-    run_stats = (
-        cache.stats - stats_before if cache is not None else None
-    )
+    run_stats = cache.stats - stats_before
 
     def to_result(candidate, mapping, estimate, runners=()) -> DseResult:
         return DseResult(

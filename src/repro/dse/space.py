@@ -29,14 +29,13 @@ OBJECTIVES = ("throughput", "latency")
 
 @dataclass(frozen=True)
 class DseOptions:
-    """Knobs of the exploration.
+    """Inputs of the exploration: the objective, how many ranked
+    designs to keep (``top_k``), the Step-1 space (``max_instances``,
+    ``frequency_mhz``, the widths, ``buffer_presets``).
 
-    The evaluation knobs (``use_cache``, ``prune``, ``best_first``)
-    change *how fast* Step 3 runs, never *what* it selects: every
-    combination returns the brute-force design point and runner-up
-    ranking bit for bit.  Candidates are always evaluated as numpy
-    batches (:class:`repro.estimator.vectorized.BatchLayerEstimator`)
-    in the calling thread.
+    How Step 3 searches is not an option: :func:`~repro.dse.engine.run_dse`
+    has one search, which returns the brute-force design point and
+    runner-up ranking bit for bit.
 
     Invalid combinations raise :class:`~repro.errors.DseError` at
     construction time, not deep inside :func:`~repro.dse.engine.run_dse`.
@@ -49,9 +48,6 @@ class DseOptions:
     objective: str = "throughput"  # "throughput" | "latency"
     buffer_presets: Optional[Tuple[int, int, int]] = None
     top_k: int = 5
-    use_cache: bool = True  # memoize partitions in the evaluation cache
-    prune: bool = True  # skip candidates that cannot reach the top_k
-    best_first: bool = False  # evaluate in lower-bound order
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
@@ -88,10 +84,6 @@ class HardwareCandidate:
     cfg: AcceleratorConfig
     per_instance: ResourceBudget
     total: ResourceBudget
-
-    @property
-    def peak_macs_per_cycle(self) -> int:
-        return self.cfg.macs_per_cycle * self.cfg.instances
 
 
 def default_buffers(device: FpgaDevice) -> Tuple[int, int, int]:

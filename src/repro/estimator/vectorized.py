@@ -10,8 +10,8 @@ arithmetic and object construction, not to the math.
 ``T_CP/T_LDI/T_LDW/T_SV``, the IS/WS body maxes and ``T_penalty``
 computed columnwise.  It answers three questions per batch:
 
-* :meth:`~BatchLayerEstimator.latency_bounds` — the admissible bound
-  of :func:`~repro.dse.engine.latency_lower_bound`, as one column;
+* :meth:`~BatchLayerEstimator.latency_bounds` — the admissible
+  network-latency bound the DSE prunes with, as one column;
 * :meth:`~BatchLayerEstimator.network_latencies` — each candidate's
   network latency under the mapping
   :func:`~repro.dse.engine.map_network` would select, with no
@@ -265,11 +265,17 @@ class BatchLayerEstimator:
     def latency_bounds(
         self, cfgs: Sequence[AcceleratorConfig]
     ) -> np.ndarray:
-        """:func:`~repro.dse.engine.latency_lower_bound` per candidate.
+        """Admissible network-latency bound per candidate (seconds).
 
+        Every (mode, dataflow) latency is ``body + T_penalty`` where
+        the body maxes the Eq. 6-11 module times (Eq. 12-15): ``T_CP``
+        and ``T_SV`` appear directly, and the load terms appear scaled
+        by a group count ``>= 1``.  So for either dataflow ``latency >=
+        max(T_CP, T_LDI, T_LDW, T_SV)`` without partitioning a layer.
         Per layer the largest of the four module times, the smaller of
         its Spatial and (where supported) Winograd values, summed from
-        ``0.0`` in layer order like the scalar loop — bit-equal to it.
+        ``0.0`` in layer order — bit-equal to the scalar loop
+        ``tests/test_dse_oracle.py`` keeps.
         """
         cols = self._columns(cfgs)
         total = np.zeros(len(cfgs))

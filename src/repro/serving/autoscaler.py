@@ -480,21 +480,6 @@ class AutoscalerController:
             )
         return out
 
-    def shard_seconds(self, start: float, end: float) -> float:
-        """Provisioned shard-time within ``[start, end]`` — the bill a
-        fixed pool would pay as ``shards * (end - start)``."""
-        if end < start:
-            raise ServingError(
-                f"shard-second window [{start}, {end}] is inverted"
-            )
-        total = 0.0
-        for spans in self.usage_spans(end).values():
-            for span_start, span_stop in spans:
-                total += max(
-                    0.0, min(span_stop, end) - max(span_start, start)
-                )
-        return total
-
     def describe(self) -> str:
         options = self.options
         if options.metric == "utilisation":

@@ -56,10 +56,6 @@ DispatchFn = Callable[[EventKernel, float, List[Request]], None]
 #: the source notification.
 AdmitFn = Callable[[EventKernel, Request], bool]
 
-#: Tenant-mixing modes of :class:`BatcherOptions`.
-TENANT_MODES = ("tier", "shared")
-
-
 @dataclass(frozen=True)
 class BatcherOptions:
     """The two knobs of the latency-vs-throughput trade.
@@ -69,17 +65,14 @@ class BatcherOptions:
     they do delay early requests behind late ones); ``max_wait_s``
     bounds how long the *oldest* request may wait for company.
 
-    ``tenant_mode`` governs multi-tenant coalescing: ``"tier"`` (the
-    default) keeps one queue per batch tier, so an interactive request
-    never waits out a bulk tenant's batch assembly — tenants of
-    *incompatible tiers are never mixed* in one batch; ``"shared"``
-    keeps the single pre-tenancy queue regardless of tenants.  With a
-    trivial tenant set the modes coincide (one tier, one queue).
+    With tenants the batcher keeps one queue per batch tier, so an
+    interactive request never waits out a bulk tenant's batch assembly
+    — tenants of *incompatible tiers are never mixed* in one batch.  A
+    trivial tenant set has one tier, hence one queue.
     """
 
     max_batch: int = 8
     max_wait_s: float = 0.0
-    tenant_mode: str = "tier"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -89,11 +82,6 @@ class BatcherOptions:
         if self.max_wait_s < 0:
             raise ServingError(
                 f"max_wait_s must be >= 0, got {self.max_wait_s}"
-            )
-        if self.tenant_mode not in TENANT_MODES:
-            raise ServingError(
-                f"unknown tenant mode {self.tenant_mode!r}; "
-                f"expected one of {TENANT_MODES}"
             )
 
 
@@ -171,8 +159,6 @@ class _TenantBatcherFeed:
         self.tokens: Dict[str, int] = {}
 
     def _key(self, request: Request) -> str:
-        if self.options.tenant_mode == "shared":
-            return ""
         return self.tenants.tier_of(request.tenant)
 
     def on_arrival(self, kernel: EventKernel, event: Arrival) -> None:
@@ -235,15 +221,11 @@ class DynamicBatcher:
 
         Returns the per-run feed (fresh state — one ``attach`` per
         run); ``dispatch`` is called with every flushed batch.  A
-        non-trivial ``tenants`` set (in ``tier`` mode) or an ``admit``
-        gate selects the tenant-aware feed; otherwise the single-queue
-        feed keeps the pre-tenancy event trace byte for byte.
+        non-trivial ``tenants`` set or an ``admit`` gate selects the
+        tenant-aware feed; otherwise the single-queue feed keeps the
+        pre-tenancy event trace byte for byte.
         """
-        tiered = (
-            tenants is not None
-            and not tenants.trivial
-            and self.options.tenant_mode == "tier"
-        )
+        tiered = tenants is not None and not tenants.trivial
         if tiered or admit is not None:
             feed = _TenantBatcherFeed(
                 self.options,

@@ -495,11 +495,18 @@ class ServingReport:
     def latency_percentile(self, q: float) -> float:
         return self.latency_percentiles((q,))[0]
 
-    @property
+    @cached_property
     def mean_latency(self) -> float:
         if not self.count:
             return float("nan")
         return left_sum(self.records.latency) / self.count
+
+    @cached_property
+    def _latency_summary(self) -> Tuple[float, float, float, float]:
+        """``(mean, p50, p90, p99)`` of the latency column, computed
+        once per report: the export and a single tenant's breakdown
+        both read it."""
+        return (self.mean_latency, *self.latency_percentiles((50, 90, 99)))
 
     @property
     def mean_queue_seconds(self) -> float:
@@ -536,6 +543,9 @@ class ServingReport:
         accounting."""
         grouped = self._latencies_by_tenant()
         empty = np.empty(0, dtype=np.float64)
+        # One served tenant holds the whole column: its statistics are
+        # the global ones.
+        whole = len(grouped) == 1
         breakdowns = {}
         for name in self._touched_tenants(grouped):
             latencies = grouped.get(name, empty)
@@ -551,7 +561,9 @@ class ServingReport:
                     if issued else 0.0
                 )
             mean = p50 = p99 = float("nan")
-            if served:
+            if served and whole:
+                mean, p50, _, p99 = self._latency_summary
+            elif served:
                 mean = left_sum(latencies) / served
                 p50, p99 = percentiles(latencies, (50, 99))
             breakdowns[name] = TenantBreakdown(
@@ -668,7 +680,7 @@ class ServingReport:
         def safe(value: float) -> Optional[float]:
             return None if value != value else value
 
-        p50, p90, p99 = self.latency_percentiles((50, 90, 99))
+        mean, p50, p90, p99 = self._latency_summary
         return {
             "schema": 2,
             "count": self.count,
@@ -685,7 +697,7 @@ class ServingReport:
             "images_per_second": safe(self.images_per_second),
             "throughput_gops": safe(self.throughput_gops),
             "mean_batch_size": self.mean_batch_size,
-            "mean_latency_s": safe(self.mean_latency),
+            "mean_latency_s": safe(mean),
             "p50_latency_s": safe(p50),
             "p90_latency_s": safe(p90),
             "p99_latency_s": safe(p99),
@@ -760,7 +772,7 @@ class ServingReport:
                     "the p99 SLO was never evaluated"
                 )
             return text
-        p50, p90, p99 = self.latency_percentiles((50, 90, 99))
+        _, p50, p90, p99 = self._latency_summary
         lines = [
             f"served {self.count} requests over "
             f"{len(self.shards)} shard(s) in "

@@ -388,17 +388,16 @@ class TraceSource(EventSource):
             )
         if loop < 1:
             raise ServingError(f"loop must be >= 1, got {loop}")
-        tags = (
-            [DEFAULT_TENANT] * count
-            if tenants is None else [str(tag) for tag in tenants]
-        )
-        if len(tags) != count:
-            raise ServingError(
-                f"trace has {count} arrivals but "
-                f"{len(tags)} tenant tags"
-            )
-        if not all(tags):
-            raise ServingError("trace tenant tags must be non-empty")
+        tags = None
+        if tenants is not None:
+            tags = [str(tag) for tag in tenants]
+            if len(tags) != count:
+                raise ServingError(
+                    f"trace has {count} arrivals but "
+                    f"{len(tags)} tenant tags"
+                )
+            if not all(tags):
+                raise ServingError("trace tenant tags must be non-empty")
         values = np.array(arrivals, dtype=np.float64)
         if values.ndim != 1:
             raise ServingError(
@@ -424,11 +423,16 @@ class TraceSource(EventSource):
             np.arange(loop)[:, None] * cycle + scaled
         ).ravel()
         self.arrivals.flags.writeable = False
-        base_tags = [tags[position] for position in order.tolist()]
-        self.tags = base_tags * loop
-        #: True when any arrival carries a non-default tenant tag —
-        #: precomputed so fast-forward eligibility gating stays O(1).
-        self.tenanted = any(tag != DEFAULT_TENANT for tag in base_tags)
+        # ``tenanted`` is True when any arrival carries a non-default
+        # tenant tag — precomputed so fast-forward eligibility gating
+        # stays O(1).  An untagged trace does no per-arrival tag work.
+        if tags is None:
+            self.tags = [DEFAULT_TENANT] * (count * loop)
+            self.tenanted = False
+        else:
+            base_tags = [tags[position] for position in order.tolist()]
+            self.tags = base_tags * loop
+            self.tenanted = any(tag != DEFAULT_TENANT for tag in base_tags)
 
     def __setstate__(self, state) -> None:
         # Unpickling (sweep workers) rebuilds a writeable array.
@@ -646,9 +650,16 @@ def shape_arrivals(
     ``samples``-point grid and inverted with ``np.interp`` — pure
     deterministic float math, no randomness.
     """
+    return _warp(arrivals, shapes, samples).tolist()
+
+
+def _warp(
+    arrivals: Sequence[float], shapes: Sequence, samples: int = 4096
+) -> np.ndarray:
+    """:func:`shape_arrivals` as a float64 column."""
     values = np.asarray(arrivals, dtype=np.float64)
     if not shapes:
-        return values.tolist()
+        return values
     if samples < 2:
         raise ServingError(f"shape samples must be >= 2, got {samples}")
     if values.size == 0:
@@ -658,7 +669,7 @@ def shape_arrivals(
     origin = float(values.min())
     span = float(values.max()) - origin
     if span <= 0.0:
-        return values.tolist()
+        return values
     grid = np.linspace(0.0, span, samples)
     intensity = np.ones_like(grid)
     for shape in shapes:
@@ -667,19 +678,19 @@ def shape_arrivals(
     cumulative = np.concatenate(([0.0], np.cumsum(steps)))
     # Renormalise so the warp fixes both endpoints: L(span) == span.
     cumulative *= span / cumulative[-1]
-    warped = np.interp(values - origin, cumulative, grid) + origin
-    return warped.tolist()
+    return np.interp(values - origin, cumulative, grid) + origin
 
 
 def shaped_trace(source: "TraceSource", shapes: Sequence) -> "TraceSource":
     """A :class:`TraceSource` replaying ``source`` with its arrivals
     warped by ``shapes`` (see :func:`shape_arrivals`); rebasing,
     scaling and looping have already been applied, so the shapes act on
-    the replayed timeline."""
+    the replayed timeline.  The warped instants stay one column, and an
+    untagged source passes no tags."""
     shaped = TraceSource(
-        shape_arrivals(source.arrivals, shapes),
+        _warp(source.arrivals, shapes),
         name=f"{source.name}+shaped",
-        tenants=source.tags,
+        tenants=source.tags if source.tenanted else None,
     )
     # Keep the provenance knobs: the arrivals above are already scaled
     # and looped, so the new source must not re-apply them.

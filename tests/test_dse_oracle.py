@@ -1,13 +1,16 @@
 """``run_dse`` against the serial scalar branch-and-bound it replaced.
 
 :func:`scalar_run_dse` below is the DSE's former serial path, kept
-verbatim as the oracle: one candidate at a time through
-``map_network`` (scalar ``estimate_layer`` calls memoized in an
+as the oracle: one candidate at a time through ``map_network``
+(scalar ``estimate_layer`` calls, memoized when given an
 :class:`EvaluationCache`), pruned with the scalar
-``latency_lower_bound`` / ``objective_lower_bound`` against the running
-``top_k``-th objective.  The batched ``run_dse`` must return the same
-design point, runner-up ranking and evaluated/pruned counts, bit for
-bit, and its column bounds must equal the scalar bounds bit for bit.
+:func:`latency_lower_bound` / :func:`objective_lower_bound` against the
+running ``top_k``-th objective.  ``prune`` and ``best_first`` are its
+own keywords: ``run_dse`` has one search, the best-first one.  The
+batched ``run_dse`` must return the ranking and budgets of every
+reference (the brute force included), and the evaluated/pruned counts
+of the pruned best-first one, bit for bit; its column bounds must
+equal the scalar bounds bit for bit.
 """
 
 import heapq
@@ -17,21 +20,17 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.dse import (
-    explore_hardware,
-    latency_lower_bound,
-    map_network,
-    objective_lower_bound,
-    run_dse,
-)
+from repro.dse import explore_hardware, map_network, run_dse
 from repro.dse import engine
 from repro.dse.engine import DseResult, _candidate_bounds
 from repro.dse.space import DseOptions, HardwareCandidate
 from repro.errors import DseError
 from repro.estimator import BatchLayerEstimator
 from repro.estimator.calibration import get_calibration
+from repro.estimator.latency import _module_times
 from repro.fpga import get_device
 from repro.ir import zoo
+from repro.mapping.strategy import winograd_supported
 from repro.pipeline import EvaluationCache
 
 MODELS = sorted(zoo.MODELS)
@@ -39,7 +38,46 @@ OBJECTIVES = ("throughput", "latency")
 PAPER_DEVICES = ("vu9p", "pynq-z1")
 OTHER_DEVICES = ("zcu102", "ku115")
 
-# -- the oracle: the serial scalar path, verbatim ----------------------------
+# -- the oracle: the serial scalar path -------------------------------------
+
+
+def latency_lower_bound(cfg, device, network) -> float:
+    """Admissible network-latency bound for one candidate (seconds).
+
+    Every (mode, dataflow) latency is ``body + T_penalty`` where the
+    body maxes the Eq. 6-11 module times (Eq. 12-15): ``T_CP`` and
+    ``T_SV`` appear directly, and the load terms appear scaled by a
+    group count ``>= 1`` (``T_LDI`` / ``GK * T_LDI``,
+    ``N_rows * T_LDW`` / ``T_LDW``).  Hence for *either* dataflow
+
+        latency >= max(T_CP, T_LDI, T_LDW, T_SV)
+
+    without partitioning a single layer.  Summing each layer's cheapest
+    supported mode bounds the network from below; including the
+    bandwidth terms (not just ``T_CP``) prunes memory-bound candidates
+    that a compute-only bound would have to evaluate.
+    """
+    total = 0.0
+    for info in network.compute_layers():
+        per_mode = [max(_module_times(cfg, device, info, "spat"))]
+        if winograd_supported(info):
+            per_mode.append(max(_module_times(cfg, device, info, "wino")))
+        total += min(per_mode)
+    return total
+
+
+def objective_lower_bound(
+    lb_latency: float, objective: str, ops: int, instances: int
+) -> float:
+    """Lower bound on the objective given a latency lower bound."""
+    if objective == "latency":
+        return lb_latency
+    if objective == "throughput":
+        if lb_latency <= 0:
+            return -math.inf
+        # gops <= ops / lb_latency * NI  =>  -gops >= this bound.
+        return -(ops / lb_latency / 1e9) * instances
+    raise DseError(f"unknown objective {objective!r}")
 
 
 def _objective(estimate, objective: str) -> float:
@@ -90,28 +128,31 @@ def scalar_run_dse(
     candidates: Optional[List[HardwareCandidate]] = None,
     map_fn=map_network,
     bound_fn=latency_lower_bound,
+    *,
+    prune: bool = True,
+    best_first: bool = False,
 ) -> DseResult:
     """The serial scalar branch-and-bound, one candidate at a time.
 
+    ``prune`` skips candidates whose bound cannot reach the ``top_k``;
+    ``best_first`` evaluates in ascending-bound order (a stable sort)
+    instead of enumeration order; ``prune=False`` is the brute force.
+    Without a ``cache`` every estimate is computed afresh.
     ``map_fn`` / ``bound_fn`` stand for ``map_network`` /
     ``latency_lower_bound`` (the tests pass memoized equivalents)."""
     options = options or DseOptions()
     if cal is None:
         cal = get_calibration(device.name)
-    if not options.use_cache:
-        cache = None
-    elif cache is None:
-        cache = EvaluationCache()
     if candidates is None:
         candidates = explore_hardware(device, options, cal)
 
     bounds: Optional[List[float]] = None
-    if options.prune or options.best_first:
+    if prune or best_first:
         bounds = scalar_candidate_bounds(
             candidates, device, network, options.objective, bound_fn
         )
     order = list(range(len(candidates)))
-    if options.best_first:
+    if best_first:
         assert bounds is not None
         order.sort(key=lambda index: bounds[index])
 
@@ -125,7 +166,7 @@ def scalar_run_dse(
         return -worst_of_top_k[0]
 
     def prunable(index: int) -> bool:
-        return options.prune and bounds[index] > kth_best()
+        return prune and bounds[index] > kth_best()
 
     def evaluate(index: int):
         candidate = candidates[index]
@@ -223,8 +264,10 @@ class SharedRuns:
             self._bounds[key] = latency_lower_bound(cfg, device, network)
         return self._bounds[key]
 
-    def both_sides(self, device_name: str, model: str, options: DseOptions):
-        """``(run_dse result, oracle result)`` on shared candidates."""
+    def both_sides(self, device_name: str, model: str, options: DseOptions,
+                   **reference):
+        """``(run_dse result, oracle result)`` on shared candidates;
+        ``reference`` holds the oracle's ``prune`` / ``best_first``."""
         device = get_device(device_name)
         network = zoo.get_model(model)
         candidates = self.candidates(device_name)
@@ -239,7 +282,7 @@ class SharedRuns:
                     candidates=candidates),
             scalar_run_dse(device, network, options, cache=cache("oracle"),
                            candidates=candidates, map_fn=self.map_network,
-                           bound_fn=self.latency_lower_bound),
+                           bound_fn=self.latency_lower_bound, **reference),
         )
 
 
@@ -248,17 +291,19 @@ def shared():
     return SharedRuns()
 
 
-def outcome(result: DseResult):
-    """Everything but the cache counters: ranking, budgets, counts."""
-    return (
+def outcome(result: DseResult, counts: bool = True):
+    """Everything but the cache counters: ranking, budgets and, with
+    ``counts``, the evaluated/pruned counts."""
+    ranking = (
         [
             (r.cfg, r.mapping, r.estimate, r.per_instance, r.total)
             for r in (result, *result.runners_up)
         ],
         result.candidates_considered,
-        result.candidates_evaluated,
-        result.candidates_pruned,
     )
+    if not counts:
+        return ranking
+    return ranking + (result.candidates_evaluated, result.candidates_pruned)
 
 
 def bits(values) -> List[str]:
@@ -266,11 +311,22 @@ def bits(values) -> List[str]:
     return [float(value).hex() for value in values]
 
 
-OPTION_SETS = {
-    "default": {},
-    "best_first": {"best_first": True},
-    "no_prune": {"prune": False},
-    "top_1": {"top_k": 1},
+#: The serial best-first branch-and-bound: ``run_dse``'s own search, so
+#: its counts must match too.
+BEST_FIRST = {"best_first": True}
+
+#: ``case -> (DseOptions knobs, scalar_run_dse keywords)``.  ``run_dse``
+#: has no evaluation knobs, so the option sets are the default and
+#: ``top_k`` ones.  Each is held to the best-first reference; the
+#: default one also to the serial loop at its defaults (pruned, in
+#: enumeration order: the same ranking, other counts) and to the
+#: unpruned brute force.
+CASES = {
+    "default": ({}, {}),
+    "best_first": ({}, BEST_FIRST),
+    "no_prune": ({}, {"prune": False}),
+    "top_1": ({"top_k": 1}, BEST_FIRST),
+    "top_12": ({"top_k": 12}, BEST_FIRST),
 }
 
 
@@ -288,10 +344,10 @@ FULL_MATRIX = [
 
 def _cases():
     for device in PAPER_DEVICES + OTHER_DEVICES:
-        sets = dict(OPTION_SETS, top_12={"top_k": 12})
-        for name, knobs in sets.items():
+        for name, (knobs, reference) in CASES.items():
             full = device in OTHER_DEVICES or name == "top_12"
-            yield pytest.param(device, knobs, id=f"{device}-{name}",
+            yield pytest.param(device, knobs, reference,
+                               id=f"{device}-{name}",
                                marks=FULL_MATRIX if full else [])
 
 
@@ -300,14 +356,16 @@ def _cases():
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("device_name, knobs", list(_cases()))
+@pytest.mark.parametrize("device_name, knobs, reference", list(_cases()))
 def test_run_dse_matches_serial_scalar_oracle(
-    shared, device_name, knobs, model, objective
+    shared, device_name, knobs, reference, model, objective
 ):
     batched, serial = shared.both_sides(
-        device_name, model, DseOptions(objective=objective, **knobs)
+        device_name, model, DseOptions(objective=objective, **knobs),
+        **reference,
     )
-    assert outcome(batched) == outcome(serial)
+    counts = reference == BEST_FIRST
+    assert outcome(batched, counts) == outcome(serial, counts)
 
 
 @pytest.mark.parametrize("batch", [1, 5, 1000])
@@ -320,7 +378,7 @@ def test_replay_is_batch_size_independent(
     serial loop: the outcome and both counts hold for any batch size."""
     monkeypatch.setattr(engine, "BATCH", batch)
     batched, serial = shared.both_sides(
-        "vu9p", model, DseOptions(objective=objective)
+        "vu9p", model, DseOptions(objective=objective), **BEST_FIRST
     )
     assert outcome(batched) == outcome(serial)
 

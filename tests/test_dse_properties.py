@@ -1,5 +1,6 @@
 """Hypothesis properties of the DSE: the search must stay inside the
-Table-2 constraint set and behave monotonically in its options."""
+Table-2 constraint set, behave monotonically in its options, and —
+since it always prunes — select what the brute force selects."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from repro.dse import explore_hardware, run_dse
 from repro.dse.space import DseOptions
+from repro.errors import DseError
 from repro.fpga import get_device
-from repro.ir import zoo
+from repro.ir import NetworkBuilder, zoo
+from repro.pipeline import EvaluationCache
+from test_dse_oracle import outcome, scalar_run_dse
 
 
 @settings(max_examples=10, deadline=None)
@@ -74,3 +78,61 @@ def test_dse_deterministic():
         (m.layer_name, m.mode, m.dataflow) for m in b.mapping
     ]
     assert a.estimate.latency == pytest.approx(b.estimate.latency)
+
+
+@st.composite
+def conv_stacks(draw):
+    """Random 1-3 layer conv stacks: kernel 1/3/5 ("same" padding),
+    stride 1/2, an optional max-pool and an optional dense tail."""
+    size = draw(st.integers(4, 32))
+    builder = NetworkBuilder(
+        "random", input_shape=(draw(st.integers(1, 64)), size, size)
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        kernel = draw(st.sampled_from([1, 3, 5]))
+        stride = draw(st.sampled_from([1, 2]))
+        builder.conv2d(draw(st.integers(1, 128)), kernel_size=kernel,
+                       stride=stride, padding=kernel // 2, relu=True)
+        size = (size - 1) // stride + 1
+    if size >= 2 and draw(st.booleans()):
+        builder.maxpool2d(2)
+    if draw(st.booleans()):
+        builder.flatten().dense(draw(st.integers(1, 64)))
+    return builder.build()
+
+
+#: ``device -> max_instances``: pynq-z1's 18 candidates and VU9P's 26
+#: single-instance ones.
+MAX_INSTANCES = {"pynq-z1": None, "vu9p": 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    network=conv_stacks(),
+    device_name=st.sampled_from(sorted(MAX_INSTANCES)),
+    objective=st.sampled_from(["throughput", "latency"]),
+    top_k=st.integers(1, 6),
+)
+def test_pruned_search_matches_brute_force(
+    network, device_name, objective, top_k
+):
+    """Pruning cannot be switched off, so an inadmissible bound would
+    change selections silently: on random networks the one search must
+    rank like the brute force and count like the serial best-first
+    branch-and-bound."""
+    device = get_device(device_name)
+    options = DseOptions(objective=objective, top_k=top_k,
+                         max_instances=MAX_INSTANCES[device_name])
+    cache = EvaluationCache()
+    try:
+        brute = scalar_run_dse(device, network, options, cache=cache,
+                               prune=False)
+    except DseError:
+        with pytest.raises(DseError):
+            run_dse(device, network, options)
+        return
+    best_first = scalar_run_dse(device, network, options, cache=cache,
+                                best_first=True)
+    result = run_dse(device, network, options)
+    assert outcome(result, counts=False) == outcome(brute, counts=False)
+    assert outcome(result) == outcome(best_first)

@@ -177,26 +177,23 @@ def _ranking(result):
         dict(prune=False),
         dict(prune=True),
         dict(prune=True, best_first=True),
-        dict(prune=False, use_cache=False),
+        dict(prune=False, best_first=True),
     ],
 )
 def test_run_dse_vectorized_identical(objective, knobs):
-    """The batched DSE returns the serial scalar ranking and counts
-    byte for byte under every evaluation-knob combination."""
+    """The batched DSE returns the serial scalar ranking byte for byte
+    whatever order the serial loop evaluates in, pruned or not, and
+    the counts of its pruned best-first loop."""
     network = zoo.tiny_cnn()
-    options = DseOptions(objective=objective, **knobs)
-    scalar = scalar_run_dse(DEVICE, network, options)
+    options = DseOptions(objective=objective)
+    scalar = scalar_run_dse(DEVICE, network, options, **knobs)
     vectorized = run_dse(DEVICE, network, options)
     assert _ranking(vectorized) == _ranking(scalar)
-    assert (
-        vectorized.candidates_considered,
-        vectorized.candidates_evaluated,
-        vectorized.candidates_pruned,
-    ) == (
-        scalar.candidates_considered,
-        scalar.candidates_evaluated,
-        scalar.candidates_pruned,
-    )
+    assert vectorized.candidates_considered == scalar.candidates_considered
+    if knobs == dict(prune=True, best_first=True):
+        assert (
+            vectorized.candidates_evaluated, vectorized.candidates_pruned
+        ) == (scalar.candidates_evaluated, scalar.candidates_pruned)
 
 
 def test_vectorized_offers_populate_supplied_cache():

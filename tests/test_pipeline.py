@@ -3,14 +3,14 @@ equivalence, and the PipelineSession facade."""
 
 import pytest
 
-from repro.dse import latency_lower_bound, map_network, objective_lower_bound, run_dse
+from repro.dse import map_network, run_dse
 from repro.dse.space import DseOptions, explore_hardware
 from repro.errors import DseError, ReproError
 from repro.estimator.calibration import get_calibration
 from repro.estimator.latency import estimate_layer, estimate_network
 from repro.ir import zoo
 from repro.pipeline import CacheStats, EvaluationCache, PipelineSession, layer_signature
-from test_dse_oracle import scalar_run_dse
+from test_dse_oracle import latency_lower_bound, objective_lower_bound, scalar_run_dse
 
 
 # -- cache keying and dedup ------------------------------------------------
@@ -215,14 +215,9 @@ class TestPruneBound:
         """Pruning with the tightened bound keeps the selection *and*
         the runner-up ranking byte-identical to brute force."""
         network = zoo.tiny_mlp()  # memory-bound: the new terms do prune
-        seed = run_dse(
-            pynq, network,
-            DseOptions(objective=objective, use_cache=False, prune=False),
-        )
-        fast = run_dse(
-            pynq, network,
-            DseOptions(objective=objective, prune=True, best_first=True),
-        )
+        options = DseOptions(objective=objective)
+        seed = scalar_run_dse(pynq, network, options, prune=False)
+        fast = run_dse(pynq, network, options)
         assert fast.candidates_pruned > 0
         assert _design_point(fast) == _design_point(seed)
         assert [_design_point(r) for r in fast.runners_up] == [
@@ -230,10 +225,7 @@ class TestPruneBound:
         ]
 
 
-# -- DSE equivalence: cached / pruned vs brute force ----------------------
-
-
-BRUTE_FORCE = DseOptions(use_cache=False, prune=False)
+# -- DSE equivalence: the one search vs brute force ----------------------
 
 
 def _design_point(result):
@@ -246,11 +238,9 @@ class TestDseEquivalence:
     )
     def test_pipeline_matches_brute_force_on_zoo(self, pynq, model):
         network = zoo.get_model(model)
-        seed = run_dse(pynq, network, BRUTE_FORCE)
-        fast = run_dse(
-            pynq, network,
-            DseOptions(use_cache=True, prune=True, best_first=True),
-        )
+        seed = scalar_run_dse(pynq, network, cache=EvaluationCache(),
+                              prune=False)
+        fast = run_dse(pynq, network)
         assert _design_point(fast) == _design_point(seed)
         assert [_design_point(r) for r in fast.runners_up] == [
             _design_point(r) for r in seed.runners_up
@@ -258,12 +248,9 @@ class TestDseEquivalence:
 
     def test_vgg16_full_sweep_vu9p(self, vu9p):
         network = zoo.vgg16()
-        seed = scalar_run_dse(
-            vu9p, network, DseOptions(frequency_mhz=167, **_brute_kwargs())
-        )
-        fast = run_dse(
-            vu9p, network, DseOptions(frequency_mhz=167, best_first=True)
-        )
+        options = DseOptions(frequency_mhz=167)
+        seed = scalar_run_dse(vu9p, network, options, prune=False)
+        fast = run_dse(vu9p, network, options)
         assert _design_point(fast) == _design_point(seed)
         assert fast.candidates_considered == seed.candidates_considered
         assert fast.candidates_pruned > 0
@@ -273,22 +260,21 @@ class TestDseEquivalence:
 
     def test_latency_objective_equivalence(self, pynq):
         network = zoo.tiny_cnn(input_size=32)
-        options = dict(objective="latency", top_k=3)
-        seed = run_dse(pynq, network, DseOptions(**options, **_brute_kwargs()))
-        fast = run_dse(pynq, network, DseOptions(**options, best_first=True))
+        options = DseOptions(objective="latency", top_k=3)
+        seed = scalar_run_dse(pynq, network, options, prune=False)
+        fast = run_dse(pynq, network, options)
         assert _design_point(fast) == _design_point(seed)
         assert [_design_point(r) for r in fast.runners_up] == [
             _design_point(r) for r in seed.runners_up
         ]
 
-    def test_use_cache_false_wins_over_explicit_cache(self, pynq):
-        network = zoo.tiny_cnn(input_size=32)
-        cache = EvaluationCache()
-        result = run_dse(
-            pynq, network, DseOptions(use_cache=False), cache=cache
-        )
-        assert result.cache_stats is None
-        assert cache.stats.lookups == 0  # cache untouched
+    def test_fresh_cache_without_explicit_cache(self, pynq):
+        # Partition lookups always go through a cache: a fresh one
+        # when the caller passes none, counted all the same.
+        result = run_dse(pynq, zoo.tiny_cnn(input_size=32))
+        stats = result.cache_stats
+        assert stats.partition_misses > 0
+        assert stats.misses == stats.hits == 0  # partitions only
 
     def test_precomputed_candidates(self, pynq):
         from repro.dse import explore_hardware
@@ -327,10 +313,6 @@ class TestDseEquivalence:
         assert plain == cached
 
 
-def _brute_kwargs():
-    return dict(use_cache=False, prune=False)
-
-
 # -- eager DseOptions validation -------------------------------------------
 
 
@@ -356,8 +338,8 @@ class TestDseOptionsValidation:
             DseOptions(buffer_presets=(1024, 0, 1024))
 
     def test_valid_options_construct(self):
-        options = DseOptions(top_k=1, best_first=True)
-        assert options.top_k == 1 and options.best_first
+        options = DseOptions(top_k=1, objective="latency")
+        assert options.top_k == 1 and options.objective == "latency"
 
 
 # -- NetworkEstimate memoization -------------------------------------------

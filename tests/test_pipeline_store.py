@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import explore_hardware
+from repro.dse import explore_hardware, run_dse
+from repro.dse.space import DseOptions
 from repro.errors import ReproError
 from repro.estimator.calibration import get_calibration
 from repro.fpga import get_device
@@ -482,6 +483,19 @@ class TestSessionStore:
             cold.cfg, cold.mapping, cold.estimate
         )
         assert warm_session.close() == 0  # nothing new to persist
+
+    def test_sweep_computes_no_entry_twice(self, tmp_path, vu9p):
+        # A two-objective sweep over one shared cache: every miss
+        # computes a new entry, so the misses equal what the flush
+        # persists.
+        cache = EvaluationCache()
+        for objective in ("throughput", "latency"):
+            run_dse(vu9p, zoo.alexnet(), DseOptions(objective=objective),
+                    cache=cache)
+        stats = cache.stats
+        misses = stats.misses + stats.partition_misses
+        assert misses > 0
+        assert EvaluationStore(tmp_path).flush(cache) == misses
 
     def test_store_accepts_instance(self, tmp_path, pynq):
         store = EvaluationStore(tmp_path)

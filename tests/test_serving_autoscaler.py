@@ -497,6 +497,35 @@ class TestTraceReplay:
             source.arrivals.tolist()
         )
 
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_shaped_trace_equals_the_list_construction(self, tagged):
+        from repro.serving.traffic import (
+            FlashCrowd,
+            shape_arrivals,
+            shaped_trace,
+        )
+
+        tenants = ["a", "b", "a", "c", "a", "b"] if tagged else None
+        source = TraceSource([0.0, 0.001, 0.004, 0.004, 0.01, 0.02],
+                             time_scale=0.5, loop=3, tenants=tenants)
+        shapes = [FlashCrowd(amplitude=3.0, at=0.01, width_s=0.005)]
+        shaped = shaped_trace(source, shapes)
+        # The construction through lists: the warped instants as a
+        # list and every tag, rebuilt by the public constructor.
+        expected = TraceSource(
+            shape_arrivals(source.arrivals, shapes),
+            name=f"{source.name}+shaped",
+            tenants=source.tags,
+        )
+        assert hexes(shaped.arrivals.tolist()) == hexes(
+            expected.arrivals.tolist()
+        )
+        assert shaped.tags == expected.tags
+        assert shaped.tenanted is expected.tenanted is tagged
+        assert (shaped.name, shaped.time_scale, shaped.loop) == (
+            expected.name, 0.5, 3
+        )
+
     def test_serves_like_the_equivalent_request_list(self, pool4):
         source = TraceSource([0.0, 0.001, 0.002, 0.003], loop=2)
         _, from_source = serve(pool4, source, None)

@@ -511,3 +511,34 @@ class TestServeCli:
         ])
         assert rc == 0
         assert "engine: kernel" in capsys.readouterr().out
+
+
+class TestSingleTenantSummary:
+    def test_export_selects_the_latency_column_once(
+        self, session, monkeypatch
+    ):
+        """One served tenant holds the whole latency column, so its
+        breakdown reuses the global summary: ``to_dict()`` runs one
+        percentile selection on either engine, and the tenant's mean,
+        p50 and p99 are the global ones bit for bit."""
+        from repro.serving import metrics
+
+        server = ShardServer(ShardPool.replicate(session, 2))
+        spec = plain(make_requests("poisson", 400, qps=5000.0, seed=11))
+        for report in serve_both(server, spec):
+            calls = []
+            selection = metrics.percentiles
+
+            def counted(values, qs):
+                calls.append(tuple(qs))
+                return selection(values, qs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "percentiles", counted)
+                payload = report.to_dict()
+            assert calls == [(50, 90, 99)]
+            (tenant,) = payload["tenants"].values()
+            assert tenant["count"] == payload["count"] == 400
+            for stat in ("mean", "p50", "p99"):
+                key = f"{stat}_latency_s"
+                assert tenant[key].hex() == payload[key].hex()

@@ -317,23 +317,6 @@ class TestTenantServing:
         for tiers in by_batch.values():
             assert len(tiers) == 1, "a batch mixed incompatible tiers"
 
-    def test_shared_mode_mixes(self, session):
-        pool = ShardPool.replicate(session, 2)
-        tenants = TenantSet([
-            TenantSpec("fast", weight=3.0),
-            TenantSpec("bulk", tier="batch"),
-        ])
-        report = ShardServer(pool).run(WorkloadSpec(
-            traffic=[
-                Request(0, 0.0, tenant="fast"),
-                Request(1, 0.0, tenant="bulk"),
-            ],
-            batcher=BatcherOptions(max_batch=2, tenant_mode="shared"),
-            tenants=tenants,
-        ))
-        sizes = {record.batch_size for record in report.records}
-        assert sizes == {2}
-
     def test_admission_cap_sheds_and_accounts(self, session):
         pool = ShardPool.replicate(session, 1)
         tenants = TenantSet([TenantSpec("bulk", max_outstanding=2)])
