@@ -15,6 +15,12 @@ Handshake-FIFO flags are attached exactly as Section 4.1 describes:
 consumers wait for data tokens, producers wait for free tokens, and the
 last consumer of a ping-pong half releases it.
 
+Each layer's stream comes out of one pass of numpy index arithmetic over
+its row, k and c group tables (:func:`_emit_layer`); no Python object is
+made per instruction.  A segment's :class:`~repro.isa.program.Program`
+holds the instructions as columns, and the host-side descriptors the
+simulator reads as a :class:`~repro.isa.program.DescriptorTable`.
+
 Non-accelerator operations (flatten, overlapping pooling, stand-alone
 ReLU) become host steps between accelerator program segments — the
 heterogeneous task-partitioning story of the paper's introduction.
@@ -39,13 +45,19 @@ from repro.ir.layers import (
     MaxPool2D,
     ReLU,
 )
+from repro.isa.encoding import ROW_FIELDS
 from repro.isa.instructions import DeptFlag, Opcode
-from repro.isa.program import Program
+from repro.isa.program import (
+    COLUMNS,
+    ROW_WIDTH,
+    DescriptorTable,
+    LayerConstants,
+    LayerMarker,
+    Program,
+)
 from repro.mapping.partition import (
     LayerPartition,
-    c_groups,
     fused_pool_for,
-    k_groups,
     partition_layer,
     row_groups,
 )
@@ -152,7 +164,7 @@ def _consumer_layout(network: Network, index: int,
     return layouts.SPAT
 
 
-# Plain-int opcodes and DEPT_FLAG bits for the emitter's hot path.
+# Plain-int opcodes and DEPT_FLAG bits for the emitter's column math.
 _LOAD_INP = int(Opcode.LOAD_INP)
 _LOAD_WGT = int(Opcode.LOAD_WGT)
 _LOAD_BIAS = int(Opcode.LOAD_BIAS)
@@ -165,190 +177,119 @@ _WAIT_FREE = int(DeptFlag.WAIT_FREE)
 _FREE_INP = int(DeptFlag.FREE_INP)
 _FREE_WGT = int(DeptFlag.FREE_WGT)
 
+# A segment is emitted into one int64 array of "cells", one column per
+# instruction: its opcode, its DEPT_FLAG bits, its fields (ROW_WIDTH
+# rows, in ROW_FIELDS order) and its descriptor values (COLUMNS order).
+_OP = 0
+_DEPT = 1
+_ROW = 2
+_VAL = _ROW + ROW_WIDTH
+_LOAD = {name: _ROW + i for i, name in enumerate(ROW_FIELDS[Opcode.LOAD_INP])}
+_CMP = {name: _ROW + i for i, name in enumerate(ROW_FIELDS[Opcode.COMP])}
+_SAV = {name: _ROW + i for i, name in enumerate(ROW_FIELDS[Opcode.SAVE])}
+_DESC = {name: _VAL + i for i, name in enumerate(COLUMNS)}
 
-class _Emitter:
-    """Per-segment emission state (FIFO half counters, descriptors).
 
-    Instructions go straight into the program's columns: each helper
-    appends its opcode, DEPT_FLAG bits and a row tuple in the layout's
-    field order (:data:`repro.isa.encoding.ROW_FIELDS`).
+class _Segment:
+    """One accelerator program segment under construction.
+
+    Layers are queued as the compiler reaches them (:meth:`add_layer`)
+    and emitted together by :meth:`finish`, straight into the segment's
+    cell array, which is allocated once at its final size.  The
+    ping-pong halves alternate across the layers of a segment, so
+    emission carries the three running counts they are parities of:
+    LOAD_INPs, LOAD_WGTs and flushing COMPs emitted so far.
     """
 
     def __init__(self, cfg: AcceleratorConfig):
         self.cfg = cfg
-        self.program = Program()
-        self.descriptors: Dict[int, dict] = {}
-        self.inp_half = 0
-        self.wgt_half = 0
-        self.out_half = 0
+        self.queued: List[tuple] = []
+        self.size = 0
+        self.emitted = 0
+        self.inp_loads = self.wgt_loads = self.flushes = 0
+        self.constants: List[LayerConstants] = []
+        self.markers: List[LayerMarker] = []
 
-    def _push(self, opcode: int, dept: int, row: tuple, desc: dict) -> int:
-        program = self.program
-        index = len(program.opcodes)
-        program.opcodes.append(opcode)
-        program.depts.append(dept)
-        program.rows.append(row)
-        self.descriptors[index] = desc
-        return index
+    def __len__(self) -> int:
+        return self.size
+
+    def add_layer(self, partition: LayerPartition, dataflow: str,
+                  *args) -> None:
+        """Queue one layer: its :func:`_emit_layer` arguments after
+        ``cfg``."""
+        gr = -(-partition.out_h // partition.rows_per_group)
+        gk = -(-partition.out_channels // partition.k_per_group)
+        gc = -(-partition.channels // partition.c_per_group)
+        if dataflow == "is" and gc > 1:
+            raise CompileError(
+                f"{partition.layer_name}: IS dataflow requires the whole "
+                f"strip depth on chip (GC={gc}); use WS"
+            )
+        self.size += _stream_length(dataflow, gk, gr, gc)
+        self.queued.append((partition, dataflow) + args)
 
     def finish(self) -> Program:
-        self.program.metadata["descriptors"] = self.descriptors
-        return self.program
-
-    # -- per-instruction helpers ---------------------------------------
-
-    def load_inp(self, *, src: FeatureMapSpec, y_start: int, rows: int,
-                 c0: int, c_count: int, pad_left: int, pad_right: int,
-                 partition: LayerPartition) -> int:
-        """Emit LOAD_INP for an input strip (rows may hang over the
-        feature's edge; the load manager zero-fills)."""
-        half = self.inp_half
-        self.inp_half ^= 1
-        pad_top = max(0, -y_start)
-        pad_bottom = max(0, y_start + rows - src.height)
-        rows_read = max(rows - pad_top - pad_bottom, 0)
-        c_vecs = -(-c_count // self.cfg.pi)
-        # buff_id, buff_base, dram_base, size_chan, size_rows, size_cols,
-        # pads_top, pads_bottom, pads_left, pads_right, wino_flag,
-        # wino_offset
-        row = (
-            half, 0, 0, c_vecs, rows_read, src.width,
-            pad_top, pad_bottom, pad_left, pad_right,
-            1 if src.layout == layouts.WINO else 0, 0,
+        self.cells = np.zeros((_VAL + len(COLUMNS), self.size), np.int64)
+        self.layer = np.empty(self.size, dtype=np.int64)
+        for args in self.queued:
+            _emit_layer(self, self.cfg, *args)
+        opcodes = self.cells[_OP]
+        table = DescriptorTable(
+            opcodes.copy(), self.layer, self.cells[_VAL:], self.constants
         )
-        desc = {
-            "kind": "load_inp",
-            "region": src.region,
-            "layout": src.layout,
-            "channels": src.channels,
-            "height": src.height,
-            "width": src.width,
-            "y_start": y_start,
-            "rows": rows,
-            "c0": c0,
-            "c_count": c_count,
-            "pad_left": pad_left,
-            "pad_right": pad_right,
-            "elems": rows_read * src.width * c_vecs * self.cfg.pi,
-            "half": half,
-        }
-        return self._push(_LOAD_INP, _WAIT_FREE | _EMIT, row, desc)
+        return Program.from_columns(
+            opcodes, self.cells[_DEPT], self.cells[_ROW:_VAL].T,
+            markers=self.markers, metadata={"descriptors": table},
+        )
 
-    def load_wgt(self, *, layer_name: str, slot, partition: LayerPartition,
-                 mode: str) -> int:
-        half = self.wgt_half
-        self.wgt_half ^= 1
-        k_vecs = -(-slot.k_count // self.cfg.po)
-        c_vecs = -(-slot.c_count // self.cfg.pi)
-        coeff_rows, coeff_cols = (
-            (self.cfg.pt, self.cfg.pt) if mode == "wino" else partition.kernel
-        )
-        row = (
-            half, 0, 0, k_vecs * c_vecs, coeff_rows, coeff_cols,
-            0, 0, 0, 0, 1 if mode == "wino" else 0, 0,
-        )
-        desc = {
-            "kind": "load_wgt",
-            "region": f"wgt:{layer_name}",
-            "offset": slot.offset,
-            "shape": slot.shape,
-            "elems": slot.elems,
-            "half": half,
-        }
-        return self._push(_LOAD_WGT, _WAIT_FREE | _EMIT, row, desc)
 
-    def load_bias(self, *, layer_name: str, count: int) -> int:
-        row = (0, 0, 0, -(-count // self.cfg.po), 1, 1, 0, 0, 0, 0, 0, 0)
-        desc = {
-            "kind": "load_bias",
-            "region": f"bias:{layer_name}",
-            "count": count,
-            "elems": count,
-        }
-        return self._push(_LOAD_BIAS, 0, row, desc)
+def _stream_length(dataflow: str, gk: int, gr: int, gc: int) -> int:
+    """Instructions of one layer's stream, its LOAD_BIAS included."""
+    if dataflow == "is":
+        return 1 + gr * (1 + 3 * gk)
+    if gc == 1:
+        return 1 + gk * (1 + 3 * gr)
+    return 1 + gk * gr * (3 * gc + 1)
 
-    def comp(self, *, partition: LayerPartition, k0: int, k_count: int,
-             c0: int, c_count: int, out_w: int, rows_out: int,
-             wait_inp: bool, free_inp: bool, wait_wgt: bool, free_wgt: bool,
-             clear: bool, flush: bool, relu: bool, quan_param: int,
-             inp_half: int, wgt_half: int, wgt_scales=None) -> int:
-        dept = (
-            (_WAIT_INP if wait_inp else 0)
-            | (_FREE_INP if free_inp else 0)
-            | (_WAIT_WGT if wait_wgt else 0)
-            | (_FREE_WGT if free_wgt else 0)
-        )
-        out_half = self.out_half
-        if flush:
-            dept |= _EMIT | _WAIT_FREE
-            self.out_half ^= 1
-        wino = partition.mode == "wino"
-        # buff_id, inp/out/wgt_buff_base, iw_number, ic_number,
-        # oc_number, stride_size, relu_flag, quan_param, wino_flag,
-        # wino_offset, accum_clear, accum_flush, inp/wgt/out_buff_id
-        row = (
-            0, 0, 0, 0, out_w, -(-c_count // self.cfg.pi),
-            -(-k_count // self.cfg.po), partition.stride,
-            1 if (relu and flush) else 0, quan_param, 1 if wino else 0, 0,
-            1 if clear else 0, 1 if flush else 0,
-            inp_half, wgt_half, out_half,
-        )
-        desc = {
-            "kind": "comp",
-            "mode": partition.mode,
-            "stride": partition.stride,
-            "blocks": partition.blocks,
-            "kernel": partition.kernel,
-            "k0": k0,
-            "k_count": k_count,
-            "c0": c0,
-            "c_count": c_count,
-            "out_w": out_w,
-            "rows_out": rows_out,
-            "relu": relu and flush,
-            "clear": clear,
-            "flush": flush,
-            "inp_half": inp_half,
-            "wgt_half": wgt_half,
-            "out_half": out_half,
-            "wgt_scales": wgt_scales,
-        }
-        return self._push(_COMP, dept, row, desc)
 
-    def save(self, *, dst: FeatureMapSpec, partition: LayerPartition,
-             y0_out: int, rows_valid: int, k0: int, k_count: int,
-             pool: int, out_half: int) -> int:
-        rows_dst = rows_valid // pool if pool > 1 else rows_valid
-        k_vecs = -(-k_count // self.cfg.po)
-        # buff_id, buff_base, dram_base, size_chan, size_rows, size_cols,
-        # wino_flag, dst_wino_flag, pool_size, iw/oc/ow_blk_number
-        row = (
-            out_half, 0, 0, k_vecs,
-            max(rows_dst, 1) if pool > 1 else rows_valid, dst.width,
-            1 if partition.mode == "wino" else 0,
-            1 if dst.layout == layouts.WINO else 0,
-            pool, 1, k_vecs, max(1, dst.width // 255 + 1),
+def _loop_nest(cells: np.ndarray, dataflow: str, gk: int, gr: int, gc: int):
+    """Views of one layer's LOAD_INP, LOAD_WGT, COMP and SAVE cells.
+
+    ``cells`` holds the layer's instructions in stream order, LOAD_BIAS
+    first.  Each view has shape ``(len(cells), GK or 1, GR or 1, GC or
+    1)``: the instructions of one opcode laid out on the (k group, row
+    group, c group) grid.  Each nest repeats one body per outer
+    iteration:
+
+    * IS, per row group: LOAD_INP, then per k group LOAD_WGT, COMP,
+      SAVE;
+    * WS with GC = 1, per k group: LOAD_WGT, then per row group
+      LOAD_INP, COMP, SAVE;
+    * WS with GC > 1, per (k group, row group): per c group LOAD_WGT,
+      LOAD_INP, COMP; then SAVE.
+    """
+    x = len(cells)
+    if dataflow == "is":
+        body = cells[:, 1:].reshape(x, gr, 1 + 3 * gk)
+        wgt, comp, save = (
+            body[:, :, 1:].reshape(x, gr, gk, 3).transpose(3, 0, 2, 1)[..., None]
         )
-        desc = {
-            "kind": "save",
-            "region": dst.region,
-            "dst_layout": dst.layout,
-            "dst_channels": dst.channels,
-            "dst_height": dst.height,
-            "dst_width": dst.width,
-            "y0_out": y0_out,
-            "rows_valid": rows_valid,
-            "k0": k0,
-            "k_count": k_count,
-            "pool": pool,
-            "elems": max(k_vecs * self.cfg.po * rows_dst * dst.width, 0),
-            "half": out_half,
-        }
-        return self._push(_SAVE, _WAIT_INP | _FREE_INP, row, desc)
+        return body[:, None, :, :1], wgt, comp, save
+    if gc == 1:
+        body = cells[:, 1:].reshape(x, gk, 1 + 3 * gr)
+        inp, comp, save = (
+            body[:, :, 1:].reshape(x, gk, gr, 3).transpose(3, 0, 1, 2)[..., None]
+        )
+        return inp, body[:, :, None, :1], comp, save
+    body = cells[:, 1:].reshape(x, gk, gr, 3 * gc + 1)
+    wgt, inp, comp = (
+        body[..., :-1].reshape(x, gk, gr, gc, 3).transpose(4, 0, 1, 2, 3)
+    )
+    return inp, wgt, comp, body[..., -1:]
 
 
 def _emit_layer(
-    em: _Emitter,
+    segment: _Segment,
     cfg: AcceleratorConfig,
     partition: LayerPartition,
     dataflow: str,
@@ -359,149 +300,183 @@ def _emit_layer(
     pool: int,
     quan_param: int,
 ) -> None:
-    """Emit one layer's instruction stream (IS or WS loop order)."""
-    rgroups = row_groups(partition)
-    kgroups = k_groups(partition)
-    cgroups = c_groups(partition)
-    gc = len(cgroups)
-    if dataflow == "is" and gc > 1:
-        raise CompileError(
-            f"{partition.layer_name}: IS dataflow requires the whole "
-            f"strip depth on chip (GC={gc}); use WS"
-        )
+    """Emit one layer's instruction stream (IS or WS loop order) into
+    the segment's cells.
 
-    start = len(em.program)
-    em.load_bias(layer_name=partition.layer_name, count=partition.out_channels)
+    No Python object is made per instruction.  :func:`_loop_nest` views
+    each opcode's instructions as a (k, row, c) group grid, so every
+    field and descriptor value is one assignment of the group tables
+    broadcast over that grid.  A buffer half is the parity of its
+    running load (or flush) count, carried across the segment's layers;
+    a COMP waits for a shared buffer on the first COMP of its group and
+    frees it on the last; LOAD_WGT offsets and sizes are the packed
+    weights' (k-group, c-group) directory, broadcast over the row groups.
+    """
+    rgroups = np.array(row_groups(partition), dtype=np.int64).reshape(-1, 2)
+    gr, gk, gc = len(rgroups), len(packed.k_groups), len(packed.c_groups)
+    start = segment.emitted
+    end = start + _stream_length(dataflow, gk, gr, gc)
+    cells = segment.cells[:, start:end]
+    inp, wgt, comp, save = _loop_nest(cells, dataflow, gk, gr, gc)
+    segment.layer[start:end] = len(segment.constants)
 
-    def in_row_start(y0_out: int) -> int:
-        return y0_out * partition.stride - partition.padding
+    # The group tables and indices, broadcast over the (k, row, c) grid.
+    k0, k_count = packed.k_groups.T[:, :, None, None]
+    y0, rows_valid = rgroups.T[:, None, :, None]
+    c0, c_count = packed.c_groups.T[:, None, None, :]
+    k = np.arange(gk)[:, None, None]
+    r = np.arange(gr)[None, :, None]
+    c = np.arange(gc)[None, None, :]
+    k_vecs = -(-k_count // cfg.po)
+    c_vecs = -(-c_count // cfg.pi)
+    wino = 1 if partition.mode == "wino" else 0
+    clear = c == 0
+    flush = c == gc - 1
 
+    # Ping-pong halves: parities of running counts, carried over from
+    # the segment's earlier layers.  Within the layer, an instruction's
+    # count is its rank in loop order.  A LOAD writes the half of its
+    # own count; a COMP reads the halves of the latest loads and fills
+    # the output half its group's flush leaves, which its SAVE drains.
     if dataflow == "is":
-        (c0, cc), = cgroups
-        for (y0, rows) in rgroups:
-            li = em.load_inp(
-                src=src,
-                y_start=in_row_start(y0),
-                rows=partition.strip_rows,
-                c0=c0,
-                c_count=cc,
-                pad_left=partition.padding,
-                pad_right=partition.padding,
-                partition=partition,
-            )
-            inp_half = em.descriptors[li]["half"]
-            for kg_idx, (k0, kc) in enumerate(kgroups):
-                slot = packed.slot(k0, c0)
-                lw = em.load_wgt(
-                    layer_name=partition.layer_name,
-                    slot=slot,
-                    partition=partition,
-                    mode=partition.mode,
-                )
-                wgt_half = em.descriptors[lw]["half"]
-                em.comp(
-                    partition=partition,
-                    k0=k0,
-                    k_count=kc,
-                    c0=c0,
-                    c_count=cc,
-                    out_w=partition.out_w,
-                    rows_out=partition.rows_per_group,
-                    wait_inp=(kg_idx == 0),
-                    free_inp=(kg_idx == len(kgroups) - 1),
-                    wait_wgt=True,
-                    free_wgt=True,
-                    clear=True,
-                    flush=True,
-                    relu=relu,
-                    quan_param=quan_param,
-                    inp_half=inp_half,
-                    wgt_half=wgt_half,
-                    wgt_scales=packed.scales,
-                )
-                out_half = em.descriptors[len(em.program) - 1]["out_half"]
-                em.save(
-                    dst=dst,
-                    partition=partition,
-                    y0_out=y0,
-                    rows_valid=rows,
-                    k0=k0,
-                    k_count=kc,
-                    pool=pool,
-                    out_half=out_half,
-                )
-    else:  # ws
-        for (k0, kc) in kgroups:
-            if gc == 1:
-                (c0, cc), = cgroups
-                lw = em.load_wgt(
-                    layer_name=partition.layer_name,
-                    slot=packed.slot(k0, c0),
-                    partition=partition,
-                    mode=partition.mode,
-                )
-                kg_wgt_half = em.descriptors[lw]["half"]
-            for ry_idx, (y0, rows) in enumerate(rgroups):
-                for cg_idx, (c0, cc) in enumerate(cgroups):
-                    if gc > 1:
-                        lw = em.load_wgt(
-                            layer_name=partition.layer_name,
-                            slot=packed.slot(k0, c0),
-                            partition=partition,
-                            mode=partition.mode,
-                        )
-                        wgt_half = em.descriptors[lw]["half"]
-                        wait_wgt = True
-                        free_wgt = True
-                    else:
-                        wgt_half = kg_wgt_half
-                        wait_wgt = ry_idx == 0
-                        free_wgt = ry_idx == len(rgroups) - 1
-                    li = em.load_inp(
-                        src=src,
-                        y_start=in_row_start(y0),
-                        rows=partition.strip_rows,
-                        c0=c0,
-                        c_count=cc,
-                        pad_left=partition.padding,
-                        pad_right=partition.padding,
-                        partition=partition,
-                    )
-                    inp_half = em.descriptors[li]["half"]
-                    em.comp(
-                        partition=partition,
-                        k0=k0,
-                        k_count=kc,
-                        c0=c0,
-                        c_count=cc,
-                        out_w=partition.out_w,
-                        rows_out=partition.rows_per_group,
-                        wait_inp=True,
-                        free_inp=True,
-                        wait_wgt=wait_wgt and cg_idx == 0 if gc == 1 else True,
-                        free_wgt=free_wgt and cg_idx == gc - 1 if gc == 1 else True,
-                        clear=(cg_idx == 0),
-                        flush=(cg_idx == gc - 1),
-                        relu=relu,
-                        quan_param=quan_param,
-                        inp_half=inp_half,
-                        wgt_half=wgt_half,
-                        wgt_scales=packed.scales,
-                    )
-                out_half = em.descriptors[len(em.program) - 1]["out_half"]
-                em.save(
-                    dst=dst,
-                    partition=partition,
-                    y0_out=y0,
-                    rows_valid=rows,
-                    k0=k0,
-                    k_count=kc,
-                    pool=pool,
-                    out_half=out_half,
-                )
-    em.program.mark_layer(
-        partition.layer_name, start, partition.mode, dataflow
+        inp_count = r
+        wgt_count = flush_count = r * gk + k
+    else:
+        flush_count = k * gr + r
+        inp_count = flush_count * gc + c
+        wgt_count = k if gc == 1 else inp_count
+    inp_half = (segment.inp_loads + inp_count) & 1
+    wgt_half = (segment.wgt_loads + wgt_count) & 1
+    out_half = (segment.flushes + flush_count) & 1
+    segment.inp_loads += inp[_OP].size
+    segment.wgt_loads += wgt[_OP].size
+    segment.flushes += save[_OP].size
+
+    # LOAD_BIAS
+    bias = cells[:, 0]
+    bias[_OP] = _LOAD_BIAS
+    bias[_LOAD["size_chan"]] = -(-partition.out_channels // cfg.po)
+    bias[_LOAD["size_rows"]] = bias[_LOAD["size_cols"]] = 1
+    bias[_DESC["count"]] = bias[_DESC["elems"]] = partition.out_channels
+
+    # LOAD_INP: a strip whose rows may hang over the feature's edge (the
+    # load manager zero-fills).
+    y_start = y0 * partition.stride - partition.padding
+    strip = partition.strip_rows
+    pad_top = np.maximum(0, -y_start)
+    pad_bottom = np.maximum(0, y_start + strip - src.height)
+    rows_read = np.maximum(strip - pad_top - pad_bottom, 0)
+    inp[_OP] = _LOAD_INP
+    inp[_DEPT] = _WAIT_FREE | _EMIT
+    inp[_LOAD["buff_id"]] = inp_half
+    inp[_LOAD["size_chan"]] = c_vecs
+    inp[_LOAD["size_rows"]] = rows_read
+    inp[_LOAD["size_cols"]] = src.width
+    inp[_LOAD["pads_top"]] = pad_top
+    inp[_LOAD["pads_bottom"]] = pad_bottom
+    inp[_LOAD["pads_left"]] = inp[_LOAD["pads_right"]] = partition.padding
+    inp[_LOAD["wino_flag"]] = 1 if src.layout == layouts.WINO else 0
+    inp[_DESC["y_start"]] = y_start
+    inp[_DESC["rows"]] = strip
+    inp[_DESC["c0"]] = c0
+    inp[_DESC["c_count"]] = c_count
+    inp[_DESC["elems"]] = rows_read * src.width * c_vecs * cfg.pi
+    inp[_DESC["half"]] = inp_half
+
+    # LOAD_WGT: its block of the packed (k-group, c-group) directory.
+    coeff_rows, coeff_cols = packed.block_shape[1:]
+    wgt[_OP] = _LOAD_WGT
+    wgt[_DEPT] = _WAIT_FREE | _EMIT
+    wgt[_LOAD["buff_id"]] = wgt_half
+    wgt[_LOAD["size_chan"]] = k_vecs * c_vecs
+    wgt[_LOAD["size_rows"]] = coeff_rows
+    wgt[_LOAD["size_cols"]] = coeff_cols
+    wgt[_LOAD["wino_flag"]] = wino
+    wgt[_DESC["offset"]] = packed.slot_offsets[:, None, :]
+    wgt[_DESC["elems"]] = packed.slot_elems[:, None, :]
+    wgt[_DESC["k_count"]] = k_count
+    wgt[_DESC["c_count"]] = c_count
+    wgt[_DESC["half"]] = wgt_half
+
+    # COMP: IS shares one input strip across the k groups and WS with
+    # GC = 1 one weight group across the row groups; the first COMP of
+    # such a group waits for the buffer and the last frees it.  Partial
+    # sums accumulate over the c groups and flush on the last.
+    shares_inp = dataflow == "is"
+    shares_wgt = dataflow == "ws" and gc == 1
+    relu_flag = flush & relu
+    comp[_OP] = _COMP
+    comp[_DEPT] = (
+        _WAIT_INP * ((k == 0) if shares_inp else 1)
+        | _FREE_INP * ((k == gk - 1) if shares_inp else 1)
+        | _WAIT_WGT * ((r == 0) if shares_wgt else 1)
+        | _FREE_WGT * ((r == gr - 1) if shares_wgt else 1)
+        | (_EMIT | _WAIT_FREE) * flush
     )
+    comp[_CMP["iw_number"]] = comp[_DESC["out_w"]] = partition.out_w
+    comp[_CMP["ic_number"]] = c_vecs
+    comp[_CMP["oc_number"]] = k_vecs
+    comp[_CMP["stride_size"]] = partition.stride
+    comp[_CMP["relu_flag"]] = comp[_DESC["relu"]] = relu_flag
+    comp[_CMP["quan_param"]] = quan_param
+    comp[_CMP["wino_flag"]] = wino
+    comp[_CMP["accum_clear"]] = comp[_DESC["clear"]] = clear
+    comp[_CMP["accum_flush"]] = comp[_DESC["flush"]] = flush
+    comp[_CMP["inp_buff_id"]] = comp[_DESC["inp_half"]] = inp_half
+    comp[_CMP["wgt_buff_id"]] = comp[_DESC["wgt_half"]] = wgt_half
+    comp[_CMP["out_buff_id"]] = comp[_DESC["out_half"]] = out_half
+    comp[_DESC["k0"]] = k0
+    comp[_DESC["k_count"]] = k_count
+    comp[_DESC["c0"]] = c0
+    comp[_DESC["c_count"]] = c_count
+    comp[_DESC["rows_out"]] = partition.rows_per_group
+
+    # SAVE: the output half of its group's flushing COMP.
+    rows_dst = rows_valid // pool if pool > 1 else rows_valid
+    save[_OP] = _SAVE
+    save[_DEPT] = _WAIT_INP | _FREE_INP
+    save[_SAV["buff_id"]] = save[_DESC["half"]] = out_half
+    save[_SAV["size_chan"]] = save[_SAV["oc_blk_number"]] = k_vecs
+    save[_SAV["size_rows"]] = (
+        np.maximum(rows_dst, 1) if pool > 1 else rows_valid
+    )
+    save[_SAV["size_cols"]] = dst.width
+    save[_SAV["wino_flag"]] = wino
+    save[_SAV["dst_wino_flag"]] = 1 if dst.layout == layouts.WINO else 0
+    save[_SAV["pool_size"]] = save[_DESC["pool"]] = pool
+    save[_SAV["iw_blk_number"]] = 1
+    save[_SAV["ow_blk_number"]] = max(1, dst.width // 255 + 1)
+    save[_DESC["y0_out"]] = y0
+    save[_DESC["rows_valid"]] = rows_valid
+    save[_DESC["k0"]] = k0
+    save[_DESC["k_count"]] = k_count
+    save[_DESC["elems"]] = np.maximum(k_vecs * cfg.po * rows_dst * dst.width, 0)
+
+    segment.constants.append(LayerConstants(
+        mode=partition.mode,
+        stride=partition.stride,
+        kernel=partition.kernel,
+        blocks=partition.blocks,
+        padding=partition.padding,
+        coeff_shape=(coeff_rows, coeff_cols),
+        src_region=src.region,
+        src_layout=src.layout,
+        src_channels=src.channels,
+        src_height=src.height,
+        src_width=src.width,
+        dst_region=dst.region,
+        dst_layout=dst.layout,
+        dst_channels=dst.channels,
+        dst_height=dst.height,
+        dst_width=dst.width,
+        wgt_region=f"wgt:{partition.layer_name}",
+        bias_region=f"bias:{partition.layer_name}",
+        wgt_scales=packed.scales,
+    ))
+    segment.markers.append(LayerMarker(
+        partition.layer_name, start, end, partition.mode, dataflow
+    ))
+    segment.emitted = end
 
 
 def _kernel_shape(layer, info, weight_shape: Tuple[int, ...]):
@@ -568,19 +543,19 @@ def compile_network(
     input_spec = current
     fmaps["in"] = current
 
-    em: Optional[_Emitter] = None
+    segment: Optional[_Segment] = None
 
-    def ensure_emitter() -> _Emitter:
-        nonlocal em
-        if em is None:
-            em = _Emitter(cfg)
-        return em
+    def open_segment() -> _Segment:
+        nonlocal segment
+        if segment is None:
+            segment = _Segment(cfg)
+        return segment
 
     def close_segment() -> None:
-        nonlocal em
-        if em is not None and len(em.program):
-            steps.append(AccelStep(program=em.finish()))
-        em = None
+        nonlocal segment
+        if segment is not None and len(segment):
+            steps.append(AccelStep(program=segment.finish()))
+        segment = None
 
     infos = list(network)
     skip = set()
@@ -638,10 +613,7 @@ def compile_network(
                 layout=dst_layout,
             )
             fmaps[layer.name] = dst
-            emitter = ensure_emitter()
-            _emit_layer(
-                emitter,
-                cfg,
+            open_segment().add_layer(
                 partition,
                 m.dataflow,
                 current,
@@ -649,7 +621,7 @@ def compile_network(
                 packed,
                 relu,
                 pool,
-                quan_param=cfg.feature_type.frac if options.quantize else 0,
+                cfg.feature_type.frac if options.quantize else 0,
             )
             current = dst
         elif isinstance(layer, ReLU):

@@ -42,8 +42,13 @@ class WeightGroupSlot:
 class PackedWeights:
     """One layer's weight image plus its group directory.
 
-    ``image`` may be empty when packed with ``data=False``;
-    ``total_elems`` always reflects the full image size.
+    The directory is columnar: ``k_groups`` / ``c_groups`` hold the
+    ``(first, count)`` of every output- and input-channel group (GK x 2,
+    GC x 2), and :attr:`slot_offsets` / :attr:`slot_elems` give every
+    (k-group, c-group) block's place in the image as GK x GC arrays.
+    :attr:`slots` lists the same blocks as :class:`WeightGroupSlot`
+    objects, built on first use.  ``image`` is empty when packed with
+    ``data=False``; :attr:`elems` always counts the full image.
 
     ``scales`` (Winograd + quantised only) holds one power-of-two
     factor per (decomposition block, tile row, tile col): transformed
@@ -57,13 +62,48 @@ class PackedWeights:
     layer_name: str
     mode: str
     image: np.ndarray  # flat float64 (already quantised values)
-    slots: List[WeightGroupSlot]
-    total_elems: int = 0
+    k_groups: np.ndarray  # (GK, 2) first output channel, count
+    c_groups: np.ndarray  # (GC, 2) first input channel, count
+    block_shape: Tuple[int, int, int]  # (blocks,) + coefficient shape
     scales: Optional[np.ndarray] = None  # (blocks, PT, PT) or None
+
+    @cached_property
+    def slot_elems(self) -> np.ndarray:
+        """Elements of every (k-group, c-group) block (GK x GC)."""
+        blocks, rows, cols = self.block_shape
+        counts = self.k_groups[:, 1, None] * self.c_groups[None, :, 1]
+        return blocks * counts * (rows * cols)
+
+    @cached_property
+    def slot_offsets(self) -> np.ndarray:
+        """Element offset of every block inside the layer's weight region
+        (GK x GC; the image is k-group-major)."""
+        elems = self.slot_elems.reshape(-1)
+        return (np.cumsum(elems) - elems).reshape(self.slot_elems.shape)
 
     @property
     def elems(self) -> int:
-        return self.total_elems or int(self.image.size)
+        return int(self.slot_elems.sum())
+
+    @cached_property
+    def slots(self) -> List[WeightGroupSlot]:
+        """The directory as one object per block, k-group-major."""
+        blocks, rows, cols = self.block_shape
+        return [
+            WeightGroupSlot(
+                k0=k0, k_count=k_count, c0=c0, c_count=c_count,
+                offset=offset, elems=elems,
+                shape=(blocks, k_count, c_count, rows, cols),
+            )
+            for (k0, k_count), k_offsets, k_elems in zip(
+                self.k_groups.tolist(),
+                self.slot_offsets.tolist(),
+                self.slot_elems.tolist(),
+            )
+            for (c0, c_count), offset, elems in zip(
+                self.c_groups.tolist(), k_offsets, k_elems
+            )
+        ]
 
     @cached_property
     def _slot_index(self) -> Dict[Tuple[int, int], WeightGroupSlot]:
@@ -153,31 +193,16 @@ def pack_weights(
     if data and weight_type is not None:
         stacked = weight_type.quantize(stacked)
 
-    pieces = []
-    slots = []
-    offset = 0
-    coeffs = coeff_shape[0] * coeff_shape[1]
-    for k0, k_count in k_groups(partition):
-        for c0, c_count in c_groups(partition):
-            elems = len(partition.blocks) * k_count * c_count * coeffs
-            slots.append(
-                WeightGroupSlot(
-                    k0=k0,
-                    k_count=k_count,
-                    c0=c0,
-                    c_count=c_count,
-                    offset=offset,
-                    elems=elems,
-                    shape=(len(partition.blocks), k_count, c_count)
-                    + coeff_shape,
-                )
-            )
-            if data:
-                # stream order: [block][k][c][coeff]
-                block = stacked[:, k0 : k0 + k_count, c0 : c0 + c_count]
-                pieces.append(np.ascontiguousarray(block).reshape(-1))
-            offset += elems
+    kgroups, cgroups = k_groups(partition), c_groups(partition)
     if data:
+        # stream order: [k-group][c-group][block][k][c][coeff]
+        pieces = [
+            np.ascontiguousarray(
+                stacked[:, k0 : k0 + k_count, c0 : c0 + c_count]
+            ).reshape(-1)
+            for k0, k_count in kgroups
+            for c0, c_count in cgroups
+        ]
         image = np.concatenate(pieces) if pieces else np.zeros(0)
     else:
         image = np.zeros(0)
@@ -185,8 +210,9 @@ def pack_weights(
         layer_name=partition.layer_name,
         mode=partition.mode,
         image=image,
-        slots=slots,
-        total_elems=offset,
+        k_groups=np.array(kgroups, dtype=np.int64).reshape(-1, 2),
+        c_groups=np.array(cgroups, dtype=np.int64).reshape(-1, 2),
+        block_shape=(len(partition.blocks),) + coeff_shape,
         scales=scales,
     )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from repro.analysis.report import Table
 from repro.experiments.common import paper_session
 from repro.ir import zoo
@@ -64,7 +66,9 @@ def run_instruction_stats(
                     mode=marker.mode,
                     dataflow=marker.dataflow,
                     instructions=len(opcodes),
-                    comp_instructions=opcodes.count(Opcode.COMP),
+                    comp_instructions=int(
+                        np.count_nonzero(opcodes == Opcode.COMP)
+                    ),
                     row_groups=part.n_row_groups,
                     k_groups=part.n_k_groups,
                     c_groups=part.n_c_groups,

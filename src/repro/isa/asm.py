@@ -108,10 +108,9 @@ def assemble_line(line: str) -> Instruction:
 
 def assemble(text: str) -> Program:
     """Parse a full assembly listing into a :class:`Program`."""
-    program = Program()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        program.append(assemble_line(line))
-    return program
+    lines = (raw.strip() for raw in text.splitlines())
+    return Program(
+        assemble_line(line)
+        for line in lines
+        if line and not line.startswith("#") and not line.startswith(";")
+    )

@@ -406,11 +406,14 @@ class TraceSource(EventSource):
             )
         if not np.isfinite(values).all():
             raise ServingError("trace arrivals must be finite")
-        # A stable sort keeps simultaneous arrivals in trace order.
-        order = np.argsort(values, kind="stable")
-        base = values[order]
-        origin = base[0]
-        scaled = (base - origin) * time_scale
+        # A stable sort keeps simultaneous arrivals in trace order.  An
+        # already sorted trace (a warped or re-wrapped replay) keeps its
+        # order as it is, tags included.
+        order = None
+        if (values[1:] < values[:-1]).any():
+            order = np.argsort(values, kind="stable")
+            values = values[order]
+        scaled = (values - values[0]) * time_scale
         span = float(scaled[-1])
         gap = span / (count - 1) if count > 1 else 0.0
         cycle = span + gap
@@ -430,7 +433,10 @@ class TraceSource(EventSource):
             self.tags = [DEFAULT_TENANT] * (count * loop)
             self.tenanted = False
         else:
-            base_tags = [tags[position] for position in order.tolist()]
+            base_tags = (
+                tags if order is None
+                else [tags[position] for position in order.tolist()]
+            )
             self.tags = base_tags * loop
             self.tenanted = any(tag != DEFAULT_TENANT for tag in base_tags)
 

@@ -69,7 +69,7 @@ from repro.arch.params import AcceleratorConfig
 from repro.fpga.device import FpgaDevice
 from repro.isa.encoding import ROW_FIELDS
 from repro.isa.instructions import DeptFlag, Opcode
-from repro.isa.program import Program
+from repro.isa.program import DescriptorTable, Program
 from repro.isa.validate import FIFO_DEPTH, FREE_PRELOAD
 from repro.sim.trace import TraceRecord
 from repro.winograd.reference import max_pool2d
@@ -118,7 +118,6 @@ _FIFOS: Tuple[Tuple[str, int, Opcode, DeptFlag, Opcode, DeptFlag], ...] = (
 _MAX_WAITS = 3
 
 _QUAN_PARAM = ROW_FIELDS[Opcode.COMP].index("quan_param")
-_COMP_FIELDS = itemgetter("k_count", "c_count", "out_w", "rows_out")
 
 
 @dataclass
@@ -257,14 +256,19 @@ class AcceleratorSimulator:
 
     # -- timing ------------------------------------------------------------
 
-    def _durations(self, opcodes: np.ndarray, descriptors) -> np.ndarray:
+    def _durations(
+        self, opcodes: np.ndarray, table: DescriptorTable
+    ) -> np.ndarray:
         """Cycles of every instruction, as column math per opcode.
 
         Loads and saves take ``ceil(max(elems * bytes / DDR bytes per
         cycle, elems / port lanes)) + DDR_FIXED_CYCLES``; COMP follows
-        the PE cycle model of :mod:`repro.arch.pe`.  The int64 columns
-        go through the same float operations, in the same order, as one
-        instruction's ints would, so every duration is exact.
+        the PE cycle model of :mod:`repro.arch.pe`.  Everything is read
+        from slices of the descriptor table's columns and gathers of its
+        per-layer constants: no Python object per instruction.  The
+        int64 columns go through the same float operations, in the same
+        order, as one instruction's ints would, so every duration is
+        exact.
         """
         cfg = self.cfg
         durations = np.empty(len(opcodes), dtype=np.int64)
@@ -274,26 +278,31 @@ class AcceleratorSimulator:
             (Opcode.LOAD_BIAS, self.weight_bytes, cfg.po),
             (Opcode.SAVE, self.feature_bytes, cfg.po * cfg.pt),
         )
+        all_elems = table.column("elems")
         for opcode, elem_bytes, lanes in ports:
             at = np.flatnonzero(opcodes == opcode)
-            elems = np.array(
-                [descriptors[i]["elems"] for i in at.tolist()], dtype=np.int64
-            )
+            elems = all_elems[at]
             ddr = elems * elem_bytes / self.bytes_per_cycle
             port = elems / lanes
             cycles = np.ceil(np.maximum(ddr, port)).astype(np.int64)
             durations[at] = np.where(elems > 0, cycles, 0) + DDR_FIXED_CYCLES
 
         at = np.flatnonzero(opcodes == Opcode.COMP)
-        descs = [descriptors[i] for i in at.tolist()]
-        k, c, out_w, rows = np.array(
-            [_COMP_FIELDS(desc) for desc in descs], dtype=np.int64
-        ).reshape(-1, 4).T
+        k, c, out_w, rows = (
+            table.column(name)[at]
+            for name in ("k_count", "c_count", "out_w", "rows_out")
+        )
+        layers = table.layers
+        layer = table.layer[at]
         r, s = np.array(
-            [desc["kernel"] for desc in descs], dtype=np.int64
-        ).reshape(-1, 2).T
-        blocks = np.array([len(desc["blocks"]) for desc in descs], dtype=np.int64)
-        wino = np.array([desc["mode"] == "wino" for desc in descs], dtype=bool)
+            [constants.kernel for constants in layers], dtype=np.int64
+        ).reshape(-1, 2)[layer].T
+        blocks = np.array(
+            [len(constants.blocks) for constants in layers], dtype=np.int64
+        )[layer]
+        wino = np.array(
+            [constants.mode == "wino" for constants in layers], dtype=bool
+        )[layer]
         durations[at] = np.where(
             wino,
             pe.winograd_cycles(cfg, k, c, -(-out_w // cfg.m)) * blocks,
@@ -370,16 +379,15 @@ class AcceleratorSimulator:
     def run(self, program: Program) -> SimulationResult:
         """Execute one program segment; returns timing (and, in
         functional mode, leaves the DRAM image updated)."""
-        descriptors = program.metadata.get("descriptors")
-        if descriptors is None:
+        table = program.metadata.get("descriptors")
+        if not isinstance(table, DescriptorTable):
             raise SimulationError(
                 "program has no descriptors; run a compiler-produced "
                 "program (binary round-trips drop host-side metadata)"
             )
-        opcodes = np.array(program.opcodes, dtype=np.int64)
-        depts = np.array(program.depts, dtype=np.int64)
-        durations = self._durations(opcodes, descriptors)
-        waits, failure = _match_fifos(opcodes, depts)
+        opcodes = program.opcodes
+        durations = self._durations(opcodes, table)
+        waits, failure = _match_fifos(opcodes, program.depts)
 
         read0 = self.dram.total_read_elems
         written0 = self.dram.total_written_elems
@@ -387,7 +395,7 @@ class AcceleratorSimulator:
             # The replay stops at the first FIFO violation, so the data
             # moves up to it (and may fail earlier on its own).
             stop = len(program) if failure is None else failure[0]
-            self._move_data(program, descriptors, stop)
+            self._move_data(program, table, stop)
         if failure is not None:
             raise failure[1]
 
@@ -432,7 +440,7 @@ class AcceleratorSimulator:
                     finish=end,
                 )
                 for index, (opcode, begin, end) in enumerate(
-                    zip(program.opcodes, start.tolist(), finish_list)
+                    zip(opcodes.tolist(), start.tolist(), finish_list)
                 )
             ]
         return SimulationResult(
@@ -446,9 +454,12 @@ class AcceleratorSimulator:
             trace=trace_records,
         )
 
-    def _move_data(self, program: Program, descriptors, stop: int) -> None:
+    def _move_data(
+        self, program: Program, table: DescriptorTable, stop: int
+    ) -> None:
         """Functional mode: move and compute the data of instructions
-        ``0 .. stop - 1`` in program order."""
+        ``0 .. stop - 1`` in program order, building each one's
+        descriptor dict from the table as it goes."""
         cfg = self.cfg
         input_buf = PingPongBuffer("input", cfg.input_buffer_vecs)
         weight_buf = PingPongBuffer("weight", cfg.weight_buffer_vecs)
@@ -456,9 +467,10 @@ class AcceleratorSimulator:
         bias_buf: Optional[np.ndarray] = None
         accum: Optional[np.ndarray] = None
 
+        opcodes = program.opcodes.tolist()
         for idx in range(stop):
-            desc = descriptors[idx]
-            opcode = program.opcodes[idx]
+            desc = table[idx]
+            opcode = opcodes[idx]
             if opcode == Opcode.LOAD_INP:
                 strip = self._load_strip(desc)
                 input_buf.write(desc["half"], strip, strip.size // cfg.pi)
@@ -515,7 +527,7 @@ class AcceleratorSimulator:
                     out = accum
                     if desc["relu"]:
                         out = np.maximum(out, 0.0)
-                    if program.rows[idx][_QUAN_PARAM] > 0:
+                    if program.rows[idx, _QUAN_PARAM] > 0:
                         out = cfg.feature_type.quantize(out)
                     output_buf.write(
                         desc["out_half"], out, out.size // cfg.po

@@ -156,8 +156,12 @@ class TestHandshakeFlags:
 class TestMetadata:
     def test_descriptors_cover_program(self, cfg_pt4):
         program = compile_tiny(cfg_pt4).steps[0].program
-        descriptors = program.metadata["descriptors"]
-        assert set(descriptors) == set(range(len(program)))
+        table = program.metadata["descriptors"]
+        assert len(table) == len(program)
+        kinds = [table[index]["kind"] for index in range(len(table))]
+        assert kinds == [
+            Opcode(opcode).name.lower() for opcode in program.opcodes.tolist()
+        ]
 
     def test_fmap_layouts_follow_consumer_mode(self, cfg_pt4):
         from repro.arch import layouts

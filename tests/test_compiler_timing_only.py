@@ -61,7 +61,7 @@ def assert_same_compile(a, b) -> None:
     for name, packed in a.weights.items():
         other = b.weights[name]
         assert packed.slots == other.slots
-        assert packed.total_elems == other.total_elems
+        assert packed.elems == other.elems
         assert packed.image.size == other.image.size == 0
     assert list(a.biases) == list(b.biases)
     for name, bias in a.biases.items():

@@ -2,15 +2,19 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro.compiler import CompilerOptions
+from repro.compiler import CompilerOptions, compile_network
 from repro.dse.space import DseOptions
 from repro.errors import EncodingError
+from repro.experiments.common import paper_config
 from repro.ir import zoo
 from repro.isa import Comp, LoadInp, LoadWgt, Program, Save, validate_program
 from repro.isa.instructions import DeptFlag, Opcode
+from repro.mapping import NetworkMapping
 from repro.pipeline import PipelineSession
+from repro.runtime import generate_parameters
 
 
 def sample_program():
@@ -77,10 +81,11 @@ class TestProgram:
 
     def test_columns_hold_the_stream(self):
         program = sample_program()
-        assert program.opcodes == [
+        assert program.opcodes.tolist() == [
             Opcode.LOAD_INP, Opcode.LOAD_WGT, Opcode.COMP, Opcode.SAVE,
         ]
-        assert program.rows[1][:4] == (0, 0, 0, 8)  # buff_id .. size_chan
+        assert program.rows[1, :4].tolist() == [0, 0, 0, 8]  # buff_id ..
+        assert not program.rows[1, 12:].any()  # zero past LOAD's 12 fields
         assert Program(program.instructions) == Program(program)
 
     def test_instructions_snapshot_is_immutable(self):
@@ -114,6 +119,62 @@ class TestProgram:
         assert program[::-1][0] == program[3]
 
 
+def packed_program() -> Program:
+    """tiny_cnn (Winograd, WS) on the PYNQ-Z1 paper configuration,
+    packed and quantised: its descriptors carry weight-scale arrays."""
+    cfg, _ = paper_config("pynq-z1")
+    net = zoo.tiny_cnn()
+    compiled = compile_network(
+        net, cfg, NetworkMapping.uniform(net, "wino", "ws"),
+        generate_parameters(net, seed=1), CompilerOptions(),
+    )
+    return compiled.programs()[0]
+
+
+def _edit_field(program: Program) -> None:
+    index = int(np.flatnonzero(program.opcodes == Opcode.LOAD_INP)[0])
+    program[index] = replace(
+        program[index], size_rows=program[index].size_rows + 1
+    )
+
+
+def _edit_dept(program: Program) -> None:
+    index = int(np.flatnonzero(program.opcodes == Opcode.COMP)[0])
+    flag = program[index].dept_flag ^ DeptFlag.FREE_WGT
+    program[index] = replace(program[index], dept_flag=flag)
+
+
+def _edit_descriptor(program: Program) -> None:
+    table = program.metadata["descriptors"]
+    table.update(len(table) - 1, elems=table[len(table) - 1]["elems"] + 1)
+
+
+def _edit_scales(program: Program) -> None:
+    scales = program.metadata["descriptors"].layers[0].wgt_scales
+    scales[0, 0, 0] *= 2
+
+
+class TestEquality:
+    def test_independent_packed_compiles_are_equal(self):
+        first, second = packed_program(), packed_program()
+        scales = [
+            constants.wgt_scales
+            for constants in first.metadata["descriptors"].layers
+        ]
+        assert all(isinstance(array, np.ndarray) for array in scales)
+        assert first == second
+        assert not first != second
+
+    @pytest.mark.parametrize("edit", [
+        _edit_field, _edit_dept, _edit_descriptor, _edit_scales,
+    ])
+    def test_one_edit_makes_them_unequal(self, edit):
+        first, second = packed_program(), packed_program()
+        edit(second)
+        assert first != second
+        assert not first == second
+
+
 TIMING_ONLY = CompilerOptions(quantize=True, pack_data=False)
 
 
@@ -129,8 +190,8 @@ def test_zoo_streams_encode(model, device):
     )
     for program in session.compiled().programs():
         back = Program.from_bytes(program.to_bytes())
-        assert back.opcodes == program.opcodes
-        assert back.depts == program.depts
-        assert back.rows == program.rows
+        assert np.array_equal(back.opcodes, program.opcodes)
+        assert np.array_equal(back.depts, program.depts)
+        assert np.array_equal(back.rows, program.rows)
         report = validate_program(program)
         assert report.ok, str(report)

@@ -433,6 +433,8 @@ class TestTraceReplay:
     def test_loop_equals_the_per_arrival_construction(
         self, arrivals, time_scale, loop, data
     ):
+        if data.draw(hst.booleans()):
+            arrivals = sorted(arrivals)  # a replay wrapped again
         tenants = data.draw(hst.none() | hst.lists(
             hst.sampled_from([DEFAULT_TENANT, "bulk", "interactive"]),
             min_size=len(arrivals), max_size=len(arrivals),
@@ -451,6 +453,22 @@ class TestTraceReplay:
         ]
         assert source.tags == tags
         assert source.tenanted is tenanted
+
+    @pytest.mark.parametrize("arrivals", [
+        [0.0, 0.5, 0.5, 2.0, 3.5],
+        [2.0, 0.5, 3.5, 0.5, 0.0],
+    ], ids=["sorted", "unsorted"])
+    def test_tags_follow_their_arrivals(self, arrivals):
+        """Sorted input keeps its order without a permutation; unsorted
+        input is sorted stably (ties keep trace order), tags along."""
+        tenants = ["a", "b", DEFAULT_TENANT, "c", "a"]
+        source = TraceSource(
+            arrivals, time_scale=0.5, loop=3, tenants=tenants
+        )
+        expected, tags, tenanted = self.looped(arrivals, 0.5, 3, tenants)
+        assert hexes(source.arrivals.tolist()) == hexes(expected)
+        assert source.tags == tags
+        assert source.tenanted is tenanted is True
 
     def test_epoch_timestamps_rebase(self):
         source = TraceSource([1690000000.0, 1690000001.0])

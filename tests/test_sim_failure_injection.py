@@ -82,17 +82,15 @@ class TestFailureInjection:
         cfg, device, net, compiled = setup
         from repro.arch.dram import ExternalMemoryModel
         from repro.isa.instructions import LoadInp
-        from repro.isa.program import Program
+        from repro.isa.program import DescriptorTable, Program
         from repro.sim.simulator import AcceleratorSimulator
 
-        program = Program()
-        descriptors = {}
-        for i in range(3):
-            program.append(
-                LoadInp(dept_flag=DeptFlag.EMIT, buff_id=i % 2)
-            )
-            descriptors[i] = {"kind": "load_inp", "elems": 16, "half": i % 2}
-        program.metadata["descriptors"] = descriptors
+        program = Program(
+            LoadInp(dept_flag=DeptFlag.EMIT, buff_id=i % 2) for i in range(3)
+        )
+        program.metadata["descriptors"] = DescriptorTable.from_columns(
+            program.opcodes, {"elems": 16, "half": [0, 1, 0]}
+        )
         dram = ExternalMemoryModel(1024, 1.0)
         sim = AcceleratorSimulator(cfg, device, dram, functional=False)
         with pytest.raises(SimulationError, match="overflow"):
@@ -103,8 +101,7 @@ class TestFailureInjection:
         program = compiled.steps[0].program
         idx = first_of(program, Opcode.COMP)
         corrupt(program, idx, accum_clear=0)
-        desc = program.metadata["descriptors"][idx]
-        program.metadata["descriptors"][idx] = dict(desc, clear=False)
+        program.metadata["descriptors"].update(idx, clear=False)
         with pytest.raises(SimulationError, match="accum"):
             run(compiled, device)
 
@@ -112,10 +109,9 @@ class TestFailureInjection:
         cfg, device, net, compiled = setup
         program = compiled.steps[0].program
         idx = first_of(program, Opcode.COMP)
-        desc = program.metadata["descriptors"][idx]
+        table = program.metadata["descriptors"]
         # Point the COMP at the never-written ping-pong half.
-        wrong = 1 - desc["inp_half"]
-        program.metadata["descriptors"][idx] = dict(desc, inp_half=wrong)
+        table.update(idx, inp_half=1 - table[idx]["inp_half"])
         with pytest.raises(SimulationError, match="before any write"):
             run(compiled, device)
 
@@ -123,8 +119,6 @@ class TestFailureInjection:
         cfg, device, net, compiled = setup
         program = compiled.steps[0].program
         idx = first_of(program, Opcode.LOAD_INP)
-        desc = program.metadata["descriptors"][idx]
-        huge = dict(desc, rows=10_000)
-        program.metadata["descriptors"][idx] = huge
+        program.metadata["descriptors"].update(idx, rows=10_000)
         with pytest.raises(SimulationError):
             run(compiled, device)

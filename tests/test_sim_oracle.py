@@ -37,7 +37,7 @@ from repro.experiments.figure6 import run_figure6
 from repro.fpga import get_device
 from repro.ir import zoo
 from repro.isa.instructions import INSTRUCTION_CLASSES, Comp, DeptFlag, Opcode
-from repro.isa.program import Program
+from repro.isa.program import DescriptorTable, LayerConstants, Program
 from repro.mapping import NetworkMapping
 from repro.pipeline import PipelineSession
 from repro.runtime import HostRuntime, generate_parameters
@@ -533,9 +533,12 @@ def _drop_emit(program: Program, index: int) -> int:
 
 def _unclear(program: Program, index: int) -> None:
     """Make COMP ``index`` continue an accumulation that never began."""
-    descriptors = dict(program.metadata["descriptors"])
-    descriptors[index] = dict(descriptors[index], clear=False)
-    program.metadata = dict(program.metadata, descriptors=descriptors)
+    shared = program.metadata["descriptors"]
+    table = DescriptorTable(
+        shared.kinds, shared.layer, shared.values.copy(), shared.layers
+    )
+    table.update(index, clear=False)
+    program.metadata = dict(program.metadata, descriptors=table)
 
 
 @pytest.mark.parametrize("case", ["data-first", "fifo-first", "same-instruction"])
@@ -566,18 +569,28 @@ def test_functional_failures_raise_in_program_order(case):
     assert messages[0] == messages[1]
 
 
-#: Descriptors that give any instruction a duration (timing-only runs
-#: read nothing else).
-GENERIC_DESCRIPTORS = {
-    Opcode.LOAD_INP: {"elems": 64},
-    Opcode.LOAD_WGT: {"elems": 576},
-    Opcode.LOAD_BIAS: {"elems": 16},
-    Opcode.COMP: {
-        "mode": "spat", "k_count": 4, "c_count": 4, "out_w": 4,
-        "rows_out": 2, "kernel": (3, 3), "blocks": ((0, 0),),
-    },
-    Opcode.SAVE: {"elems": 64},
+#: Transfer sizes that give any load or save a duration.
+GENERIC_ELEMS = {
+    Opcode.LOAD_INP: 64,
+    Opcode.LOAD_WGT: 576,
+    Opcode.LOAD_BIAS: 16,
+    Opcode.COMP: 0,
+    Opcode.SAVE: 64,
 }
+
+
+def generic_descriptors(opcodes) -> DescriptorTable:
+    """Descriptors that give any instruction a duration (timing-only
+    runs read nothing else): COMPs are 3x3 Spatial over 4 x 4 channels,
+    4 columns and 2 rows."""
+    return DescriptorTable.from_columns(
+        opcodes,
+        {
+            "elems": [GENERIC_ELEMS[opcode] for opcode in opcodes.tolist()],
+            "k_count": 4, "c_count": 4, "out_w": 4, "rows_out": 2,
+        },
+        LayerConstants(mode="spat", kernel=(3, 3)),
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -595,10 +608,7 @@ def test_random_streams_fail_alike(stream):
         INSTRUCTION_CLASSES[opcode](dept_flag=DeptFlag(bits))
         for opcode, bits in stream
     ])
-    program.metadata["descriptors"] = {
-        index: dict(GENERIC_DESCRIPTORS[opcode])
-        for index, (opcode, _) in enumerate(stream)
-    }
+    program.metadata["descriptors"] = generic_descriptors(program.opcodes)
     sim, _ = _small("tiny_cnn", "wino", "ws")
     assert_same_outcome(sim, program)
 
@@ -615,9 +625,7 @@ def test_first_error_within_one_comp(depts, message):
     COMP pops inp_data, wgt_data, out_free, then pushes out_data,
     inp_free, wgt_free."""
     program = Program([Comp(dept_flag=dept) for dept in depts])
-    program.metadata["descriptors"] = {
-        index: GENERIC_DESCRIPTORS[Opcode.COMP] for index in range(len(depts))
-    }
+    program.metadata["descriptors"] = generic_descriptors(program.opcodes)
     sim, _ = _small("tiny_cnn", "wino", "ws")
     for run in (AcceleratorSimulator.run, oracle_run):
         with pytest.raises(SimulationError, match=message):
