@@ -358,14 +358,13 @@ def _run_serve(
     from repro.serving import (
         BatcherOptions,
         ClosedLoopClientPool,
-        Request,
         ShardServer,
         TraceSource,
         WorkloadSpec,
         analytical_reference,
         assign_tenants,
         make_requests,
-        shape_arrivals,
+        shaped_requests,
         shaped_trace,
     )
 
@@ -415,13 +414,7 @@ def _run_serve(
         )
         traffic_label = f"{args.traffic} traffic"
         if shapes:
-            warped = shape_arrivals(
-                [request.arrival for request in traffic], shapes
-            )
-            traffic = [
-                Request(index=request.index, arrival=arrival)
-                for request, arrival in zip(traffic, warped)
-            ]
+            traffic = shaped_requests(traffic, shapes)
             traffic_label += " + " + ", ".join(
                 shape.describe() for shape in shapes
             )

@@ -36,7 +36,6 @@ from repro.serving import (
     Degrade,
     FlashCrowd,
     Outage,
-    Request,
     ServingReport,
     ShardPool,
     ShardServer,
@@ -46,7 +45,7 @@ from repro.serving import (
     WorkloadSpec,
     make_requests,
     run_sweep,
-    shape_arrivals,
+    shaped_requests,
 )
 
 REQUESTS = 64
@@ -89,13 +88,7 @@ def _serve(
 ) -> ServingReport:
     requests = make_requests("poisson", REQUESTS, qps=qps, seed=seed)
     if shapes:
-        arrivals = shape_arrivals(
-            [request.arrival for request in requests], shapes
-        )
-        requests = [
-            Request(index=request.index, arrival=arrival)
-            for request, arrival in zip(requests, arrivals)
-        ]
+        requests = shaped_requests(requests, shapes)
     return ShardServer(pool).run(WorkloadSpec(
         traffic=requests,
         policy=policy,

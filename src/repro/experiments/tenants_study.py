@@ -35,7 +35,7 @@ from repro.pipeline import EvaluationCache, PipelineSession
 from repro.serving import (
     BatcherOptions,
     FlashCrowd,
-    Request,
+    RequestStream,
     ServingReport,
     ShardPool,
     ShardServer,
@@ -45,7 +45,7 @@ from repro.serving import (
     WorkloadSpec,
     make_requests,
     merge_streams,
-    shape_arrivals,
+    shaped_requests,
 )
 
 SHARDS = 4
@@ -90,7 +90,7 @@ def interactive_target_s(pool: ShardPool) -> float:
     return TARGET_BATCHES * batch_s + MAX_WAIT_S
 
 
-def _traffic(pool: ShardPool, seed: int, flash: bool) -> List[Request]:
+def _traffic(pool: ShardPool, seed: int, flash: bool) -> RequestStream:
     rate = pool.simulated_images_per_second()
     interactive = make_requests(
         "poisson", INTERACTIVE_REQUESTS, qps=INTERACTIVE_LOAD * rate,
@@ -101,15 +101,11 @@ def _traffic(pool: ShardPool, seed: int, flash: bool) -> List[Request]:
         seed=seed + 1, tenant="bulk",
     )
     if flash:
-        arrivals = [request.arrival for request in bulk]
-        span = arrivals[-1] if arrivals[-1] > 0 else 1.0
-        warped = shape_arrivals(arrivals, [FlashCrowd(
+        last = float(bulk.arrivals[-1])
+        span = last if last > 0 else 1.0
+        bulk = shaped_requests(bulk, [FlashCrowd(
             amplitude=FLASH_AMPLITUDE, at=0.4 * span, width_s=0.1 * span,
         )])
-        bulk = [
-            Request(index=request.index, arrival=arrival, tenant="bulk")
-            for request, arrival in zip(bulk, warped)
-        ]
     return merge_streams(interactive, bulk)
 
 

@@ -57,7 +57,7 @@ from repro.serving.shard import Shard
 from repro.serving.sweep import map_pinned
 from repro.serving.traffic import (
     TRAFFIC_MODELS,
-    Request,
+    RequestStream,
     TraceSource,
     make_requests,
 )
@@ -279,8 +279,8 @@ class PlanOptions:
 
 def _materialise_workload(
     options: PlanOptions,
-) -> Tuple[List[Request], str]:
-    """The request list Tier A profiles and Tier B replays."""
+) -> Tuple[RequestStream, str]:
+    """The request stream Tier A profiles and Tier B replays."""
     if options.trace is not None:
         source = TraceSource.load(
             options.trace,
@@ -574,7 +574,7 @@ def plan_capacity(
     feasible_count = int(scores.feasible.sum())
 
     # -- Tier B: exact replay of the finalists ------------------------
-    arrivals = tuple(request.arrival for request in requests)
+    arrivals = requests.arrivals
     state = _ReplayState(
         kinds, arrivals, options.policy, max_wait_s,
         options.event_budget, options.slo_p99_s,

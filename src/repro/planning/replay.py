@@ -11,10 +11,10 @@ Parallelism is the sweep driver's pinned-payload pool,
 payload primes each worker once (:meth:`_ReplayState.from_payload`)
 with the network, every kind's resolved config and the replay knobs;
 workers then verify whichever finalist they pick up.  A finalist's
-result depends only on the finalist (the workload is a fixed,
-pre-materialised arrival list), results carry no wall-clock fields,
-and they come back in job order — so ``jobs=2`` replays
-byte-identically to ``jobs=1``.
+result depends only on the finalist (the workload is one fixed
+request stream, shared by every finalist uncopied), results carry no
+wall-clock fields, and they come back in job order — so ``jobs=2``
+replays byte-identically to ``jobs=1``.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import PlanningError
 from repro.numeric import left_sum
 from repro.serving.batcher import BatcherOptions
 from repro.serving.server import ShardServer
 from repro.serving.workload import WorkloadSpec
 from repro.serving.shard import Shard, ShardPool
-from repro.serving.traffic import Request
+from repro.serving.traffic import RequestStream
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,9 @@ class _ReplayState:
     def __init__(self, kinds, arrivals, policy, max_wait_s,
                  event_budget, slo_p99_s):
         self.kinds = kinds  # resolved DeviceKind sequence
-        self.requests = [
-            Request(index=index, arrival=arrival)
-            for index, arrival in enumerate(arrivals)
-        ]
+        #: The untagged replay workload, indices 0..N-1 over the
+        #: arrival column.
+        self.requests = RequestStream(np.arange(len(arrivals)), arrivals)
         self.policy = policy
         self.max_wait_s = max_wait_s
         self.event_budget = event_budget
@@ -108,7 +109,7 @@ class _ReplayState:
         # fast-forward engine's home turf, so engine="auto" selects it
         # and the row records which engine verified the plan.
         report = server.run(WorkloadSpec(
-            traffic=list(self.requests),
+            traffic=self.requests,
             policy=self.policy,
             batcher=BatcherOptions(
                 max_batch=job.max_batch, max_wait_s=self.max_wait_s

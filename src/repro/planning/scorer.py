@@ -47,6 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import PlanningError
+from repro.serving.traffic import RequestStream
 
 #: Prune reasons, indexable by the codes in :attr:`PlanScores.pruned`.
 #: Code 0 means "not pruned".
@@ -62,7 +63,7 @@ class ArrivalProfile:
 
     ``count`` requests at mean ``rate`` images/s, the last arriving
     ``last_arrival_s`` after the first.  Built from the *materialised*
-    request list (synthetic or trace replay), so the capacity bound
+    request stream (synthetic or trace replay), so the capacity bound
     sees the actual ``A_max``, not a model of it.
     """
 
@@ -89,11 +90,11 @@ class ArrivalProfile:
 
     @classmethod
     def from_requests(cls, requests) -> "ArrivalProfile":
-        """Profile of a materialised request list (sorted or not)."""
-        if not requests:
+        """Profile of a request stream or list (sorted or not)."""
+        arrivals = RequestStream.of(requests).arrivals
+        if not len(arrivals):
             raise PlanningError("arrival profile of an empty workload")
-        arrivals = [request.arrival for request in requests]
-        first, last = min(arrivals), max(arrivals)
+        first, last = float(arrivals.min()), float(arrivals.max())
         span = last - first
         count = len(arrivals)
         # Simultaneous arrivals (the "uniform" model) have no finite

@@ -102,6 +102,8 @@ from repro.serving.traffic import (
     FlashCrowd,
     OpenLoopSource,
     Request,
+    RequestStream,
+    TenantTags,
     TraceSource,
     load_tagged_trace,
     load_trace,
@@ -109,6 +111,7 @@ from repro.serving.traffic import (
     merge_streams,
     parse_shape,
     shape_arrivals,
+    shaped_requests,
     shaped_trace,
 )
 from repro.serving.workload import WorkloadSpec
@@ -157,6 +160,7 @@ __all__ = [
     "Request",
     "RequestColumns",
     "RequestRecord",
+    "RequestStream",
     "Restore",
     "RoundRobin",
     "run_sweep",
@@ -165,6 +169,7 @@ __all__ = [
     "SchedulingPolicy",
     "ServingReport",
     "shape_arrivals",
+    "shaped_requests",
     "shaped_trace",
     "Shard",
     "ShardDegrade",
@@ -187,6 +192,7 @@ __all__ = [
     "TenantBreakdown",
     "TenantSet",
     "TenantSpec",
+    "TenantTags",
     "THINK_DISTRIBUTIONS",
     "TRACE_FIELDS",
     "TraceSource",

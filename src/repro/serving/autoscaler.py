@@ -268,8 +268,9 @@ class AutoscalerController:
     # -- observation ------------------------------------------------------
 
     def _on_batch_done(self, kernel: EventKernel, event: BatchDone) -> None:
-        for record in event.records:
-            self._latencies.append(record.latency)
+        done = event.time
+        for request in event.requests:
+            self._latencies.append(done - request.arrival)
         if event.busy_delta > 0:
             self._busy.append((event.time, event.busy_delta))
 

@@ -46,7 +46,7 @@ from typing import (
 from repro.errors import ServingError
 from repro.serving.events import Arrival, EventKernel, Flush
 from repro.serving.tenancy import TenantSet
-from repro.serving.traffic import OpenLoopSource, Request
+from repro.serving.traffic import OpenLoopSource, Request, RequestStream
 
 #: A dispatch callback: ``(kernel, flush_time, batch)``.
 DispatchFn = Callable[[EventKernel, float, List[Request]], None]
@@ -248,14 +248,14 @@ class DynamicBatcher:
         through a private kernel with no shards attached — exactly the
         event sequence a full serve run would see.
         """
-        requests = list(requests)
-        if not requests:
+        stream = RequestStream.of(requests)
+        if not len(stream):
             return iter(())
         kernel = EventKernel()
         flushed: List[Tuple[float, List[Request]]] = []
         self.attach(
             kernel, lambda _k, at, batch: flushed.append((at, batch))
         )
-        OpenLoopSource(requests).prime(kernel)
+        OpenLoopSource(stream).prime(kernel)
         kernel.run()
         return iter(flushed)

@@ -52,12 +52,23 @@ never compared.  Events are ``slots=True`` dataclasses (no per-event
 back to the heap only when a handler schedules an event that must
 interleave with the batch.  None of this changes the event trace: the
 determinism tests pin pop order across both code paths.
+
+Open-loop arrivals do not sit in the heap before they are next.
+:meth:`EventKernel.push_sorted` takes them as one sorted *cursor*: it
+reserves the sequence numbers ``[s, s + n)`` that ``n`` eager pushes
+would have taken and counts the ``n`` events as live at once, and
+:meth:`~EventKernel.run` moves one instant's cursor items into the heap
+— each built then, keyed ``(time, priority, s + i)`` — only when that
+instant is due (no earlier heap entry).  Every item pops with the key
+an eager push would have given it, so the event trace, the
+``pending()`` counts the controllers read and ``events_processed`` are
+the eager prime's exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -65,13 +76,15 @@ from typing import (
     Dict,
     List,
     Optional,
+    Sequence,
     Type,
 )
+
+import numpy as np
 
 from repro.errors import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a cycle
-    from repro.serving.metrics import RequestRecord
     from repro.serving.traffic import Request
 
 
@@ -135,15 +148,20 @@ class BatchDone(Event):
 
     A batch of ``batch_size`` images round-robins over a shard's NI
     instances, so it completes in rounds: one ``BatchDone`` is emitted
-    per round, carrying the records that finish at that instant
-    (``final`` marks the last round).  ``busy_delta`` is the busy time
-    the shard accrued since the previous round — summed over a batch's
+    per round, carrying the round's slice of the batch's requests —
+    the ones that finish at ``time`` — with the batch's ``dispatched``
+    and ``started`` instants (``final`` marks the last round).  A
+    request's completion instant *is* ``time``, so its latency is
+    ``time - request.arrival``.  ``busy_delta`` is the busy time the
+    shard accrued since the previous round — summed over a batch's
     rounds it equals the batch makespan, and a mid-batch kill then
     counts exactly the work that actually completed.
     """
 
     shard: str = ""
-    records: List["RequestRecord"] = field(default_factory=list)
+    requests: Sequence["Request"] = ()
+    dispatched: float = 0.0
+    started: float = 0.0
     busy_delta: float = 0.0
     batch_size: int = 0
     first: bool = False
@@ -220,6 +238,8 @@ class EventKernel:
 
     * :meth:`push` schedules an event (never in the past) and returns a
       handle that :meth:`cancel` invalidates lazily;
+    * :meth:`push_sorted` schedules a sorted run of same-type events
+      through the cursor (see the module docstring);
     * :meth:`subscribe` registers a handler for one event type;
       handlers run in subscription order;
     * :meth:`run` pops events in ``(time, priority, sequence)`` order
@@ -233,6 +253,14 @@ class EventKernel:
         self._live: Dict[Type[Event], int] = {}
         self._pending = 0  # sum(self._live.values()), maintained O(1)
         self._handlers: Dict[Type[Event], List[Handler]] = {}
+        # The arrival cursor: sorted times, the next position not yet
+        # in the heap, the first reserved seq, the events' priority and
+        # the factory building item i's event.
+        self._cursor_times: List[float] = []
+        self._cursor_next = 0
+        self._cursor_seq = 0
+        self._cursor_priority = 0
+        self._cursor_make: Optional[Callable[[int, float], Event]] = None
         self.now = 0.0
         self.events_processed = 0
 
@@ -240,7 +268,8 @@ class EventKernel:
 
     def push(self, event: Event) -> _Entry:
         """Schedule ``event``; returns a cancellable handle."""
-        if event.time < self.now:
+        # ``not >=`` also rejects a NaN time, which would never pop.
+        if not event.time >= self.now:
             raise ServingError(
                 f"event {type(event).__name__} scheduled at {event.time} "
                 f"in the past (now {self.now})"
@@ -254,6 +283,66 @@ class EventKernel:
         self._live[kind] = self._live.get(kind, 0) + 1
         self._pending += 1
         return entry
+
+    def push_sorted(
+        self,
+        times: Sequence[float],
+        kind: Type[Event],
+        make: Callable[[int, float], Event],
+    ) -> None:
+        """Schedule ``len(times)`` events of type ``kind`` at the
+        non-decreasing ``times`` without building them yet.
+
+        ``make(i, times[i])`` builds item ``i``'s event when
+        :meth:`run` reaches its instant.  The items take the sequence
+        numbers ``n`` eager :meth:`push` calls would have taken and
+        count as live ``kind`` events from now on, so the run and every
+        :meth:`pending` read are an eager prime's.  Items cannot be
+        cancelled, and a kernel holds one cursor at a time.
+        """
+        if self._cursor_next < len(self._cursor_times):
+            raise ServingError("the kernel's arrival cursor is in use")
+        column = np.asarray(times, dtype=np.float64)
+        count = len(column)
+        if not count:
+            return
+        # ``>=`` is False on NaN, so this also rejects NaN times.
+        if not (
+            column[0] >= self.now and (column[1:] >= column[:-1]).all()
+        ):
+            raise ServingError(
+                f"sorted {kind.__name__} times must be non-decreasing "
+                f"and not in the past (now {self.now})"
+            )
+        self._cursor_times = column.tolist()
+        self._cursor_next = 0
+        self._cursor_seq = self._seq
+        self._cursor_priority = kind.priority
+        self._cursor_make = make
+        self._seq += count
+        self._live[kind] = self._live.get(kind, 0) + count
+        self._pending += count
+
+    def _feed_cursor(self) -> None:
+        """Move the cursor's next instant into the heap when no heap
+        entry precedes it."""
+        heap = self._heap
+        times = self._cursor_times
+        position = self._cursor_next
+        time = times[position]
+        if heap and heap[0][0] < time:
+            return
+        make = self._cursor_make
+        priority = self._cursor_priority
+        seq = self._cursor_seq
+        end = len(times)
+        push = heapq.heappush
+        while position < end and times[position] == time:
+            at = times[position]
+            push(heap, (at, priority, seq + position,
+                        _Entry(make(position, at))))
+            position += 1
+        self._cursor_next = position
 
     def cancel(self, entry: _Entry) -> None:
         """Invalidate a scheduled event (lazy: skipped when popped).
@@ -293,7 +382,7 @@ class EventKernel:
         pop = heapq.heappop
         processed = 0
         batch: List[tuple] = []
-        while heap or batch:
+        while True:
             if batch:
                 # A handler may have scheduled an event that sorts
                 # before the rest of the batch (same instant, lower
@@ -307,6 +396,14 @@ class EventKernel:
                 else:
                     item = batch.pop()
             else:
+                # Cursor times never decrease, so whatever pops next,
+                # every cursor item at or before its instant is in the
+                # heap by now — and a same-instant run is gathered
+                # whole before it dispatches.
+                if self._cursor_next < len(self._cursor_times):
+                    self._feed_cursor()
+                if not heap:
+                    break
                 item = pop(heap)
                 # Batch the whole same-instant run in one go: the
                 # common trace-replay case pops long runs of events
@@ -340,7 +437,7 @@ class EventKernel:
 
 
 class EventSource:
-    """Something that feeds the kernel: open-loop lists, closed-loop
+    """Something that feeds the kernel: open-loop streams, closed-loop
     client pools, failure scenarios.
 
     A source *primes* the kernel with its initial events and may react

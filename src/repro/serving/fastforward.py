@@ -1,6 +1,6 @@
 """Steady-state fast-forward replay: the serve loop without the heap.
 
-A plain open-loop run — a pre-materialised arrival list, no SLO
+A plain open-loop run — a pre-materialised arrival stream, no SLO
 controller, no autoscaler, no chaos scenario, no closed-loop clients —
 is a deterministic recurrence, not a discrete-event problem: nothing
 that happens *during* the run can change what happens next, so the
@@ -146,8 +146,8 @@ def ineligible_reason(server, source, scenario) -> Optional[str]:
 
 
 def _arrival_stream(source):
-    """``(arrivals, indices)`` in kernel delivery order, ``arrivals``
-    as one float64 array.
+    """``(arrivals, indices)`` in kernel delivery order, both as the
+    source's own read-only columns.
 
     Both eligible sources prime arrivals sorted by ``(arrival,
     index)``; ``indices`` is ``None`` when they are simply
@@ -156,13 +156,8 @@ def _arrival_stream(source):
     """
     if type(source) is TraceSource:
         return source.arrivals, None
-    requests = source.requests  # already (arrival, index)-sorted
-    return (
-        np.asarray(
-            [request.arrival for request in requests], dtype=np.float64
-        ),
-        [request.index for request in requests],
-    )
+    stream = source.requests  # already (arrival, index)-sorted
+    return stream.arrivals, stream.indices
 
 
 def _form_batches(array: np.ndarray, max_batch: int, max_wait_s: float):
@@ -484,8 +479,7 @@ def fastforward_serve(
     ) * per_image_array[request_shard]
 
     index_array = (
-        np.arange(count, dtype=np.int64) if indices is None
-        else np.asarray(indices, dtype=np.int64)
+        np.arange(count, dtype=np.int64) if indices is None else indices
     )
     if indices is not None:
         # The report holds requests in index order; trace indices are

@@ -12,9 +12,10 @@ call's :class:`~repro.serving.workload.WorkloadSpec`:
 * the **scheduler** picks an available shard per batch (its
   ``ShardDown``/``ShardUp`` handlers maintain availability);
 * each **shard** places the batch on its virtual timeline, and the
-  server emits one ``BatchDone`` per completion round — the events
-  that feed closed-loop clients, the SLO controller's latency window,
-  and the usage accounting;
+  server emits one ``BatchDone`` per completion round, carrying the
+  round's slice of the batch's requests — the events that feed
+  closed-loop clients, the SLO controller's latency window, and the
+  usage accounting;
 * an optional **SLO controller** sheds or reroutes dispatches while
   its windowed p99 estimate is breached;
 * an optional **autoscaler** drives the pool between min and max
@@ -33,6 +34,12 @@ same scenario/SLO options) ⇒ same :class:`ServingReport`, byte for
 byte.  Open-loop runs produce the exact flush/assign/execute sequence
 of the pre-kernel implementation.
 
+No per-request record exists during a run: the server keeps the
+completed rounds, and the report's
+:class:`~repro.serving.metrics.RequestColumns` are built from them once
+at the end (``np.repeat`` of each round's instants over its requests,
+then one argsort into request-index order).
+
 :func:`analytical_reference` computes the
 :class:`~repro.runtime.batch.BatchRunner` number the acceptance
 criterion compares against: the makespan of splitting the whole
@@ -45,7 +52,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Set, Union
+
+import numpy as np
 
 from repro.errors import ServingError
 from repro.numeric import left_sum
@@ -63,9 +73,9 @@ from repro.serving.chaos import ChaosScenario
 from repro.serving.fastforward import fastforward_serve, ineligible_reason
 from repro.serving.metrics import (
     RequestColumns,
-    RequestRecord,
     ServingReport,
     ShardUsage,
+    _encode,
 )
 from repro.serving.scheduler import (
     Scheduler,
@@ -79,10 +89,10 @@ from repro.serving.tenancy import TenantSet
 from repro.serving.traffic import OpenLoopSource, Request
 from repro.serving.workload import ENGINES, WorkloadSpec
 
-#: What a spec's ``traffic`` may be: an open-loop request list or one
-#: event source.  One source per run: request indices are the identity
-#: that keys completion bookkeeping, and independent sources would mint
-#: colliding indices.
+#: What a spec's ``traffic`` may be: open-loop requests (a stream or a
+#: list) or one event source.  One source per run: request indices are
+#: the identity that keys completion bookkeeping, and independent
+#: sources would mint colliding indices.
 Traffic = Union[Sequence[Request], EventSource]
 
 __all__ = [
@@ -135,7 +145,8 @@ class _ServeRun:
             AutoscalerController(server.autoscale)
             if server.autoscale is not None else None
         )
-        self.records: List[RequestRecord] = []
+        #: Completed rounds, in completion order: the report's source.
+        self.completed: List[BatchDone] = []
         self.usage: Dict[str, _Usage] = {
             shard.name: _Usage() for shard in server.pool
         }
@@ -230,9 +241,8 @@ class _ServeRun:
         self._admitted.add(request.index)
         return True
 
-    def _release(self, requests: Sequence) -> None:
-        """Give back the admission slots of completed/shed requests
-        (accepts records or requests — both carry index + tenant)."""
+    def _release(self, requests: Sequence[Request]) -> None:
+        """Give back the admission slots of completed/shed requests."""
         if not self._admitted:
             return
         for request in requests:
@@ -302,12 +312,7 @@ class _ServeRun:
         batch: List[Request],
         at: float,
     ) -> None:
-        records = shard.execute(batch, at)
-        start = records[0].started
-        # The *shard*'s completion groups, not the runner's: a degraded
-        # shard stretches its offsets by rate_factor and the BatchDone
-        # instants must match the records execute() just produced.
-        rounds = shard.completion_groups(len(batch))
+        start, rounds = shard.place(len(batch), at)
         taken = 0
         previous = start
         for offset, images in rounds:
@@ -315,7 +320,9 @@ class _ServeRun:
             event = BatchDone(
                 time=completed,
                 shard=shard.name,
-                records=records[taken:taken + images],
+                requests=batch[taken:taken + images],
+                dispatched=at,
+                started=start,
                 busy_delta=completed - previous,
                 batch_size=len(batch),
                 first=taken == 0,
@@ -341,10 +348,10 @@ class _ServeRun:
                 if candidate is event:
                     del pending[position]
                     break
-        self.records.extend(event.records)
-        self._release(event.records)
+        self.completed.append(event)
+        self._release(event.requests)
         usage = self.usage[event.shard]
-        usage.requests += len(event.records)
+        usage.requests += len(event.requests)
         usage.busy_seconds += event.busy_delta
         # Count the batch with its first delivered round, so a batch
         # whose tail rounds are killed still appears wherever its
@@ -352,7 +359,7 @@ class _ServeRun:
         if event.first:
             usage.batches += 1
         shard = self.server.scheduler.shard_named(event.shard)
-        self.total_ops += shard.ops_per_image * len(event.records)
+        self.total_ops += shard.ops_per_image * len(event.requests)
         self.source.on_batch_done(kernel, event)
 
     # -- failure path -----------------------------------------------------
@@ -365,20 +372,12 @@ class _ServeRun:
         disabled.  Here the lost work re-enters the batcher at the kill
         instant with its original arrival preserved.
         """
-        lost: List[RequestRecord] = []
+        lost: List[Request] = []
         for entry, pending in self.inflight[event.shard]:
             kernel.cancel(entry)
-            lost.extend(pending.records)
+            lost.extend(pending.requests)
         self.inflight[event.shard].clear()
-        for record in sorted(lost, key=lambda r: r.index):
-            kernel.push(
-                Arrival(
-                    time=kernel.now,
-                    request=Request(
-                        record.index, record.arrival, record.tenant
-                    ),
-                )
-            )
+        self._requeue(kernel, lost)
 
     def _on_shard_up(self, kernel: EventKernel, event: ShardUp) -> None:
         """Re-dispatch batches that parked while the pool was down."""
@@ -407,15 +406,15 @@ class _ServeRun:
         not migrate), so open-loop and scenario runs stay
         event-for-event identical with no autoscaler configured.
         """
-        lost: List[RequestRecord] = []
+        lost: List[Request] = []
         for shard in self.server.pool:
             pending = self.inflight[shard.name]
             keep = []
-            dropped: List[RequestRecord] = []
+            dropped: List[Request] = []
             for entry, queued in pending:
-                if queued.records[0].started > kernel.now:
+                if queued.started > kernel.now:
                     kernel.cancel(entry)
-                    dropped.extend(queued.records)
+                    dropped.extend(queued.requests)
                 else:
                     keep.append((entry, queued))
             if dropped:
@@ -425,23 +424,65 @@ class _ServeRun:
                     default=kernel.now,
                 )
                 lost.extend(dropped)
-        for record in sorted(lost, key=lambda r: r.index):
-            kernel.push(
-                Arrival(
-                    time=kernel.now,
-                    request=Request(
-                        record.index, record.arrival, record.tenant
-                    ),
-                )
-            )
+        self._requeue(kernel, lost)
+
+    @staticmethod
+    def _requeue(kernel: EventKernel, lost: List[Request]) -> None:
+        """Re-deliver ``lost`` requests at the current instant, in index
+        order, each keeping its original arrival."""
+        for request in sorted(lost, key=attrgetter("index")):
+            kernel.push(Arrival(time=kernel.now, request=request))
 
     # -- reporting --------------------------------------------------------
+
+    def _columns(self) -> RequestColumns:
+        """The served requests as columns in request-index order.
+
+        Each completed round repeats its instants over its requests
+        (``completed`` is the round's time); shard and tenant names are
+        coded in first-seen order over the index-sorted requests, as
+        :meth:`RequestColumns.from_records` codes them."""
+        rounds = self.completed
+        sizes = [len(event.requests) for event in rounds]
+        requests = [
+            request for event in rounds for request in event.requests
+        ]
+        count = len(requests)
+        index = np.fromiter(
+            map(attrgetter("index"), requests), np.int64, count
+        )
+        order = np.argsort(index, kind="stable")
+
+        def per_round(values, dtype=np.float64):
+            return np.repeat(np.asarray(values, dtype=dtype), sizes)[order]
+
+        shard, shard_names = _encode(
+            per_round([event.shard for event in rounds], object).tolist()
+        )
+        tenant, tenant_names = _encode(
+            requests[position].tenant for position in order.tolist()
+        )
+        return RequestColumns(
+            index=index[order],
+            arrival=np.fromiter(
+                map(attrgetter("arrival"), requests), np.float64, count
+            )[order],
+            dispatched=per_round([event.dispatched for event in rounds]),
+            started=per_round([event.started for event in rounds]),
+            completed=per_round([event.time for event in rounds]),
+            shard=shard,
+            shard_names=shard_names,
+            batch_size=per_round(
+                [event.batch_size for event in rounds], np.int64
+            ),
+            tenant=tenant,
+            tenant_names=tenant_names,
+        )
 
     def _report(
         self, events_processed: int = 0, wall_seconds: float = 0.0
     ) -> ServingReport:
-        self.records.sort(key=lambda record: record.index)
-        columns = RequestColumns.from_records(self.records)
+        columns = self._columns()
         unserved = sum(len(batch) for batch in self.parked)
         unserved_by_tenant: Dict[str, int] = {}
         for batch in self.parked:

@@ -21,13 +21,11 @@ arbitrary sessions (different devices and/or different models).
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ServingError
 from repro.numeric import left_sum
 from repro.runtime.batch import BatchRunner
-from repro.serving.metrics import RequestRecord
-from repro.serving.traffic import Request
 
 
 class Shard:
@@ -135,54 +133,32 @@ class Shard:
 
     # -- execution --------------------------------------------------------
 
-    def execute(self, batch: Sequence[Request], at: float) -> List[
-            RequestRecord]:
-        """Place ``batch`` on the timeline at virtual time ``at``.
+    def place(self, count: int, at: float) -> Tuple[float, List[tuple]]:
+        """Place a batch of ``count`` images on the timeline at virtual
+        time ``at``; returns ``(start, rounds)``.
 
         The batch starts when the shard is free (``max(at,
-        busy_until)``) and its images complete at the runner's
-        round-robin offsets; the shard is then busy until the last
-        image finishes.  Batches never overlap — exactly the
-        back-to-back accounting of
+        busy_until)``) and completes in the runner's rounds
+        (:meth:`~repro.runtime.batch.BatchRunner.completion_groups`:
+        image ``j`` finishes with round ``j // NI``, ``(j // NI + 1)``
+        per-image latencies after ``start``), each ``(offset, images)``
+        offset scaled by the current :attr:`rate_factor`; the shard is
+        then busy until the last round finishes.  Batches never overlap
+        — exactly the back-to-back accounting of
         :meth:`~repro.runtime.batch.BatchRunner.run`.
         """
-        if not batch:
+        if count < 1:
             raise ServingError("empty batch dispatched")
         self.probe_seconds()  # seed replicas before the runner math
-        offsets = self.runner.completion_offsets(len(batch))
+        rounds = self.runner.completion_groups(count)
         if self.rate_factor != 1.0:
-            offsets = [offset * self.rate_factor for offset in offsets]
-        start = max(at, self.busy_until)
-        records = []
-        for offset, request in zip(offsets, batch):
-            records.append(
-                RequestRecord(
-                    index=request.index,
-                    arrival=request.arrival,
-                    dispatched=at,
-                    started=start,
-                    completed=start + offset,
-                    shard=self.name,
-                    batch_size=len(batch),
-                    tenant=request.tenant,
-                )
-            )
-        self.busy_until = records[-1].completed
-        return records
-
-    def completion_groups(self, count: int) -> List[tuple]:
-        """The runner's per-round completion instants
-        (:meth:`~repro.runtime.batch.BatchRunner.completion_groups`),
-        scaled by the current :attr:`rate_factor` — the offsets the
-        server's ``BatchDone`` events must use so they stay consistent
-        with :meth:`execute`'s per-request records."""
-        groups = self.runner.completion_groups(count)
-        if self.rate_factor != 1.0:
-            groups = [
+            rounds = [
                 (offset * self.rate_factor, images)
-                for offset, images in groups
+                for offset, images in rounds
             ]
-        return groups
+        start = max(at, self.busy_until)
+        self.busy_until = start + rounds[-1][0]
+        return start, rounds
 
     def reset(self) -> None:
         """Clear the virtual timeline and mark the shard available at

@@ -164,11 +164,14 @@ class SloController:
     # -- observation ------------------------------------------------------
 
     def _on_batch_done(self, kernel: EventKernel, event: BatchDone) -> None:
-        for record in event.records:
-            self._window.append(record.latency)
-            window = self._tenant_windows.get(record.tenant)
+        # A round's requests all complete at the event's instant.
+        done = event.time
+        for request in event.requests:
+            latency = done - request.arrival
+            self._window.append(latency)
+            window = self._tenant_windows.get(request.tenant)
             if window is not None:
-                window.append(record.latency)
+                window.append(latency)
 
     def p99_estimate(self) -> float:
         """Nearest-rank p99 over the observation window (NaN when

@@ -39,7 +39,7 @@ from repro.serving.traffic import (
     TraceSource,
     make_requests,
     parse_shape,
-    shape_arrivals,
+    shaped_requests,
     shaped_trace,
 )
 
@@ -279,16 +279,7 @@ class _SweepState:
                 seed=cell.seed, burst=options.burst,
             )
             if self.shapes:
-                arrivals = shape_arrivals(
-                    [request.arrival for request in requests],
-                    self.shapes,
-                )
-                requests = [
-                    type(request)(
-                        index=request.index, arrival=arrival
-                    )
-                    for request, arrival in zip(requests, arrivals)
-                ]
+                requests = shaped_requests(requests, self.shapes)
         scenario = (
             None if cell.scenario == BASELINE_SCENARIO
             else parse_scenario(cell.scenario, seed=cell.seed)

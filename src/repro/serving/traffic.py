@@ -2,8 +2,10 @@
 
 The serving simulator is driven by *virtual* arrival timestamps, so an
 *open-loop* traffic model is just a deterministic function from
-(count, rate, seed) to a sorted list of :class:`Request` objects.
-Four models cover the scenarios the benchmarks exercise:
+(count, rate, seed) to a :class:`RequestStream`: a read-only sequence
+of :class:`Request` held as columns (int64 indices, float64 arrivals,
+tenant codes over a name tuple), each ``Request`` built only when it is
+read.  Four models cover the scenarios the benchmarks exercise:
 
 * ``uniform`` — one closed batch: every request is present at t=0
   (the :class:`~repro.runtime.batch.BatchRunner` comparison case);
@@ -16,30 +18,44 @@ Four models cover the scenarios the benchmarks exercise:
 
 On the event kernel every traffic model is an
 :class:`~repro.serving.events.EventSource`: :class:`OpenLoopSource`
-wraps any pre-materialised request list (arrivals independent of
-completions), :class:`ClosedLoopClientPool` implements the classic
-closed-loop methodology — N clients, each issuing its next request one
-think time after its previous one *completes*, so the arrival process
-depends on the system's own behaviour — and :class:`TraceSource`
-replays *real* arrival logs (CSV or JSONL timestamp files, loaded by
-:func:`load_trace`) with time-scaling and looping, so a few seconds of
-production traffic can drive an arbitrarily long, rate-matched
-simulation next to the synthetic models.
+wraps any request stream (arrivals independent of completions) and
+hands its sorted arrival column to the kernel's arrival cursor
+(:meth:`~repro.serving.events.EventKernel.push_sorted`), so no
+``Arrival`` exists before it is next; :class:`ClosedLoopClientPool`
+implements the classic closed-loop methodology — N clients, each
+issuing its next request one think time after its previous one
+*completes*, so the arrival process depends on the system's own
+behaviour — and :class:`TraceSource` replays *real* arrival logs (CSV
+or JSONL timestamp files, loaded by :func:`load_trace`) with
+time-scaling and looping, so a few seconds of production traffic can
+drive an arbitrarily long, rate-matched simulation next to the
+synthetic models.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.events import Arrival, BatchDone, EventKernel, EventSource
+from repro.serving.metrics import _column
 from repro.serving.tenancy import DEFAULT_TENANT, TenantSet, split_clients
 
 #: Traffic models understood by :func:`make_requests` and the CLI.
@@ -61,9 +77,10 @@ class Request:
     tenant: str = DEFAULT_TENANT
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
+        # One chained comparison rejects negatives, inf and NaN alike.
+        if not 0 <= self.arrival < math.inf:
             raise ServingError(
-                f"request {self.index}: arrival must be >= 0, "
+                f"request {self.index}: arrival must be finite and >= 0, "
                 f"got {self.arrival}"
             )
         if not self.tenant:
@@ -72,26 +89,227 @@ class Request:
             )
 
 
+class TenantTags(collections.abc.Sequence):
+    """A read-only column of tenant names: int64 ``codes`` into the
+    ``names`` tuple, or ``codes=None`` when all ``count`` entries are
+    ``names[0]`` (an untagged column keeps nothing per entry).  It
+    decodes on demand and compares equal to a list of the same names.
+    """
+
+    __slots__ = ("codes", "names", "count")
+
+    def __init__(self, codes, names: Sequence[str], count: int):
+        self.names = tuple(names)
+        if not self.names or not all(
+            isinstance(name, str) and name for name in self.names
+        ):
+            raise ServingError("tenant tags must be non-empty names")
+        self.codes = None if codes is None else _column(codes, np.int64)
+        if self.codes is not None and (
+            self.codes.shape != (count,) or count and (
+                int(self.codes.min()) < 0
+                or int(self.codes.max()) >= len(self.names)
+            )
+        ):
+            raise ServingError("tenant codes must be one name per entry")
+        self.count = count
+
+    @classmethod
+    def encode(cls, labels: Iterable[str]) -> "TenantTags":
+        """Tags for a sequence of names, coded in first-seen order."""
+        lookup: Dict[str, int] = {}
+        codes = [lookup.setdefault(label, len(lookup)) for label in labels]
+        names = tuple(lookup) or (DEFAULT_TENANT,)
+        return cls(codes if len(names) > 1 else None, names, len(codes))
+
+    def select(self, item, count: int) -> "TenantTags":
+        """The ``count`` tags at ``item`` (a slice or an index array)."""
+        return TenantTags(
+            None if self.codes is None else self.codes[item],
+            self.names,
+            count,
+        )
+
+    @property
+    def in_use(self) -> frozenset:
+        """The names the entries actually carry."""
+        if self.codes is None:
+            return frozenset(self.names[:1] if self.count else ())
+        used = np.bincount(self.codes, minlength=len(self.names)).tolist()
+        return frozenset(
+            name for name, count in zip(self.names, used) if count
+        )
+
+    @property
+    def tenanted(self) -> bool:
+        """True when any entry carries a non-default name."""
+        return bool(self.in_use - {DEFAULT_TENANT})
+
+    def tolist(self) -> List[str]:
+        if self.codes is None:
+            return list(self.names[:1]) * self.count
+        return np.asarray(self.names, dtype=object)[self.codes].tolist()
+
+    def __reduce__(self):
+        # Unpickling re-validates and re-freezes the codes.
+        return (TenantTags, (self.codes, self.names, self.count))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> str:
+        if self.codes is not None:
+            return self.names[self.codes[index]]
+        if not -self.count <= index < self.count:
+            raise IndexError("tenant tag index out of range")
+        return self.names[0]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, TenantTags)):
+            return self.tolist() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TenantTags({self.count} tags over {self.names})"
+
+
+class RequestStream(collections.abc.Sequence):
+    """Open-loop traffic as columns: a read-only sequence of
+    :class:`Request`.
+
+    ``indices`` (int64) and ``arrivals`` (float64) are read-only
+    arrays and ``tags`` the :class:`TenantTags` column (``None`` means
+    every request is the default tenant's).  The columns are validated
+    once, vectorised, at construction.
+
+    Reading a position or iterating builds the ``Request`` objects on
+    demand; slicing gives a stream over views of the same columns.
+    Equality compares with another stream by column (tenants by name)
+    and with a list or tuple of requests element by element, so
+    ``make_requests(...) == [Request(...), ...]`` holds.
+    """
+
+    __slots__ = ("indices", "arrivals", "tags")
+
+    def __init__(self, indices, arrivals, tags: Optional[TenantTags] = None):
+        self.indices = _column(indices, np.int64)
+        self.arrivals = _column(arrivals, np.float64)
+        count = len(self.arrivals)
+        self.tags = (
+            TenantTags(None, (DEFAULT_TENANT,), count) if tags is None
+            else tags
+        )
+        if (
+            self.arrivals.ndim != 1
+            or self.indices.shape != (count,)
+            or len(self.tags) != count
+        ):
+            raise ServingError(
+                "request columns must be one-dimensional and equally long"
+            )
+        valid = (self.arrivals >= 0) & (self.arrivals < math.inf)
+        if not valid.all():
+            position = int(np.argmin(valid))
+            raise ServingError(
+                f"request {int(self.indices[position])}: arrival must be "
+                f"finite and >= 0, got {float(self.arrivals[position])}"
+            )
+
+    @classmethod
+    def of(cls, requests: Iterable[Request]) -> "RequestStream":
+        """``requests`` as a stream (a stream is returned as is).
+
+        The one place a plain request list is converted: every item
+        must be a :class:`Request`."""
+        if isinstance(requests, cls):
+            return requests
+        requests = list(requests)
+        if not all(isinstance(request, Request) for request in requests):
+            raise ServingError(
+                "traffic must be a Request list or ONE EventSource: "
+                "independent sources would mint colliding request indices"
+            )
+        return cls(
+            [request.index for request in requests],
+            [request.arrival for request in requests],
+            TenantTags.encode(request.tenant for request in requests),
+        )
+
+    def __reduce__(self):
+        # Unpickling re-validates and re-freezes the columns.
+        return (RequestStream, (self.indices, self.arrivals, self.tags))
+
+    def sorted_by_arrival(self) -> "RequestStream":
+        """The stream ordered by ``(arrival, index)`` — itself when one
+        vectorised check shows it already is."""
+        arrivals, indices = self.arrivals, self.indices
+        ahead, behind = arrivals[1:], arrivals[:-1]
+        if (
+            (ahead > behind)
+            | ((ahead == behind) & (indices[1:] >= indices[:-1]))
+        ).all():
+            return self
+        return self._select(np.lexsort((indices, arrivals)))
+
+    def _select(self, item) -> "RequestStream":
+        arrivals = self.arrivals[item]
+        return RequestStream(
+            self.indices[item], arrivals,
+            self.tags.select(item, len(arrivals)),
+        )
+
+    # -- sequence protocol ------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return self._select(item)
+        return Request(
+            int(self.indices[item]), float(self.arrivals[item]),
+            self.tags[item],
+        )
+
+    def __iter__(self) -> Iterator[Request]:
+        return map(
+            Request,
+            self.indices.tolist(),
+            self.arrivals.tolist(),
+            self.tags.tolist(),
+        )
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        if not isinstance(other, RequestStream):
+            return NotImplemented
+        return (
+            np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.arrivals, other.arrivals)
+            and self.tags == other.tags
+        )
+
+    def __repr__(self) -> str:
+        return f"RequestStream({len(self)} requests)"
+
+
 def uniform_arrivals(count: int) -> List[float]:
     """Closed loop: all requests queued at t=0."""
-    _check_count(count)
-    return [0.0] * count
+    return _arrivals("uniform", count).tolist()
 
 
 def fixed_qps_arrivals(count: int, qps: float) -> List[float]:
     """Open loop with deterministic spacing ``1/qps``."""
-    _check_count(count)
-    _check_qps(qps)
-    return [index / qps for index in range(count)]
+    return _arrivals("fixed-qps", count, qps).tolist()
 
 
 def poisson_arrivals(count: int, qps: float, seed: int = 2020) -> List[float]:
     """Open loop with exponential inter-arrivals of mean ``1/qps``."""
-    _check_count(count)
-    _check_qps(qps)
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(scale=1.0 / qps, size=count)
-    return list(np.cumsum(gaps))
+    return _arrivals("poisson", count, qps, seed=seed).tolist()
 
 
 def burst_arrivals(count: int, qps: float, burst: int = 8) -> List[float]:
@@ -100,11 +318,32 @@ def burst_arrivals(count: int, qps: float, burst: int = 8) -> List[float]:
     Burst ``k`` lands at ``k * burst / qps`` — the long-run rate matches
     ``fixed-qps`` while the instantaneous rate is infinite.
     """
+    return _arrivals("burst", count, qps, burst=burst).tolist()
+
+
+def _arrivals(
+    model: str,
+    count: int,
+    qps: Optional[float] = None,
+    seed: int = 2020,
+    burst: int = 8,
+) -> np.ndarray:
+    """One model's arrival instants as a float64 column.  Each
+    elementwise op is the scalar op the model is defined by (``index /
+    qps``, a running sum of the gaps, ``(index // burst) * burst /
+    qps``), so the column equals the per-request values bit for bit."""
     _check_count(count)
+    if model == "uniform":
+        return np.zeros(count)
     _check_qps(qps)
+    if model == "fixed-qps":
+        return np.arange(count) / qps
+    if model == "poisson":
+        rng = np.random.default_rng(seed)
+        return np.cumsum(rng.exponential(scale=1.0 / qps, size=count))
     if burst < 1:
         raise ServingError(f"burst size must be >= 1, got {burst}")
-    return [(index // burst) * burst / qps for index in range(count)]
+    return ((np.arange(count) // burst) * burst) / qps
 
 
 def make_requests(
@@ -114,7 +353,7 @@ def make_requests(
     seed: int = 2020,
     burst: int = 8,
     tenant: str = DEFAULT_TENANT,
-) -> List[Request]:
+) -> RequestStream:
     """Requests of one traffic ``model``, sorted by arrival time.
 
     ``qps`` is required by every model except ``uniform``.  ``tenant``
@@ -123,72 +362,109 @@ def make_requests(
     single stream weight-proportionally with
     :func:`~repro.serving.tenancy.assign_tenants`.
     """
-    if model == "uniform":
-        arrivals = uniform_arrivals(count)
-    elif model in ("fixed-qps", "poisson", "burst"):
-        if qps is None:
-            raise ServingError(f"traffic model {model!r} requires a qps")
-        if model == "fixed-qps":
-            arrivals = fixed_qps_arrivals(count, qps)
-        elif model == "poisson":
-            arrivals = poisson_arrivals(count, qps, seed)
-        else:
-            arrivals = burst_arrivals(count, qps, burst)
-    else:
+    if model not in TRAFFIC_MODELS:
         raise ServingError(
             f"unknown traffic model {model!r}; "
             f"expected one of {TRAFFIC_MODELS}"
         )
-    return [
-        Request(index=index, arrival=float(arrival), tenant=tenant)
-        for index, arrival in enumerate(arrivals)
-    ]
-
-
-def merge_streams(*streams: Sequence[Request]) -> List[Request]:
-    """Merge per-tenant request lists into one globally-indexed stream.
-
-    The input lists keep their tenant tags and arrival instants; the
-    merge sorts by ``(arrival, tenant, original index)`` — fully
-    deterministic — and re-mints sequential indices, because request
-    indices are the identity that keys completion bookkeeping and two
-    independent streams would collide.
-    """
-    merged = sorted(
-        (request for stream in streams for request in stream),
-        key=lambda r: (r.arrival, r.tenant, r.index),
+    if model != "uniform" and qps is None:
+        raise ServingError(f"traffic model {model!r} requires a qps")
+    return RequestStream(
+        np.arange(count),
+        _arrivals(model, count, qps, seed, burst),
+        TenantTags(None, (tenant,), count),
     )
-    if not merged:
+
+
+def merge_streams(*streams: Sequence[Request]) -> RequestStream:
+    """Merge per-tenant request streams into one globally-indexed
+    stream.
+
+    The inputs keep their tenant tags and arrival instants; the merge
+    orders by ``(arrival, tenant name, original index)`` — one stable
+    ``np.lexsort``, fully deterministic — and re-mints sequential
+    indices, because request indices are the identity that keys
+    completion bookkeeping and two independent streams would collide.
+    """
+    parts = [RequestStream.of(stream) for stream in streams]
+    if not sum(map(len, parts)):
         raise ServingError("nothing to merge: every stream is empty")
-    return [
-        Request(index=index, arrival=request.arrival, tenant=request.tenant)
-        for index, request in enumerate(merged)
-    ]
+    # Names in string order, so the codes sort as the names do.
+    names = tuple(sorted({
+        name for part in parts for name in part.tags.names
+    }))
+    rank = {name: code for code, name in enumerate(names)}
+    codes = []
+    for part in parts:
+        remap = np.asarray(
+            [rank[name] for name in part.tags.names], dtype=np.int64
+        )
+        codes.append(
+            np.full(len(part), remap[0]) if part.tags.codes is None
+            else remap[part.tags.codes]
+        )
+    arrivals = np.concatenate([part.arrivals for part in parts])
+    indices = np.concatenate([part.indices for part in parts])
+    codes = np.concatenate(codes)
+    order = np.lexsort((indices, codes, arrivals))
+    return RequestStream(
+        np.arange(len(order)),
+        arrivals[order],
+        TenantTags(codes[order], names, len(order)),
+    )
+
+
+def shaped_requests(
+    requests: Sequence[Request], shapes: Sequence
+) -> RequestStream:
+    """``requests`` with their arrivals warped by ``shapes`` (see
+    :func:`shape_arrivals`); indices and tenants are kept, and the
+    warped instants stay one column."""
+    stream = RequestStream.of(requests)
+    return RequestStream(
+        stream.indices, _warp(stream.arrivals, shapes), stream.tags
+    )
 
 
 class OpenLoopSource(EventSource):
     """An arrival stream that ignores completions.
 
-    Wraps any pre-materialised request list (every ``make_requests``
-    model) as an event source: priming pushes one
-    :class:`~repro.serving.events.Arrival` per request, sorted by
-    ``(arrival, index)`` so simultaneous arrivals enter in index order —
-    the order the pre-kernel batcher consumed them in.
+    Wraps any request stream (every ``make_requests`` model; a plain
+    request list is converted once) as an event source.
+    :attr:`requests` is the stream ordered by ``(arrival, index)``, so
+    simultaneous arrivals enter in index order — the order the
+    pre-kernel batcher consumed them in — and priming hands that
+    order to the kernel's arrival cursor: each
+    :class:`~repro.serving.events.Arrival` is built when its instant is
+    next, with the sequence number an eager push would have given it.
     """
 
     def __init__(self, requests: Sequence[Request]):
-        if not requests:
+        stream = RequestStream.of(requests)
+        if not len(stream):
             raise ServingError("nothing to serve: empty request stream")
-        self.requests = sorted(requests, key=lambda r: (r.arrival, r.index))
+        self.requests = stream.sorted_by_arrival()
         #: True when any request carries a non-default tenant tag —
         #: precomputed so fast-forward eligibility gating stays O(1).
-        self.tenanted = any(
-            request.tenant != DEFAULT_TENANT for request in self.requests
-        )
+        self.tenanted = stream.tags.tenanted
 
     def prime(self, kernel: EventKernel) -> None:
-        for request in self.requests:
-            kernel.push(Arrival(time=request.arrival, request=request))
+        _prime_arrivals(kernel, self.requests)
+
+
+def _prime_arrivals(kernel: EventKernel, stream: RequestStream) -> None:
+    """Schedule one ``Arrival`` per request of the arrival-sorted
+    ``stream`` through the kernel's cursor."""
+    indices = stream.indices
+    codes, names = stream.tags.codes, stream.tags.names
+
+    def make(position: int, time: float) -> Arrival:
+        tenant = names[0] if codes is None else names[codes[position]]
+        return Arrival(
+            time, Request(int(indices[position]), time, tenant)
+        )
+
+    kernel.push_sorted(stream.arrivals, Arrival, make)
 
 
 #: Column/key names :func:`load_trace` accepts for the arrival instant.
@@ -367,8 +643,10 @@ class TraceSource(EventSource):
     read-only float64 array in request-index order: a million-arrival
     replay stays one column from the trace file to the report (the
     fast-forward engine hands it to the report uncopied, so nothing
-    may write to it); :attr:`tags` is the matching list of tenant
-    names.
+    may write to it).  :attr:`tags` is the matching
+    :class:`TenantTags` column — the one a :class:`RequestStream`
+    holds, with no per-arrival entry for an untagged trace — and
+    passing it back as ``tenants`` reuses its codes as they are.
     """
 
     def __init__(
@@ -388,16 +666,16 @@ class TraceSource(EventSource):
             )
         if loop < 1:
             raise ServingError(f"loop must be >= 1, got {loop}")
-        tags = None
-        if tenants is not None:
-            tags = [str(tag) for tag in tenants]
-            if len(tags) != count:
-                raise ServingError(
-                    f"trace has {count} arrivals but "
-                    f"{len(tags)} tenant tags"
-                )
-            if not all(tags):
-                raise ServingError("trace tenant tags must be non-empty")
+        if tenants is None:
+            tags = TenantTags(None, (DEFAULT_TENANT,), count)
+        elif isinstance(tenants, TenantTags):
+            tags = tenants
+        else:
+            tags = TenantTags.encode(map(str, tenants))
+        if len(tags) != count:
+            raise ServingError(
+                f"trace has {count} arrivals but {len(tags)} tenant tags"
+            )
         values = np.array(arrivals, dtype=np.float64)
         if values.ndim != 1:
             raise ServingError(
@@ -409,10 +687,10 @@ class TraceSource(EventSource):
         # A stable sort keeps simultaneous arrivals in trace order.  An
         # already sorted trace (a warped or re-wrapped replay) keeps its
         # order as it is, tags included.
-        order = None
         if (values[1:] < values[:-1]).any():
             order = np.argsort(values, kind="stable")
             values = values[order]
+            tags = tags.select(order, count)
         scaled = (values - values[0]) * time_scale
         span = float(scaled[-1])
         gap = span / (count - 1) if count > 1 else 0.0
@@ -426,19 +704,16 @@ class TraceSource(EventSource):
             np.arange(loop)[:, None] * cycle + scaled
         ).ravel()
         self.arrivals.flags.writeable = False
-        # ``tenanted`` is True when any arrival carries a non-default
-        # tenant tag — precomputed so fast-forward eligibility gating
-        # stays O(1).  An untagged trace does no per-arrival tag work.
-        if tags is None:
-            self.tags = [DEFAULT_TENANT] * (count * loop)
-            self.tenanted = False
-        else:
-            base_tags = (
-                tags if order is None
-                else [tags[position] for position in order.tolist()]
+        #: True when any arrival carries a non-default tenant tag —
+        #: precomputed so fast-forward eligibility gating stays O(1).
+        self.tenanted = tags.tenanted
+        if loop > 1:
+            tags = TenantTags(
+                None if tags.codes is None else np.tile(tags.codes, loop),
+                tags.names,
+                count * loop,
             )
-            self.tags = base_tags * loop
-            self.tenanted = any(tag != DEFAULT_TENANT for tag in base_tags)
+        self.tags = tags
 
     def __setstate__(self, state) -> None:
         # Unpickling (sweep workers) rebuilds a writeable array.
@@ -464,15 +739,13 @@ class TraceSource(EventSource):
             tenants=[tenant for _value, tenant in tagged],
         )
 
-    def requests(self) -> List[Request]:
-        """The replayed arrivals as a plain request list — usable
-        anywhere the synthetic models are."""
-        return [
-            Request(index=index, arrival=arrival, tenant=tenant)
-            for index, (arrival, tenant) in enumerate(
-                zip(self.arrivals.tolist(), self.tags)
-            )
-        ]
+    def requests(self) -> RequestStream:
+        """The replayed arrivals as a request stream over the same
+        columns (indices ``0..N-1``) — usable anywhere the synthetic
+        models are."""
+        return RequestStream(
+            np.arange(len(self.arrivals)), self.arrivals, self.tags
+        )
 
     @property
     def span_seconds(self) -> float:
@@ -486,8 +759,7 @@ class TraceSource(EventSource):
         return (len(self.arrivals) - 1) / self.span_seconds
 
     def prime(self, kernel: EventKernel) -> None:
-        for request in self.requests():
-            kernel.push(Arrival(time=request.arrival, request=request))
+        _prime_arrivals(kernel, self.requests().sorted_by_arrival())
 
     def describe(self) -> str:
         rate = self.mean_qps()
@@ -691,12 +963,12 @@ def shaped_trace(source: "TraceSource", shapes: Sequence) -> "TraceSource":
     """A :class:`TraceSource` replaying ``source`` with its arrivals
     warped by ``shapes`` (see :func:`shape_arrivals`); rebasing,
     scaling and looping have already been applied, so the shapes act on
-    the replayed timeline.  The warped instants stay one column, and an
-    untagged source passes no tags."""
+    the replayed timeline.  The warped instants stay one column, and
+    the tenant codes pass through as they are."""
     shaped = TraceSource(
         _warp(source.arrivals, shapes),
         name=f"{source.name}+shaped",
-        tenants=source.tags if source.tenanted else None,
+        tenants=source.tags,
     )
     # Keep the provenance knobs: the arrivals above are already scaled
     # and looped, so the new source must not re-apply them.
@@ -741,9 +1013,9 @@ class ClosedLoopClientPool(EventSource):
             raise ServingError(
                 f"total requests must be >= 0, got {requests}"
             )
-        if think_time_s < 0:
+        if not 0 <= think_time_s < math.inf:
             raise ServingError(
-                f"think time must be >= 0, got {think_time_s}"
+                f"think time must be finite and >= 0, got {think_time_s}"
             )
         if distribution not in THINK_DISTRIBUTIONS:
             raise ServingError(
@@ -805,8 +1077,8 @@ class ClosedLoopClientPool(EventSource):
             self._issue(kernel, client, at=at + self._think())
 
     def on_batch_done(self, kernel: EventKernel, event: BatchDone) -> None:
-        for record in event.records:
-            self._advance(kernel, record.index, event.time)
+        for request in event.requests:
+            self._advance(kernel, request.index, event.time)
 
     def on_shed(
         self, kernel: EventKernel, requests: List[Request], now: float
@@ -823,5 +1095,5 @@ def _check_count(count: int) -> None:
 
 
 def _check_qps(qps: float) -> None:
-    if qps <= 0:
-        raise ServingError(f"qps must be positive, got {qps}")
+    if not 0 < qps < math.inf:
+        raise ServingError(f"qps must be positive and finite, got {qps}")

@@ -34,7 +34,7 @@ from repro.serving.events import EventSource
 from repro.serving.scheduler import POLICIES, SchedulingPolicy
 from repro.serving.slo import SloOptions
 from repro.serving.tenancy import DEFAULT_TENANT, TenantSet, TenantSpec
-from repro.serving.traffic import Request
+from repro.serving.traffic import Request, RequestStream
 
 #: Replay engines a spec may request.  ``auto`` picks the fast-forward
 #: recurrence whenever the run is a plain open-loop replay (see
@@ -47,7 +47,9 @@ ENGINES = ("auto", "kernel", "fastforward")
 class WorkloadSpec:
     """Everything one serve run needs, validated eagerly.
 
-    ``traffic`` is a request list (open loop) or exactly one
+    ``traffic`` is open-loop requests — a
+    :class:`~repro.serving.traffic.RequestStream`, or a request list,
+    converted to one here — or exactly one
     :class:`~repro.serving.events.EventSource`; it may be ``None`` in a
     *template* spec filled in per run with :meth:`with_traffic`.
     ``tenants`` may be a :class:`~repro.serving.tenancy.TenantSet` or a
@@ -142,17 +144,12 @@ class WorkloadSpec:
         traffic = self.traffic
         if traffic is None or isinstance(traffic, EventSource):
             return
-        requests = list(traffic)
-        # Materialise: a generator would otherwise be consumed here and
-        # arrive empty at the server.
-        object.__setattr__(self, "traffic", requests)
-        if not all(isinstance(item, Request) for item in requests):
-            raise ServingError(
-                "traffic must be a Request list or ONE EventSource: "
-                "independent sources would mint colliding request indices"
-            )
-        tags = {request.tenant for request in requests}
-        tags.discard(DEFAULT_TENANT)
+        # A request list (or generator, which would otherwise be
+        # consumed here and arrive empty at the server) becomes a
+        # stream once; a stream passes as it is.
+        stream = RequestStream.of(traffic)
+        object.__setattr__(self, "traffic", stream)
+        tags = stream.tags.in_use - {DEFAULT_TENANT}
         if not tags:
             return
         if tenants is None:
