@@ -30,14 +30,16 @@ exactly as the serial scalar best-first branch-and-bound does:
   prunes every later one and the search stops there — the bandwidth
   terms prune memory-bound candidates a compute-only bound would have
   to evaluate;
-* **batching** — candidates are evaluated :data:`BATCH` at a time,
-  skipping those the bound already prunes at the start of a batch, and
-  each batch yields an objective column.  The serial branch-and-bound
-  is then replayed over the batch, so it admits and counts exactly as
-  the one-candidate-at-a-time loop would;
-* **top-k only** — mapping and estimate objects are built for the
-  ``top_k`` designs returned, nothing else.  Partition lookups go
-  through the cache; estimates are never stored in it.
+* **batching** — a batch is an index array into the Step-1
+  :class:`~repro.dse.space.HardwareSpace`, sized as :data:`BATCH`
+  says, skipping those the bound already prunes at its start; each
+  yields an objective column.  The serial branch-and-bound is then
+  replayed over the batch, so it admits and counts exactly as the
+  one-candidate-at-a-time loop would;
+* **top-k only** — candidate, mapping and estimate objects are built
+  for the ``top_k`` designs returned: bounds, objectives and partition
+  projections read the space's columns.  Partition lookups go through
+  the cache; estimates are never stored in it.
 
 Everything runs in the calling thread: there is no thread or process
 pool, because starting and feeding one costs more than a whole
@@ -75,7 +77,7 @@ from repro.mapping.strategy import (
     winograd_supported,
 )
 from repro.pipeline.cache import CacheStats, EvaluationCache
-from repro.dse.space import DseOptions, HardwareCandidate, explore_hardware
+from repro.dse.space import DseOptions, HardwareSpace, explore_hardware
 
 
 @dataclass(frozen=True)
@@ -166,30 +168,32 @@ def _objective(
 
 def _candidate_bounds(
     estimator: BatchLayerEstimator,
-    candidates: List[HardwareCandidate],
+    space: HardwareSpace,
     objective: str,
     ops: int,
-) -> List[float]:
+) -> np.ndarray:
     """Objective lower bound per candidate, as column math.
 
     Latency bounds it as is; throughput is at most ``ops / latency``
     per instance, so ``-gops >= -(ops / bound / 1e9) * instances``
-    (``-inf`` for a zero bound).  ``tests/test_dse_oracle.py`` keeps
-    the per-candidate scalar bound this must equal bit for bit.
+    (``-inf`` for a zero bound), with the space's instance column.
+    ``tests/test_dse_oracle.py`` keeps the per-candidate scalar bound
+    this must equal bit for bit.
     """
-    cfgs = [candidate.cfg for candidate in candidates]
-    latency = estimator.latency_bounds(cfgs)
+    latency = estimator.latency_bounds(space)
     if objective == "latency":
-        return latency.tolist()
-    instances = np.array([cfg.instances for cfg in cfgs], dtype=np.float64)
+        return latency
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = -(ops / latency / 1e9) * instances
-    return np.where(latency > 0, bound, -math.inf).tolist()
+        bound = -(ops / latency / 1e9) * space.instances
+    return np.where(latency > 0, bound, -math.inf)
 
 
-#: Candidates per evaluated batch: large enough to keep the numpy
+#: Most candidates per evaluated batch: large enough to keep the numpy
 #: columns busy, small enough that the bound still skips most of a
-#: sweep once the ``top_k`` fills.
+#: sweep once the ``top_k`` fills.  The first batch holds ``top_k``
+#: (the fewest admissions that can end the search) and each later one
+#: twice the last, so partitions are looked up only for candidates the
+#: search is about to admit.
 BATCH = 64
 
 
@@ -199,20 +203,22 @@ def run_dse(
     options: Optional[DseOptions] = None,
     cal: Optional[CalibrationProfile] = None,
     cache: Optional[EvaluationCache] = None,
-    candidates: Optional[List[HardwareCandidate]] = None,
+    candidates: Optional[HardwareSpace] = None,
 ) -> DseResult:
     """Full 3-step DSE; returns the best design point (with runners-up
     in ``runners_up`` for inspection).
 
-    One search: candidates in ascending-bound order, :data:`BATCH` at
-    a time, pruned against the running ``top_k``-th objective.
-    Selection and ``top_k`` ranking are those of a brute-force sweep,
-    and the evaluated/pruned counts those of the serial best-first
+    One search: candidates in ascending-bound order, ``top_k`` at first
+    and then twice as many per batch up to :data:`BATCH`, pruned
+    against the running ``top_k``-th objective.  Selection and
+    ``top_k`` ranking are those of a brute-force sweep, and the
+    evaluated/pruned counts those of the serial best-first
     branch-and-bound, bit for bit.  ``cal`` feeds the Step-1 resource
     model.  Partition lookups go through ``cache`` (a fresh one if
     omitted) and are counted in ``cache_stats``.  ``candidates`` may
-    carry a pre-enumerated Step-1 result (it must match
-    ``explore_hardware(device, options)``).
+    carry a pre-enumerated Step-1 result; a space enumerated for
+    another device, other Step-1 options or another calibration raises
+    :class:`DseError`.
     """
     options = options or DseOptions()
     if cal is None:
@@ -222,11 +228,17 @@ def run_dse(
     stats_before = cache.stats
     if candidates is None:
         candidates = explore_hardware(device, options, cal)
+    elif not isinstance(candidates, HardwareSpace):
+        raise DseError(
+            "candidates must be the HardwareSpace of explore_hardware"
+        )
+    else:
+        candidates.check(device, options, cal)
 
     estimator = BatchLayerEstimator(device, network, cache=cache)
     ops = sum(info.ops for info in network.compute_layers())
     bounds = _candidate_bounds(estimator, candidates, options.objective, ops)
-    order = sorted(range(len(candidates)), key=bounds.__getitem__)
+    order = np.argsort(bounds, kind="stable")  # ties keep enumeration order
 
     scored: List[Tuple[float, int]] = []  # (objective, enumeration index)
     worst_of_top_k: List[float] = []  # max-heap (negated) of size <= top_k
@@ -243,26 +255,23 @@ def run_dse(
     # of a batch are a prefix of it, and a batch that admits none ends
     # the search.
     taken = 0  # candidates of ``order`` evaluated, feasible or not
+    size = min(options.top_k, BATCH)
     while True:
-        batch = [
-            index for index in order[taken:taken + BATCH]
-            if bounds[index] <= kth_best()
-        ]
-        if not batch:
+        window = order[taken:taken + size]
+        batch = window[bounds[window] <= kth_best()]
+        if not len(batch):
             break
-        latencies = estimator.network_latencies(
-            [candidates[index].cfg for index in batch]
-        )
+        latencies = estimator.network_latencies(candidates[batch])
         # The serial loop, replayed: it stops at the first candidate
         # the admissions so far have made prunable.
-        for index, latency in zip(batch, latencies):
+        for index, latency in zip(batch.tolist(), latencies):
             if bounds[index] > kth_best():
                 break
             taken += 1
             if latency is None:
                 continue  # some layer fits no (mode, dataflow)
             objective = _objective(
-                latency, ops, candidates[index].cfg.instances,
+                latency, ops, int(candidates.instances[index]),
                 options.objective,
             )
             scored.append((objective, index))
@@ -270,6 +279,7 @@ def run_dse(
                 heapq.heappush(worst_of_top_k, -objective)
             elif objective < -worst_of_top_k[0]:
                 heapq.heapreplace(worst_of_top_k, -objective)
+        size = min(2 * size, BATCH)
     pruned = len(order) - taken
 
     if not scored:
@@ -279,8 +289,9 @@ def run_dse(
     # (objective, enumeration index) replicates the stable sort of the
     # brute-force path regardless of evaluation order.
     scored.sort()
-    top = [candidates[index] for _, index in scored[:options.top_k]]
-    mapped = estimator.map_candidates([candidate.cfg for candidate in top])
+    top_ids = [index for _, index in scored[:options.top_k]]
+    mapped = estimator.map_candidates(candidates[top_ids])
+    top = [candidates[index] for index in top_ids]
     run_stats = cache.stats - stats_before
 
     def to_result(candidate, mapping, estimate, runners=()) -> DseResult:

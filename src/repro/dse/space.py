@@ -4,12 +4,21 @@ For each supported tile size ``PT`` the parallel factors ``PI >= PO``
 are grown until the Table-2 resource constraints fail on one die; the
 instance count ``NI`` then ranges up to ``instances-per-die x dies``
 (instances never straddle dies — the paper places two per VU9P die).
+
+Resources are integers that scale linearly in ``NI``, so each
+(PT, PI, PO) *base* needs one per-instance estimate and has a
+closed-form ``NI`` range.  The result is a :class:`HardwareSpace`: the
+bases plus two int64 columns, which builds a :class:`HardwareCandidate`
+only when one is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
 from repro.errors import DseError
@@ -97,18 +106,114 @@ def default_buffers(device: FpgaDevice) -> Tuple[int, int, int]:
     return (8192, 4096, 4096)
 
 
+#: The :class:`DseOptions` fields Step 1 reads, in :func:`_step1`'s
+#: order; ``objective`` and ``top_k`` steer Steps 2-3 only.
+STEP1_FIELDS = (
+    "max_instances", "frequency_mhz", "data_width", "weight_width",
+    "buffer_presets",
+)
+
+
+def _step1(device: FpgaDevice, options: DseOptions) -> Tuple:
+    """The Step-1 fields of ``options``, defaults resolved on ``device``."""
+    return (
+        options.max_instances,
+        options.frequency_mhz or device.frequency_mhz,
+        options.data_width,
+        options.weight_width,
+        tuple(options.buffer_presets or default_buffers(device)),
+    )
+
+
+class HardwareSpace(Sequence):
+    """Step 1's feasible candidates as columns over (PT, PI, PO) bases.
+
+    ``configs[b]`` and ``budgets[b]`` are base ``b``'s config with
+    ``instances=1`` and its per-instance resources.  Candidate ``i`` is
+    base ``base_ids[i]`` with ``instances[i]`` copies; both columns are
+    read-only int64 arrays in enumeration order.  The space is a
+    read-only sequence of :class:`HardwareCandidate`: an integer index
+    builds that candidate, a slice or an index array gives the sub-space
+    of those candidates, and a space equals the list of its candidates.
+    ``device``, ``calibration`` and ``step1`` record what it was
+    enumerated for, and :meth:`check` refuses any other run.
+    """
+
+    def __init__(self, device, calibration, step1, configs, budgets,
+                 base_ids, instances):
+        self.device = device
+        self.calibration = calibration
+        self.step1 = step1
+        self.configs = configs
+        self.budgets = budgets
+        self.base_ids = base_ids
+        self.instances = instances
+        base_ids.flags.writeable = instances.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.base_ids)
+
+    def _candidate(self, base: int, count: int) -> HardwareCandidate:
+        one = self.budgets[base]
+        return HardwareCandidate(
+            cfg=replace(self.configs[base], instances=count),
+            per_instance=one,
+            total=one * count,
+        )
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._candidate(int(self.base_ids[key]),
+                                   int(self.instances[key]))
+        return HardwareSpace(
+            self.device, self.calibration, self.step1, self.configs,
+            self.budgets, self.base_ids[key], self.instances[key],
+        )
+
+    def __iter__(self):
+        return map(self._candidate, self.base_ids.tolist(),
+                   self.instances.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (HardwareSpace, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def check(self, device: FpgaDevice, options: DseOptions,
+              cal: CalibrationProfile) -> None:
+        """Raise :class:`DseError` unless this is the space Step 1
+        enumerates for ``device``, ``options`` and ``cal``."""
+        names = ("device", "calibration") + STEP1_FIELDS
+        had = (self.device, self.calibration) + self.step1
+        wanted = (device, cal) + _step1(device, options)
+        for name, mine, theirs in zip(names, had, wanted):
+            if mine != theirs:
+                raise DseError(
+                    f"candidates were enumerated with {name} {mine}, "
+                    f"not {theirs}"
+                )
+
+
 def explore_hardware(
     device: FpgaDevice,
     options: Optional[DseOptions] = None,
     cal: Optional[CalibrationProfile] = None,
-) -> List[HardwareCandidate]:
-    """Enumerate all feasible (PT, PI, PO, NI) combinations."""
+) -> HardwareSpace:
+    """Enumerate all feasible (PT, PI, PO, NI) combinations.
+
+    A base runs ``NI`` from 1 up to the fewest of: its per-die count
+    times the dies, ``max_instances``, and the copies that fit the
+    whole device.  That is where adding one instance at a time would
+    first break a Table-2 constraint, because resources are integers
+    linear in ``NI``.
+    """
     options = options or DseOptions()
     if cal is None:
         cal = get_calibration(device.name)
-    freq = options.frequency_mhz or device.frequency_mhz
-    buffers = options.buffer_presets or default_buffers(device)
-    candidates: List[HardwareCandidate] = []
+    step1 = _step1(device, options)
+    max_instances, freq, data_width, weight_width, buffers = step1
+    die = device.resources_per_die()
+    configs, budgets, counts = [], [], []
     for pt in SUPPORTED_PT:
         for pi in PARALLEL_FACTORS:
             for po in PARALLEL_FACTORS:
@@ -118,8 +223,8 @@ def explore_hardware(
                     pi=pi,
                     po=po,
                     pt=pt,
-                    data_width=options.data_width,
-                    weight_width=options.weight_width,
+                    data_width=data_width,
+                    weight_width=weight_width,
                     instances=1,
                     input_buffer_vecs=buffers[0],
                     weight_buffer_vecs=buffers[1],
@@ -129,24 +234,26 @@ def explore_hardware(
                 # Per-instance resources do not depend on the instance
                 # count: one estimate serves every NI of this base.
                 one = estimate_resources(base, device, cal, per_instance=True)
-                per_die = instances_fitting(one, device.resources_per_die())
-                if per_die < 1:
+                count = min(
+                    instances_fitting(one, die) * device.dies,
+                    instances_fitting(one, device.resources),
+                )
+                if max_instances is not None:
+                    count = min(count, max_instances)
+                if count < 1:
                     continue
-                max_ni = per_die * device.dies
-                if options.max_instances is not None:
-                    max_ni = min(max_ni, options.max_instances)
-                for ni in range(1, max_ni + 1):
-                    cfg = replace(base, instances=ni)
-                    total = one * ni
-                    if not total.fits_in(device.resources):
-                        break
-                    candidates.append(
-                        HardwareCandidate(
-                            cfg=cfg, per_instance=one, total=total
-                        )
-                    )
-    if not candidates:
+                configs.append(base)
+                budgets.append(one)
+                counts.append(count)
+    if not configs:
         raise DseError(
             f"no feasible accelerator configuration for {device.name}"
         )
-    return candidates
+    counts = np.array(counts, dtype=np.int64)
+    base_ids = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    instances = np.arange(1, len(base_ids) + 1, dtype=np.int64) - starts
+    return HardwareSpace(
+        device, cal, step1, tuple(configs), tuple(budgets), base_ids,
+        instances,
+    )

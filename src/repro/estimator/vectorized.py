@@ -4,11 +4,13 @@
 one (candidate, layer, mode, dataflow) at a time; a full sweep would
 call it tens of thousands of times, and the time goes to Python
 arithmetic and object construction, not to the math.
-:class:`BatchLayerEstimator` evaluates one layer's terms for a whole
-*batch* of candidates as numpy float64 array operations instead —
-``(PI, PO, PT, m, freq, widths, instances)`` stacked into columns,
-``T_CP/T_LDI/T_LDW/T_SV``, the IS/WS body maxes and ``T_penalty``
-computed columnwise.  It answers three questions per batch:
+:class:`BatchLayerEstimator` evaluates every compute layer for a whole
+*batch* of candidates at once instead: the per-layer constants of
+Eq. 6-11 are ``(L, 1)`` float64 columns stacked at construction, the
+candidates' ``(PI, PO, PT, m, freq, bandwidth)`` are ``(1, C)``
+columns, and each of ``T_CP/T_LDI/T_LDW/T_SV``, ``T_penalty``, the
+IS/WS body maxes and the latencies is one ``(L, C)`` expression per
+mode.  It answers three questions per batch:
 
 * :meth:`~BatchLayerEstimator.latency_bounds` — the admissible
   network-latency bound the DSE prunes with, as one column;
@@ -20,21 +22,26 @@ computed columnwise.  It answers three questions per batch:
   ``(NetworkMapping, NetworkEstimate)`` pairs, which the DSE builds
   only for the designs it returns.
 
-The batch runs in the calling thread: a process pool costs more to
-start and feed than a 621-candidate VU9P sweep takes serially.
+A batch is a :class:`~repro.dse.space.HardwareSpace` (or a slice of
+one) or a list of configs; both take the same path, in the calling
+thread: a process pool costs more to start and feed than a
+621-candidate VU9P sweep takes serially.
 
 **Exactness.**  The vector path is byte-identical to the scalar
 oracle, not approximately equal — every term, the bound column and
 the latency column.  Every scalar expression is replicated
 element-wise with the same operation order and associativity, and IEEE
 754 float64 operations are deterministic and correctly rounded, so
-each intermediate is bit-equal.  The bound column sums its per-layer
-minima from ``0.0`` in layer order, exactly like the scalar loop; a
-network latency is the left fold (:func:`~repro.numeric.left_sums`)
-of the candidate's per-layer values in layer order, every candidate
-at once, the same fold ``NetworkEstimate.latency`` makes (so it is
-bit-equal on every Python, including those whose ``sum``
-compensates).
+each intermediate is bit-equal; broadcasting a ``(L, 1)`` column
+against a ``(1, C)`` one changes no element's arithmetic.  A
+candidate's bandwidth is its base's ``FpgaDevice.bandwidth_elems``
+divided by its instance column, the scalar division order.  The bound
+column and each network latency are left folds
+(:func:`~repro.numeric.left_sums`) over the layer axis in layer order,
+every candidate at once: the bound equals the scalar loop's ``total +
+bound`` from ``0.0``, and the latency the fold
+``NetworkEstimate.latency`` makes (so it is bit-equal on every Python,
+including those whose ``sum`` compensates).
 The one place the two paths differ structurally — the scalar path
 forms integer numerators such as ``k * c * r * s * out_h * out_w`` in
 exact Python-int arithmetic and converts to float once, while the
@@ -45,21 +52,23 @@ exactly-represented integers below the limit is itself exact).  The
 constructor checks this per layer and refuses networks beyond it;
 nothing in the zoo comes within orders of magnitude.  Selection order
 is replicated too: latencies are stacked in the (mode, dataflow)
-iteration order of :func:`~repro.dse.engine.map_network` and
-``argmin`` picks the *first* minimum, exactly matching the scalar
-strict-``<`` update; a materialised row's ``bound`` label is chosen by
-the scalar path's own first-maximum rule.
+iteration order of :func:`~repro.dse.engine.map_network` into one
+``(4, L, C)`` array, infeasible entries at ``inf``, and ``argmin``
+picks the *first* minimum, exactly matching the scalar strict-``<``
+update; a materialised row's ``bound`` label is chosen by the scalar
+path's own first-maximum rule.
 
-**Group geometry.**  The partition group counts are the only
-per-candidate scalars that cannot vectorise, but they depend only on
-the *partition projection* ``(PI, PO, PT, buffer sizes)`` — a
-621-candidate VU9P sweep collapses onto a few dozen — so one
-:class:`~repro.mapping.partition.LayerPartition` per unique projection
-per (layer, mode) supplies ``GK``/row/total counts for the whole
-column, routed through the partition level of the
-:class:`~repro.pipeline.cache.EvaluationCache` when one is threaded so
-partitions keep flowing into the on-disk store.  Nothing else enters
-the cache: estimates are never offered back.
+**Group geometry.**  The partition group counts are the only terms
+that cannot vectorise, but they depend only on the *partition
+projection* ``(PI, PO, PT, buffer sizes)``: within one space each
+(PT, PI, PO) base is one, and a batch spans a handful.  A mode's
+``(L, U)`` table over the batch's ``U`` distinct bases, one memoized
+partition per (projection, layer), is gathered to ``(L, C)``; in
+Winograd mode a layer without Winograd support is infeasible without
+a lookup.  Lookups go through the partition level of the
+:class:`~repro.pipeline.cache.EvaluationCache` when one is threaded,
+so partitions keep flowing into the on-disk store; estimates are
+never offered back.
 """
 
 from __future__ import annotations
@@ -103,8 +112,8 @@ class _LayerGeometry:
     """Per-layer constants of Eq. 6-11, precomputed once per network."""
 
     __slots__ = (
-        "info", "index", "pool", "name", "ops", "wino_ok", "blocks",
-        "kc", "chw", "sv_elems", "num_spat", "wgt_spat", "out_hw",
+        "info", "pool", "name", "ops", "wino_ok", "kcb", "chw",
+        "sv_elems", "num_spat", "wgt_spat", "out_hw",
     )
 
     def __init__(self, network: Network, info: LayerInfo):
@@ -120,13 +129,11 @@ class _LayerGeometry:
             k = layer.out_channels
         out_h, out_w = info.output_shape.height, info.output_shape.width
         self.info = info
-        self.index = info.index
         self.pool = fused_pool_for(network, info.index)
         self.name = layer.name
         self.ops = info.ops
         self.wino_ok = winograd_supported(info)
-        self.blocks = (-(-r // 3)) * (-(-s // 3))
-        self.kc = k * c
+        self.kcb = k * c * (-(-r // 3)) * (-(-s // 3))  # Winograd blocks
         self.out_hw = out_h * out_w
         self.chw = c * h * w  # Eq. 10 numerator
         self.sv_elems = k * out_h * out_w  # Eq. 11 numerator
@@ -134,8 +141,7 @@ class _LayerGeometry:
         self.wgt_spat = k * c * r * s  # Eq. 8 numerator
         pt_max = max(SUPPORTED_PT)
         worst = max(
-            self.num_spat,
-            self.kc * self.blocks * pt_max * pt_max * self.out_hw,
+            self.num_spat, self.kcb * pt_max * pt_max * self.out_hw
         )
         if worst >= _EXACT_LIMIT:
             raise DseError(
@@ -148,11 +154,15 @@ class BatchLayerEstimator:
     """Eq. 6-15 for *all* candidates of a batch as numpy column ops.
 
     One instance serves one ``(device, network)`` pair for the lifetime
-    of a DSE run: layer geometry is precomputed at construction and
-    partition lookups are memoized across batches.  ``cache`` is an
-    optional :class:`~repro.pipeline.cache.EvaluationCache`
+    of a DSE run: layer geometry is stacked into ``(L, 1)`` columns at
+    construction and partition lookups are memoized across batches.
+    ``cache`` is an optional :class:`~repro.pipeline.cache.EvaluationCache`
     (duck-typed, like :func:`~repro.estimator.latency.estimate_network`
     takes it) whose partition level serves every group-geometry lookup.
+
+    Every entry point takes a column-backed
+    :class:`~repro.dse.space.HardwareSpace` (or a slice of one) or a
+    list of configs; both go through :func:`_batch` and one evaluation.
     """
 
     def __init__(self, device: FpgaDevice, network: Network, cache=None):
@@ -163,108 +173,105 @@ class BatchLayerEstimator:
             _LayerGeometry(network, info)
             for info in network.compute_layers()
         ]
-        #: (layer index, mode, projection) -> the partition's group
-        #: counts ``(feasible, GK, rows, GC, groups)``.
-        self._groups: Dict[Tuple, Tuple[float, ...]] = {}
 
-    # -- group-geometry gathering -----------------------------------------
+        def column(name):
+            return np.array(
+                [getattr(geom, name) for geom in self.layers],
+                dtype=np.float64,
+            )[:, None]
 
-    @staticmethod
-    def _projection(cfg: AcceleratorConfig) -> Tuple:
-        """The fields a partition depends on (see EvaluationCache)."""
-        return (
-            cfg.pi, cfg.po, cfg.pt,
+        self._kcb = column("kcb")
+        self._out_hw = column("out_hw")
+        self._num_spat = column("num_spat")  # Eq. 6 numerator
+        self._wgt_spat = column("wgt_spat")  # Eq. 8 numerator
+        self._chw = column("chw")  # Eq. 10 numerator
+        self._sv_elems = column("sv_elems")  # Eq. 11 numerator
+        self._wino_ok = column("wino_ok") > 0.0
+        #: (mode, projection) -> the ``(5, L)`` group counts
+        #: ``(feasible, GK, rows, GC, groups)`` of every layer.
+        self._groups: Dict[Tuple, np.ndarray] = {}
+
+    # -- group geometry -----------------------------------------------------
+
+    def _groups_for(self, mode: str, cfg: AcceleratorConfig) -> np.ndarray:
+        """Every layer's group counts under ``mode`` for the partition
+        projection ``(PI, PO, PT, buffer sizes)`` of ``cfg``."""
+        key = (
+            mode, cfg.pi, cfg.po, cfg.pt,
             cfg.input_buffer_vecs, cfg.weight_buffer_vecs,
             cfg.output_buffer_vecs,
         )
-
-    def _groups_for(
-        self, geom: _LayerGeometry, mode: str, proj: Tuple,
-        cfg: AcceleratorConfig,
-    ) -> Tuple[float, ...]:
-        key = (geom.index, mode, proj)
-        try:
-            return self._groups[key]
-        except KeyError:
-            pass
-        try:
-            if self.cache is not None:
-                partition = self.cache.partition(
-                    cfg, geom.info, mode, geom.pool
-                )
-            else:
-                partition = partition_layer(cfg, geom.info, mode, geom.pool)
-        except ReproError:
-            groups = (0.0, 1.0, 1.0, 1.0, 1.0)  # infeasible
-        else:
-            groups = (
-                1.0,
-                partition.n_k_groups * partition.n_c_groups,
-                partition.n_row_groups,
-                partition.n_c_groups,
-                partition.total_groups,
-            )
-        self._groups[key] = groups
-        return groups
-
-    def _gather_groups(self, geom, mode, reps, proj_ids):
-        """Group-count columns, one partition per unique projection."""
-        table = np.array(
-            [self._groups_for(geom, mode, proj, cfg) for proj, cfg in reps],
-            dtype=np.float64,
-        )[proj_ids]
-        return (
-            table[:, 0] > 0.0, table[:, 1], table[:, 2], table[:, 3],
-            table[:, 4],
+        table = self._groups.get(key)
+        if table is not None:
+            return table
+        lookup = (
+            self.cache.partition if self.cache is not None
+            else partition_layer
         )
+        rows = []
+        for geom in self.layers:
+            groups = _INFEASIBLE
+            if mode != "wino" or geom.wino_ok:
+                try:
+                    partition = lookup(cfg, geom.info, mode, geom.pool)
+                except ReproError:
+                    pass
+                else:
+                    groups = (
+                        1.0,
+                        partition.n_k_groups * partition.n_c_groups,
+                        partition.n_row_groups,
+                        partition.n_c_groups,
+                        partition.total_groups,
+                    )
+            rows.append(groups)
+        table = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+        self._groups[key] = table
+        return table
 
-    # -- Eq. 6-15 columns --------------------------------------------------
+    # -- Eq. 6-15 columns ---------------------------------------------------
 
-    def _columns(self, cfgs: Sequence[AcceleratorConfig]):
+    def _columns(self, batch):
+        """``(bases, inverse, cols)``: the batch's distinct bases, each
+        candidate's index among them, and the ``(1, C)`` columns
+        ``(PI, PO, PT, m, freq, bw_f, bw_w)``; a bandwidth is its base's
+        ``bandwidth_elems`` over its instance count, in scalar order."""
+        configs, base_ids, instances = batch
+        uniq, inverse = np.unique(base_ids, return_inverse=True)
+        bases = [configs[base] for base in uniq.tolist()]
         device = self.device
-        pi = np.array([cfg.pi for cfg in cfgs], dtype=np.float64)
-        po = np.array([cfg.po for cfg in cfgs], dtype=np.float64)
-        pt = np.array([cfg.pt for cfg in cfgs], dtype=np.float64)
-        m = np.array([cfg.m for cfg in cfgs], dtype=np.float64)
-        freq = np.array(
-            [cfg.frequency_hz for cfg in cfgs], dtype=np.float64
-        )
-        bw_f = np.array(
+        per_base = np.array(
             [
-                device.bandwidth_elems(cfg.data_width, cfg.instances)
-                for cfg in cfgs
+                (
+                    cfg.pi, cfg.po, cfg.pt, cfg.m, cfg.frequency_hz,
+                    device.bandwidth_elems(cfg.data_width),
+                    device.bandwidth_elems(cfg.weight_width),
+                )
+                for cfg in bases
             ],
             dtype=np.float64,
-        )
-        bw_w = np.array(
-            [
-                device.bandwidth_elems(cfg.weight_width, cfg.instances)
-                for cfg in cfgs
-            ],
-            dtype=np.float64,
-        )
-        return pi, po, pt, m, freq, bw_f, bw_w
+        ).reshape(-1, 7)
+        pi, po, pt, m, freq, bw_f, bw_w = per_base[inverse].T[:, None, :]
+        cols = (pi, po, pt, m, freq, bw_f / instances, bw_w / instances)
+        return bases, inverse, cols
 
-    def _mode_times(self, geom, mode, cols):
-        """Columnwise ``_module_times``: T_CP, T_LDI, T_LDW, T_SV."""
+    def _mode_times(self, mode, cols):
+        """``_module_times`` for every (layer, candidate): ``(L, C)``
+        T_CP, T_LDI, T_LDW, T_SV, in the scalar operation order."""
         pi, po, pt, m, freq, bw_f, bw_w = cols
+        rate = freq * pi * po * pt
         if mode == "wino":
-            kcb = float(geom.kc * geom.blocks)
-            t_comp = (kcb * pt * pt * geom.out_hw) / (
-                freq * pi * po * pt * pt * m * m
-            )  # Eq. 7
-            wgt_elems = kcb * pt * pt
+            wgt_elems = self._kcb * pt * pt
+            t_comp = (wgt_elems * self._out_hw) / (rate * pt * m * m)  # Eq. 7
         else:
-            t_comp = geom.num_spat / (freq * pi * po * pt * pt)  # Eq. 6
-            wgt_elems = float(geom.wgt_spat)
-        t_ldw = wgt_elems / np.minimum(bw_w, freq * pi * po * pt)  # Eq. 8/9
-        t_ldi = geom.chw / np.minimum(bw_f, freq * pi * pt)  # Eq. 10
-        t_sv = geom.sv_elems / np.minimum(bw_f, freq * po * pt)  # Eq. 11
+            wgt_elems = self._wgt_spat
+            t_comp = self._num_spat / (rate * pt)  # Eq. 6
+        t_ldw = wgt_elems / np.minimum(bw_w, rate)  # Eq. 8/9
+        t_ldi = self._chw / np.minimum(bw_f, freq * pi * pt)  # Eq. 10
+        t_sv = self._sv_elems / np.minimum(bw_f, freq * po * pt)  # Eq. 11
         return t_comp, t_ldi, t_ldw, t_sv
 
-    def latency_bounds(
-        self, cfgs: Sequence[AcceleratorConfig]
-    ) -> np.ndarray:
+    def latency_bounds(self, cfgs: Sequence) -> np.ndarray:
         """Admissible network-latency bound per candidate (seconds).
 
         Every (mode, dataflow) latency is ``body + T_penalty`` where
@@ -273,156 +280,101 @@ class BatchLayerEstimator:
         by a group count ``>= 1``.  So for either dataflow ``latency >=
         max(T_CP, T_LDI, T_LDW, T_SV)`` without partitioning a layer.
         Per layer the largest of the four module times, the smaller of
-        its Spatial and (where supported) Winograd values, summed from
-        ``0.0`` in layer order — bit-equal to the scalar loop
+        its Spatial and (where supported) Winograd values, folded in
+        layer order — bit-equal to the scalar loop
         ``tests/test_dse_oracle.py`` keeps.
         """
-        cols = self._columns(cfgs)
-        total = np.zeros(len(cfgs))
-        for geom in self.layers:
-            bound = _largest(self._mode_times(geom, "spat", cols))
-            if geom.wino_ok:
-                bound = np.minimum(
-                    bound, _largest(self._mode_times(geom, "wino", cols))
-                )
-            total = total + bound
-        return total
+        _, _, cols = self._columns(_batch(cfgs))
+        spat = _largest(self._mode_times("spat", cols))
+        wino = _largest(self._mode_times("wino", cols))
+        return left_sums(
+            np.where(self._wino_ok, np.minimum(spat, wino), spat)
+        )
 
-    def _evaluate(self, cfgs: Sequence[AcceleratorConfig]):
-        """All terms for every (layer, combo, candidate).
+    def _evaluate(self, batch):
+        """All terms for every (combo, layer, candidate).
 
-        Returns, per layer, one row per :data:`COMBOS` entry: ``None``
-        when the combination is infeasible for the whole batch, else
+        Returns one row per :data:`COMBOS` entry of ``(L, C)`` arrays
         ``(feasible, t_comp, t_ldi, t_ldw, t_sv, t_penalty, latency,
-        input_term, weight_term)`` column arrays.
+        input_term, weight_term)``.
         """
-        cols = self._columns(cfgs)
+        bases, inverse, cols = self._columns(batch)
         freq = cols[4]
-        uniq: Dict[Tuple, int] = {}
-        reps: List[Tuple[Tuple, AcceleratorConfig]] = []
-        proj_ids = np.empty(len(cfgs), dtype=np.intp)
-        for j, cfg in enumerate(cfgs):
-            proj = self._projection(cfg)
-            u = uniq.get(proj)
-            if u is None:
-                u = uniq[proj] = len(reps)
-                reps.append((proj, cfg))
-            proj_ids[j] = u
         overhead = float(GROUP_OVERHEAD_CYCLES)
-
-        per_layer = []
-        for geom in self.layers:
-            combo_rows: List[Optional[Tuple]] = []
-            for mode in MODES:
-                if mode == "wino" and not geom.wino_ok:
-                    combo_rows.extend((None, None))
-                    continue
-                ok, gk, n_rows, gc, groups = self._gather_groups(
-                    geom, mode, reps, proj_ids
+        rows = []
+        for mode in MODES:
+            table = np.stack(
+                [self._groups_for(mode, cfg) for cfg in bases], axis=-1
+            )
+            ok, gk, n_rows, gc, groups = table[:, :, inverse]
+            ok = ok > 0.0
+            t_comp, t_ldi, t_ldw, t_sv = self._mode_times(mode, cols)
+            t_penalty = (
+                t_ldi / np.maximum(n_rows, 1.0)
+                + t_ldw / np.maximum(gk, 1.0)
+                + t_sv / np.maximum(n_rows, 1.0)
+                + groups * overhead / freq
+            )
+            terms = {
+                # Eq. 12 / 14 — and the GC == 1 rule the scalar path
+                # enforces with UnsupportedLayerError.
+                "is": (ok & (gc == 1.0), t_ldi, n_rows * t_ldw),
+                # Eq. 13 / 15.
+                "ws": (ok, gk * t_ldi, t_ldw),
+            }
+            for dataflow in DATAFLOWS:
+                feasible, input_term, weight_term = terms[dataflow]
+                body = np.maximum(
+                    np.maximum(np.maximum(input_term, weight_term), t_comp),
+                    t_sv,
                 )
-                if not ok.any():
-                    combo_rows.extend((None, None))
-                    continue
-                t_comp, t_ldi, t_ldw, t_sv = self._mode_times(
-                    geom, mode, cols
-                )
-                t_penalty = (
-                    t_ldi / np.maximum(n_rows, 1.0)
-                    + t_ldw / np.maximum(gk, 1.0)
-                    + t_sv / np.maximum(n_rows, 1.0)
-                    + groups * overhead / freq
-                )
-                for dataflow in DATAFLOWS:
-                    if dataflow == "is":
-                        # Eq. 12 / 14 — and the GC == 1 rule the scalar
-                        # path enforces with UnsupportedLayerError.
-                        feasible = ok & (gc == 1.0)
-                        input_term = t_ldi
-                        weight_term = n_rows * t_ldw
-                    else:
-                        # Eq. 13 / 15.
-                        feasible = ok
-                        input_term = gk * t_ldi
-                        weight_term = t_ldw
-                    if not feasible.any():
-                        combo_rows.append(None)
-                        continue
-                    body = np.maximum(
-                        np.maximum(
-                            np.maximum(input_term, weight_term), t_comp
-                        ),
-                        t_sv,
-                    )
-                    combo_rows.append((
-                        feasible, t_comp, t_ldi, t_ldw, t_sv,
-                        t_penalty, body + t_penalty,
-                        input_term, weight_term,
-                    ))
-            per_layer.append(combo_rows)
-        return per_layer
-
-    def _select(self, per_layer, count: int):
-        """``map_network``'s pick per (layer, candidate).
-
-        Returns ``(choices, latency, alive)``: the index into
-        :data:`COMBOS` of the first least-latency feasible combination,
-        its latency, and the candidates where every layer has one.
-        """
-        choices = np.zeros((len(self.layers), count), dtype=np.intp)
-        latency = np.empty((len(self.layers), count))
-        columns = np.arange(count)
-        for li, rows in enumerate(per_layer):
-            lat = np.full((len(COMBOS), count), np.inf)
-            for ci, row in enumerate(rows):
-                if row is not None:
-                    lat[ci] = np.where(row[0], row[6], np.inf)
-            choices[li] = np.argmin(lat, axis=0)
-            latency[li] = lat[choices[li], columns]
-        return choices, latency, np.isfinite(latency).all(axis=0)
+                rows.append((
+                    feasible, t_comp, t_ldi, t_ldw, t_sv, t_penalty,
+                    body + t_penalty, input_term, weight_term,
+                ))
+        return rows
 
     # -- results -----------------------------------------------------------
 
-    def network_latencies(
-        self, cfgs: Sequence[AcceleratorConfig]
-    ) -> List[Optional[float]]:
+    def network_latencies(self, cfgs: Sequence) -> List[Optional[float]]:
         """Per candidate: the ``latency`` of the ``NetworkEstimate``
         :func:`~repro.dse.engine.map_network` would return, or ``None``
         where it would raise :class:`~repro.errors.DseError` (some layer
         fits no combination).  No estimate object is built."""
-        cfgs = list(cfgs)
-        if not cfgs:
+        batch = _batch(cfgs)
+        if not len(batch[1]):
             return []
-        _, latency, alive = self._select(self._evaluate(cfgs), len(cfgs))
+        _, latency, alive = _select(self._evaluate(batch))
         return [
             total if ok else None
             for total, ok in zip(left_sums(latency).tolist(), alive.tolist())
         ]
 
     @staticmethod
-    def _materialize(geom, row, j, mode, dataflow) -> LayerEstimate:
-        """One scalar :class:`LayerEstimate` out of the column arrays."""
+    def _materialize(geom, row, li, j, mode, dataflow) -> LayerEstimate:
+        """One scalar :class:`LayerEstimate` out of the ``(L, C)`` arrays."""
         terms = {
-            "input": float(row[7][j]),
-            "weight": float(row[8][j]),
-            "compute": float(row[1][j]),
-            "save": float(row[4][j]),
+            "input": float(row[7][li, j]),
+            "weight": float(row[8][li, j]),
+            "compute": float(row[1][li, j]),
+            "save": float(row[4][li, j]),
         }
         return LayerEstimate(
             layer_name=geom.name,
             mode=mode,
             dataflow=dataflow,
             t_comp=terms["compute"],
-            t_ldi=float(row[2][j]),
-            t_ldw=float(row[3][j]),
+            t_ldi=float(row[2][li, j]),
+            t_ldw=float(row[3][li, j]),
             t_sv=terms["save"],
-            t_penalty=float(row[5][j]),
-            latency=float(row[6][j]),
+            t_penalty=float(row[5][li, j]),
+            latency=float(row[6][li, j]),
             bound=max(terms, key=terms.get),
             ops=geom.ops,
         )
 
     def estimate_grid(
-        self, cfgs: Sequence[AcceleratorConfig]
+        self, cfgs: Sequence
     ) -> List[List[Dict[Tuple[str, str], Optional[LayerEstimate]]]]:
         """Every (layer, mode, dataflow) estimate per candidate.
 
@@ -432,27 +384,24 @@ class BatchLayerEstimator:
         exhaustive view the property tests compare term by term against
         :func:`~repro.estimator.latency.estimate_layer`.
         """
-        cfgs = list(cfgs)
-        per_layer = self._evaluate(cfgs)
-        grid = []
-        for j in range(len(cfgs)):
-            by_layer = []
-            for li, geom in enumerate(self.layers):
-                cell: Dict[Tuple[str, str], Optional[LayerEstimate]] = {}
-                for ci, (mode, dataflow) in enumerate(COMBOS):
-                    row = per_layer[li][ci]
-                    if row is None or not row[0][j]:
-                        cell[(mode, dataflow)] = None
-                    else:
-                        cell[(mode, dataflow)] = self._materialize(
-                            geom, row, j, mode, dataflow
-                        )
-                by_layer.append(cell)
-            grid.append(by_layer)
-        return grid
+        batch = _batch(cfgs)
+        rows = self._evaluate(batch) if len(batch[1]) else []
+        return [
+            [
+                {
+                    combo: (
+                        self._materialize(geom, row, li, j, *combo)
+                        if row[0][li, j] else None
+                    )
+                    for combo, row in zip(COMBOS, rows)
+                }
+                for li, geom in enumerate(self.layers)
+            ]
+            for j in range(len(batch[1]))
+        ]
 
     def map_candidates(
-        self, cfgs: Sequence[AcceleratorConfig]
+        self, cfgs: Sequence
     ) -> List[Optional[Tuple[NetworkMapping, NetworkEstimate]]]:
         """Step 2 for a whole candidate batch at once.
 
@@ -462,23 +411,26 @@ class BatchLayerEstimator:
         layer fits no combination).  Results are byte-identical to the
         scalar path, runner-up ties included.
         """
-        cfgs = list(cfgs)
-        if not cfgs:
+        batch = _batch(cfgs)
+        if not len(batch[1]):
             return []
-        per_layer = self._evaluate(cfgs)
-        choices, _, alive = self._select(per_layer, len(cfgs))
+        rows = self._evaluate(batch)
+        choices, _, alive = _select(rows)
         results: List[Optional[Tuple[NetworkMapping, NetworkEstimate]]] = []
-        for j, cfg in enumerate(cfgs):
-            if not alive[j]:
+        for j, (count, ok) in enumerate(
+            zip(batch[2].tolist(), alive.tolist())
+        ):
+            if not ok:
                 results.append(None)
                 continue
             selections = []
             estimates = []
-            for li, geom in enumerate(self.layers):
-                ci = int(choices[li, j])
+            for li, (geom, ci) in enumerate(
+                zip(self.layers, choices[:, j].tolist())
+            ):
                 mode, dataflow = COMBOS[ci]
                 estimates.append(self._materialize(
-                    geom, per_layer[li][ci], j, mode, dataflow
+                    geom, rows[ci], li, j, mode, dataflow
                 ))
                 selections.append(LayerMapping(geom.name, mode, dataflow))
             results.append((
@@ -486,13 +438,43 @@ class BatchLayerEstimator:
                 NetworkEstimate(
                     network_name=self.network.name,
                     layers=estimates,
-                    instances=cfg.instances,
+                    instances=count,
                 ),
             ))
         return results
 
 
+#: The group counts of an infeasible (layer, mode): no partition fits.
+_INFEASIBLE = (0.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def _batch(cfgs):
+    """``(configs, base_ids, instances)`` of a candidate batch: a
+    :class:`~repro.dse.space.HardwareSpace` (duck-typed, as the DSE
+    layer imports this one) as it is, a list with each config its own
+    base.  Bases give every field but the instance count."""
+    if hasattr(cfgs, "base_ids"):
+        return cfgs.configs, cfgs.base_ids, cfgs.instances
+    configs = list(cfgs)
+    instances = np.array([cfg.instances for cfg in configs], dtype=np.int64)
+    return configs, np.arange(len(configs)), instances
+
+
+def _select(rows):
+    """``map_network``'s pick per (layer, candidate).
+
+    Returns ``(choices, latency, alive)``: the index into :data:`COMBOS`
+    of the first least-latency feasible combination (``argmin`` over
+    the ``(4, L, C)`` stack, infeasible entries at ``inf``), its
+    latency, and the candidates where every layer has one.
+    """
+    stack = np.stack([np.where(row[0], row[6], np.inf) for row in rows])
+    choices = np.argmin(stack, axis=0)
+    latency = np.take_along_axis(stack, choices[None], axis=0)[0]
+    return choices, latency, np.isfinite(latency).all(axis=0)
+
+
 def _largest(terms) -> np.ndarray:
-    """Columnwise ``max`` of the four module times."""
+    """Elementwise ``max`` of the four module times."""
     t_comp, t_ldi, t_ldw, t_sv = terms
     return np.maximum(np.maximum(np.maximum(t_comp, t_ldi), t_ldw), t_sv)

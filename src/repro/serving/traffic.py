@@ -297,11 +297,6 @@ class RequestStream(collections.abc.Sequence):
         return f"RequestStream({len(self)} requests)"
 
 
-def uniform_arrivals(count: int) -> List[float]:
-    """Closed loop: all requests queued at t=0."""
-    return _arrivals("uniform", count).tolist()
-
-
 def fixed_qps_arrivals(count: int, qps: float) -> List[float]:
     """Open loop with deterministic spacing ``1/qps``."""
     return _arrivals("fixed-qps", count, qps).tolist()

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
@@ -10,6 +11,7 @@ from repro.dse.space import (
     PARALLEL_FACTORS,
     DseOptions,
     HardwareCandidate,
+    HardwareSpace,
     default_buffers,
 )
 from repro.errors import DseError
@@ -17,6 +19,7 @@ from repro.estimator.calibration import get_calibration
 from repro.estimator.resources import estimate_resources, instances_per_die
 from repro.fpga import DEVICES, get_device
 from repro.ir import zoo
+from repro.pipeline import PipelineSession
 
 
 def per_instance_enumeration(device, options):
@@ -106,6 +109,106 @@ class TestStep1Explore:
             for c in explore_hardware(pynq)
         }
         assert (4, 4, 4, 1) in pynq_space
+
+
+class TestHardwareSpace:
+    """Step 1's column-backed result reads as the list of candidates."""
+
+    def test_columns_are_read_only_int64(self, vu9p):
+        space = explore_hardware(vu9p)
+        assert isinstance(space, HardwareSpace)
+        for column in (space.base_ids, space.instances):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 2
+        for column in (space[3:9].base_ids, space[[5, 1]].instances):
+            assert not column.flags.writeable
+
+    def test_reads_as_the_list_form(self, pynq):
+        space = explore_hardware(pynq)
+        listed = list(space)
+        assert len(space) == len(listed) == 18
+        assert space == listed and listed == space
+        assert space[-1] == listed[-1]
+        assert space[-len(listed)] == listed[0]
+        assert space[np.int64(3)] == listed[3]
+        with pytest.raises(IndexError):
+            space[len(listed)]
+
+    def test_slices_and_index_arrays_are_sub_spaces(self, pynq):
+        space = explore_hardware(pynq)
+        listed = list(space)
+        assert isinstance(space[2:7], HardwareSpace)
+        assert space[2:7] == listed[2:7]
+        assert space[::-3] == listed[::-3]
+        assert space[np.array([4, 0, 4])] == [listed[4], listed[0], listed[4]]
+        assert space != listed[:-1]
+        assert space[:0] == []
+
+
+class TestPrecomputedCandidates:
+    """``run_dse(candidates=...)`` runs only on the space Step 1
+    enumerates for that run."""
+
+    NET = zoo.tiny_cnn(input_size=32)
+
+    def test_other_device(self, vu9p, pynq):
+        with pytest.raises(DseError, match="with device pynq-z1 .* not vu9p"):
+            run_dse(vu9p, self.NET, candidates=explore_hardware(pynq))
+
+    def test_same_name_other_spec(self, pynq):
+        faster = replace(pynq, frequency_mhz=125.0)
+        with pytest.raises(DseError, match="100 MHz.*, not .*125 MHz"):
+            run_dse(faster, self.NET, candidates=explore_hardware(pynq))
+
+    @pytest.mark.parametrize(
+        "field, enumerated, requested",
+        [
+            ("max_instances", {}, {"max_instances": 1}),
+            ("frequency_mhz", {"frequency_mhz": 150}, {}),
+            ("data_width", {"data_width": 16}, {}),
+            ("weight_width", {}, {"weight_width": 4}),
+            ("buffer_presets", {"buffer_presets": (4096, 2048, 2048)}, {}),
+        ],
+    )
+    def test_other_step1_options(self, pynq, field, enumerated, requested):
+        space = explore_hardware(pynq, DseOptions(**enumerated))
+        with pytest.raises(DseError, match=f"enumerated with {field} "):
+            run_dse(pynq, self.NET, DseOptions(**requested),
+                    candidates=space)
+
+    def test_other_calibration(self, pynq):
+        space = explore_hardware(pynq, cal=get_calibration("generic"))
+        with pytest.raises(
+            DseError, match="calibration .*'generic'.*, not .*'pynq-z1'"
+        ):
+            run_dse(pynq, self.NET, candidates=space)
+
+    def test_a_list_is_refused(self, pynq):
+        with pytest.raises(DseError, match="HardwareSpace"):
+            run_dse(pynq, self.NET,
+                    candidates=list(explore_hardware(pynq)))
+
+    def test_steps_2_3_options_and_resolved_defaults_pass(self, pynq):
+        """``objective`` and ``top_k`` are no Step-1 fields, and an
+        explicit default enumerates the same space."""
+        space = explore_hardware(pynq)
+        options = DseOptions(
+            objective="latency", top_k=2,
+            frequency_mhz=pynq.frequency_mhz,
+            buffer_presets=default_buffers(pynq),
+        )
+        seeded = run_dse(pynq, self.NET, options, candidates=space)
+        direct = run_dse(pynq, self.NET, options)
+        assert (seeded.cfg, seeded.estimate) == (direct.cfg, direct.estimate)
+
+    def test_session_passes_its_own_space(self, pynq):
+        options = DseOptions(max_instances=1, frequency_mhz=150,
+                             objective="latency")
+        session = PipelineSession(self.NET, pynq, options)
+        result = session.dse()
+        assert result.candidates_considered == len(session.candidates())
+        assert result.cfg.frequency_mhz == 150
 
 
 class TestStep2Mapping:

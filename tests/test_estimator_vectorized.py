@@ -9,12 +9,14 @@ byte-identical to the serial scalar path's
 (``tests/test_dse_oracle.py``).
 """
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.params import AcceleratorConfig
-from repro.dse import run_dse
+from repro.dse import explore_hardware, run_dse
 from repro.dse.engine import map_network
 from repro.dse.space import DseOptions
 from repro.errors import DseError, ReproError
@@ -120,21 +122,57 @@ def test_grid_matches_on_multilayer_models(model):
     )
 
 
-def test_network_latencies_match_map_network():
+#: Whole VU9P, ZCU102 and KU115 spaces under every zoo model take ~3 s
+#: of scalar mapping, so tier-1 skips them; CI's benchmark job runs them
+#: with ``REPRO_FULL_ORACLE=1 pytest -m slow``.
+FULL_ORACLE = [
+    pytest.mark.slow,
+    pytest.mark.skipif(
+        os.environ.get("REPRO_FULL_ORACLE") != "1",
+        reason="full catalog matrix: set REPRO_FULL_ORACLE=1",
+    ),
+]
+
+
+def _latency_inputs(name):
+    """``(device, network, candidates)`` cases: the mixed config list
+    on tiny_cnn, or every zoo model on a device's whole Step-1 space."""
+    if name == "cfg-batch":
+        return [(DEVICE, zoo.tiny_cnn(), CFG_BATCH)]
+    device = get_device(name)
+    space = explore_hardware(device)
+    return [
+        (device, zoo.get_model(model), space) for model in sorted(zoo.MODELS)
+    ]
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    ["cfg-batch", "pynq-z1"] + [
+        pytest.param(name, marks=FULL_ORACLE)
+        for name in ("vu9p", "zcu102", "ku115")
+    ],
+)
+def test_network_latencies_match_map_network(inputs):
     """The latency column is the materialised estimate's latency, bit
-    for bit, and None exactly where map_network raises."""
-    network = zoo.tiny_cnn()
-    estimator = BatchLayerEstimator(DEVICE, network)
-    for cfg, latency in zip(
-        CFG_BATCH, estimator.network_latencies(CFG_BATCH)
-    ):
-        try:
-            _, expected = map_network(cfg, DEVICE, network)
-        except DseError:
-            assert latency is None
-            continue
-        assert latency is not None
-        assert latency.hex() == expected.latency.hex()
+    for bit, and None exactly where map_network raises — on a config
+    list, and on whole Step-1 spaces passed as ``run_dse`` passes its
+    batches."""
+    for device, network, candidates in _latency_inputs(inputs):
+        estimator = BatchLayerEstimator(
+            device, network, cache=EvaluationCache()
+        )
+        latencies = estimator.network_latencies(candidates)
+        assert len(latencies) == len(candidates)
+        for candidate, latency in zip(candidates, latencies):
+            cfg = getattr(candidate, "cfg", candidate)
+            try:
+                _, expected = map_network(cfg, device, network)
+            except DseError:
+                assert latency is None
+                continue
+            assert latency is not None
+            assert latency.hex() == expected.latency.hex()
 
 
 def test_map_candidates_matches_map_network():

@@ -245,18 +245,10 @@ class TestDseEquivalence:
         assert [_design_point(r) for r in fast.runners_up] == [
             _design_point(r) for r in seed.runners_up
         ]
-
-    def test_vgg16_full_sweep_vu9p(self, vu9p):
-        network = zoo.vgg16()
-        options = DseOptions(frequency_mhz=167)
-        seed = scalar_run_dse(vu9p, network, options, prune=False)
-        fast = run_dse(vu9p, network, options)
-        assert _design_point(fast) == _design_point(seed)
-        assert fast.candidates_considered == seed.candidates_considered
-        assert fast.candidates_pruned > 0
-        # Shape dedup: VGG16's repeated conv shapes share partitions.
-        assert fast.cache_stats is not None
-        assert fast.cache_stats.partition_hits > 0
+        if model == "vgg16":
+            # Shape dedup: VGG16's repeated conv shapes share
+            # partitions even in a fresh run.
+            assert fast.cache_stats.partition_hits > 0
 
     def test_latency_objective_equivalence(self, pynq):
         network = zoo.tiny_cnn(input_size=32)
