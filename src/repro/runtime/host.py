@@ -86,14 +86,18 @@ class HostRuntime:
         )
         for region, size in sizes.items():
             self.dram.allocate(region, size)
-        for name, packed in compiled.weights.items():
-            if packed.image.size:
-                self.dram.write(
-                    self.dram.region(f"wgt:{name}").base, packed.image
-                )
-        for name, bias in compiled.biases.items():
-            if bias.size:
-                self.dram.write(self.dram.region(f"bias:{name}").base, bias)
+        if functional:
+            # Timing reads no DRAM, so a timing-only runtime moves no data.
+            for name, packed in compiled.weights.items():
+                if packed.image.size:
+                    self.dram.write(
+                        self.dram.region(f"wgt:{name}").base, packed.image
+                    )
+            for name, bias in compiled.biases.items():
+                if bias.size:
+                    self.dram.write(
+                        self.dram.region(f"bias:{name}").base, bias
+                    )
 
         self.sim = AcceleratorSimulator(
             cfg, device, self.dram, functional=functional, trace=trace
@@ -102,7 +106,8 @@ class HostRuntime:
     # -- data movement -----------------------------------------------------
 
     def load_input(self, image: np.ndarray) -> None:
-        """Quantise and pack one CHW image into the input region."""
+        """Quantise and pack one CHW image into the input region (a
+        timing-only runtime checks its shape only)."""
         spec = self.compiled.input_spec
         image = np.asarray(image, dtype=np.float64)
         expected = (spec.channels, spec.height, spec.width)
@@ -110,6 +115,8 @@ class HostRuntime:
             raise RuntimeHostError(
                 f"input shape {image.shape} != expected {expected}"
             )
+        if not self.functional:
+            return
         if self.compiled.options.quantize:
             image = self.compiled.cfg.feature_type.quantize(image)
         words = layouts.pack_feature(spec.layout, image, self.compiled.cfg.pi)

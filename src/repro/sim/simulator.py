@@ -28,7 +28,18 @@ three steps:
 2. token matching from per-FIFO push and pop positions
    (:func:`~repro.arch.fifo.match_tokens`), which also finds the first
    FIFO overflow or underflow in program order;
-3. one pass of the recurrence over plain ints.
+3. the recurrence, one layer at a time: stepped over plain ints, except
+   where a layer's loop nest has settled into a periodic regime, which
+   is filled with numpy (:func:`_finish_column`).
+
+The recurrence is shift-invariant: add ``c`` to every finish time an
+instruction reads and its own moves by ``c``.  A layer repeats one loop
+body, so once the finish times of a whole body have all moved by one
+``Δ`` against the body before, every later body of the same pattern is
+the last one plus ``Δ``; the issue slot, which moves by
+``CTRL_ISSUE_CYCLES`` per instruction, keeps that exact as long as
+``Δ`` keeps up with it.  Each such shift is checked on the finish times
+before it is used, so the filled times are the stepped ones exactly.
 
 Replaying the FIFOs token by token computes the same times: a token's
 timestamp is its producer's finish time, and the replay hands the k-th
@@ -117,6 +128,10 @@ _FIFOS: Tuple[Tuple[str, int, Opcode, DeptFlag, Opcode, DeptFlag], ...] = (
 #: Most FIFOs one instruction pops (COMP's three).
 _MAX_WAITS = 3
 
+#: Fewest instructions a periodic run must leave to fill: a shorter one
+#: is stepped, as its check and fill would cost more than the steps.
+_MIN_FILL = 32
+
 _QUAN_PARAM = ROW_FIELDS[Opcode.COMP].index("quan_param")
 
 
@@ -174,7 +189,9 @@ class SimulationResult:
     @staticmethod
     def merge(results: List["SimulationResult"]) -> "SimulationResult":
         """Aggregate sequential segment results (host steps take no
-        accelerator time)."""
+        accelerator time).  A module finishes where it last ran: at its
+        finish in the last segment that used it, plus that segment's
+        offset."""
         if not results:
             raise SimulationError("nothing to merge")
         total = SimulationResult(
@@ -191,6 +208,8 @@ class SimulationResult:
                 agg = total.modules.setdefault(name, ModuleStats(name))
                 agg.instructions += stats.instructions
                 agg.busy_cycles += stats.busy_cycles
+                if stats.instructions:
+                    agg.finish_time = offset + stats.finish_time
             for timing in result.layers:
                 total.layers.append(
                     LayerTiming(
@@ -387,7 +406,8 @@ class AcceleratorSimulator:
             )
         opcodes = program.opcodes
         durations = self._durations(opcodes, table)
-        waits, failure = _match_fifos(opcodes, program.depts)
+        members = _module_members(opcodes)
+        back, failure = _dependencies(opcodes, program.depts, members)
 
         read0 = self.dram.total_read_elems
         written0 = self.dram.total_written_elems
@@ -399,15 +419,7 @@ class AcceleratorSimulator:
         if failure is not None:
             raise failure[1]
 
-        module = _MODULE_LOOKUP[opcodes]
-        members = [
-            np.flatnonzero(module == index) for index in range(len(MODULES))
-        ]
-        previous = np.full(len(program), -1, dtype=np.int64)
-        for at in members:
-            previous[at[1:]] = at[:-1]
-        finish_list = _finish_times(previous, waits, durations)
-        finish = np.array(finish_list, dtype=np.int64)
+        finish = _finish_column(program, durations, back)
         start = finish - durations
 
         modules = {
@@ -440,11 +452,11 @@ class AcceleratorSimulator:
                     finish=end,
                 )
                 for index, (opcode, begin, end) in enumerate(
-                    zip(opcodes.tolist(), start.tolist(), finish_list)
+                    zip(opcodes.tolist(), start.tolist(), finish.tolist())
                 )
             ]
         return SimulationResult(
-            cycles=max(finish_list, default=0),
+            cycles=int(finish.max()) if len(finish) else 0,
             frequency_hz=self.cfg.frequency_hz,
             modules=modules,
             layers=layer_timings,
@@ -546,19 +558,28 @@ class AcceleratorSimulator:
                     self._store_rows(desc, valid)
 
 
-def _match_fifos(
-    opcodes: np.ndarray, depts: np.ndarray
-) -> Tuple[np.ndarray, Optional[Tuple[int, SimulationError]]]:
-    """Match every FIFO pop of a program with its push.
+def _module_members(opcodes: np.ndarray) -> List[np.ndarray]:
+    """Each module's instruction positions, in program order."""
+    module = _MODULE_LOOKUP[opcodes]
+    return [np.flatnonzero(module == index) for index in range(len(MODULES))]
 
-    Returns ``waits``, a ``(_MAX_WAITS, n)`` array holding per
-    instruction the positions of the pushes whose tokens it pops (-1
-    where it pops fewer FIFOs, or a preloaded token), and the first
-    FIFO violation in program order as ``(position, error)``, or None.
-    An instruction pops before it pushes, and pops (and pushes) its
-    FIFOs in ``_FIFOS`` order.
+
+def _dependencies(
+    opcodes: np.ndarray, depts: np.ndarray, members: List[np.ndarray]
+) -> Tuple[np.ndarray, Optional[Tuple[int, SimulationError]]]:
+    """How far back every instruction's dependencies lie.
+
+    Returns ``back``, a ``(1 + _MAX_WAITS, n)`` int32 array holding per
+    instruction the distance back to its module's previous instruction,
+    then to the pushes whose tokens it pops (0 where there is none: a
+    module's first instruction, fewer FIFOs popped, a preloaded token),
+    and the first FIFO violation in program order as ``(position,
+    error)``, or None.  An instruction pops before it pushes, and pops
+    (and pushes) its FIFOs in ``_FIFOS`` order.
     """
-    waits = np.full((_MAX_WAITS, len(opcodes)), -1, dtype=np.int64)
+    back = np.zeros((1 + _MAX_WAITS, len(opcodes)), dtype=np.int32)
+    for at in members:
+        back[0, at[1:]] = np.diff(at)
     slots: Dict[int, int] = {}
     failures = []
     for rank, (name, preload, producer, emit, consumer, wait) in enumerate(
@@ -567,9 +588,11 @@ def _match_fifos(
         pushes = np.flatnonzero((opcodes == producer) & (depts & emit > 0))
         pops = np.flatnonzero((opcodes == consumer) & (depts & wait > 0))
         match = match_tokens(pushes, pops, FIFO_DEPTH, preload)
-        slot = slots.get(consumer, 0)
+        slot = slots.get(consumer, 1)
         slots[consumer] = slot + 1
-        waits[slot, pops] = match.sources
+        back[slot, pops] = np.where(
+            match.sources >= 0, pops - match.sources, 0
+        )
         if match.underflow >= 0:
             failures.append(
                 ((match.underflow, 0, rank), underflow_error(name))
@@ -579,35 +602,194 @@ def _match_fifos(
                 ((match.overflow, 1, rank), overflow_error(name, FIFO_DEPTH))
             )
     if not failures:
-        return waits, None
+        return back, None
     (position, _, _), error = min(failures, key=itemgetter(0))
-    return waits, (position, error)
+    return back, (position, error)
 
 
-def _finish_times(
-    previous: np.ndarray, waits: np.ndarray, durations: np.ndarray
-) -> List[int]:
-    """One pass of the max-plus recurrence, over plain ints.
+def _finish_column(
+    program: Program, durations: np.ndarray, back: np.ndarray
+) -> np.ndarray:
+    """The finish time of every instruction: the max-plus recurrence,
+    with each layer's periodic regime filled in rather than stepped.
 
-    ``previous[i]`` is the module's previous instruction and ``waits[:,
-    i]`` the matched pushes of ``i``'s tokens; -1 reads the trailing 0,
-    which stands for "no dependency".
+    ``back`` holds the distances to each instruction's dependencies
+    (:func:`_dependencies`).  A run (:func:`_runs`) is a stretch in
+    which every instruction repeats the one ``P`` earlier: same opcode,
+    DEPT bits and duration, and its dependencies equally far back.  The
+    recurrence is shift-invariant, so once the ``W = max(P, R)`` finish
+    times that instructions up to ``R`` back can read have all moved by
+    one ``Δ`` over a period, every later period of the run is the last
+    one plus ``kΔ``.  The issue slot moves by ``CTRL_ISSUE_CYCLES * P``
+    per period: at ``Δ`` equal to that it moves with everything else,
+    and at a larger ``Δ`` a verified window holds no issue-bound
+    instruction (an issue-bound finish rises by at most that much), so
+    the slack only grows.  Each run is stepped for ``W + P``
+    instructions, its last ``W`` checked and, if they hold, the rest
+    filled with numpy; everything else is stepped.  A wrong or missing
+    period costs speed only, never a cycle.
+    """
+    recurrence = _Recurrence(durations, back)
+    done = 0
+    for start, end, period, window in _runs(program, durations, back):
+        if end <= done:
+            continue
+        start = max(start, done)
+        recurrence.step(done, start)
+        done = end if recurrence.fill(start, end, period, window) else start
+    recurrence.step(done, len(durations))
+    return recurrence.column
+
+
+class _Recurrence:
+    """The finish column of one program, stepped and filled.
+
+    Steps run over a list of plain ints.  A missing dependency (distance
+    0) reads the instruction's own entry, still 0 while it is stepped.
+    Filled stretches are written to the column only, and copied into the
+    list lazily, as far back as a step reads.
+    """
+
+    def __init__(self, durations: np.ndarray, back: np.ndarray):
+        self.durations = durations
+        self.back = back
+        self.column = np.empty(len(durations), dtype=np.int64)
+        self.finish = [0] * len(durations)
+        #: ``[start, end)`` of each filled stretch not yet in the list.
+        self.filled: List[List[int]] = []
+
+    def fill(self, start: int, end: int, period: int, window: int) -> bool:
+        """Fill ``start .. end - 1`` as the period before ``start`` plus
+        ``kΔ``, if each of the ``window`` finish times before ``start``
+        is the one ``period`` earlier plus the same ``Δ`` and ``Δ`` keeps
+        up with the issue slot; returns whether it did."""
+        recent = self.column[start - window - period : start]
+        delta = int(recent[-1] - recent[-1 - period])
+        if delta < CTRL_ISSUE_CYCLES * period or not (
+            recent[period:] - recent[:-period] == delta
+        ).all():
+            return False
+        shifts = delta * np.arange(1, -(-(end - start) // period) + 1)
+        self.column[start:end] = (
+            shifts[:, None] + recent[-period:]
+        ).ravel()[: end - start]
+        self.filled.append([start, end])
+        return True
+
+    def step(self, lo: int, hi: int) -> None:
+        """The recurrence over instructions ``lo .. hi - 1``."""
+        if hi <= lo:
+            return
+        reads = np.arange(lo, hi) - self.back[:, lo:hi]
+        self._copy_filled(int(reads.min()))
+        finish = self.finish
+        for i, issue, before, a, b, c, duration in zip(
+            range(lo, hi),
+            range(CTRL_ISSUE_CYCLES * lo, CTRL_ISSUE_CYCLES * hi,
+                  CTRL_ISSUE_CYCLES),
+            *reads.tolist(),
+            self.durations[lo:hi].tolist(),
+        ):
+            finish[i] = (
+                max(issue, finish[before], finish[a], finish[b], finish[c])
+                + duration
+            )
+        self.column[lo:hi] = finish[lo:hi]
+
+    def _copy_filled(self, lowest: int) -> None:
+        """Copy the filled finish times from ``lowest`` on into the list."""
+        for stretch in reversed(self.filled):
+            start, end = stretch
+            if end <= lowest:
+                break
+            start = max(start, lowest)
+            if start < end:
+                self.finish[start:end] = self.column[start:end].tolist()
+                stretch[1] = start
+
+
+def _runs(
+    program: Program, durations: np.ndarray, back: np.ndarray
+) -> List[Tuple[int, int, int, int]]:
+    """The periodic runs worth filling, as ``(fill start, end, period,
+    window)`` in program order.
+
+    Per layer marker and candidate period ``P`` (:func:`_loop_periods`),
+    a run is a maximal stretch ``[a, end)`` in which each instruction's
+    key equals the key ``P`` earlier: its opcode, DEPT bits, duration
+    and ``back`` column.  ``window`` is ``max(P, R)``, ``R`` the
+    farthest back an instruction of the run reaches, and filling may
+    start once ``window + P`` of the run have been stepped.  Runs
+    leaving fewer than ``_MIN_FILL`` to fill are dropped.  The keys are
+    built one layer at a time.
     """
     n = len(durations)
-    finish = [0] * (n + 1)
-    first, second, third = waits.tolist()
-    for i, issue, before, a, b, c, duration in zip(
-        range(n),
-        range(0, CTRL_ISSUE_CYCLES * n, CTRL_ISSUE_CYCLES),
-        previous.tolist(),
-        first,
-        second,
-        third,
-        durations.tolist(),
-    ):
-        finish[i] = (
-            max(issue, finish[before], finish[a], finish[b], finish[c])
-            + duration
+    first_rows = program.metadata["descriptors"].column("y0_out") == 0
+    found = []
+    for marker in program.markers:
+        lo, hi = max(marker.start, 0), min(marker.end, n)
+        periods = _loop_periods(
+            program.opcodes[lo:hi], marker.dataflow, first_rows[lo:hi]
         )
-    finish.pop()
-    return finish
+        if not periods:
+            continue
+        key = np.vstack((
+            program.opcodes[lo:hi], program.depts[lo:hi], durations[lo:hi],
+            back[:, lo:hi],
+        ))
+        # One spare entry: a run may end at the layer's end.
+        reach = np.append(back[:, lo:hi].max(axis=0), 0)
+        for period in periods:
+            same = np.zeros(hi - lo + 1, dtype=bool)
+            same[period:-1] = (key[:, period:] == key[:, :-period]).all(axis=0)
+            edges = np.flatnonzero(same[1:] != same[:-1]) + 1
+            window = np.maximum(
+                np.maximum.reduceat(reach, edges)[0::2], period
+            )
+            begin = edges[0::2] + window + period
+            end = edges[1::2]
+            keep = end - begin >= _MIN_FILL
+            found.extend(zip(
+                (lo + begin[keep]).tolist(), (lo + end[keep]).tolist(),
+                [period] * int(keep.sum()), window[keep].tolist(),
+            ))
+    found.sort()
+    return found
+
+
+def _loop_periods(
+    opcodes: np.ndarray, dataflow: str, first_rows: np.ndarray
+) -> List[int]:
+    """Candidate body lengths of one layer's loop nest, outer level
+    first, each long enough to hold a run worth filling.
+
+    The compiler emits a LOAD_BIAS and then one body per outer
+    iteration (:func:`repro.compiler.codegen._loop_nest`): per row group
+    under IS (one LOAD_INP each), per k group under WS (its first row
+    group's SAVE is the one with ``y0_out == 0``), and under WS with GC
+    > 1 also per (k, row) group (one SAVE each).  A level's body is the
+    stream after the LOAD_BIAS over its iteration count; every
+    innermost body is three instructions.  A run at one level lies
+    within one body of the level above, so it fills at most that body
+    less two of its own periods.
+    """
+    body = len(opcodes) - 1
+    if body <= 2 * 3 + _MIN_FILL:  # too short even for innermost runs
+        return []
+    if dataflow == "is":
+        iterations = (np.count_nonzero(opcodes == Opcode.LOAD_INP),)
+    else:
+        saves = opcodes == Opcode.SAVE
+        iterations = (
+            np.count_nonzero(saves & first_rows), np.count_nonzero(saves)
+        )
+    periods = []
+    for period in sorted(
+        {body // count for count in iterations
+         if count and body % count == 0} | {3},
+        reverse=True,
+    ):
+        if 2 * period + _MIN_FILL < body:
+            periods.append(period)
+            body = period
+    return periods

@@ -2,8 +2,10 @@
 trips, host-step variants, DRAM sizing."""
 
 import numpy as np
+import pytest
 
 from repro.compiler import CompilerOptions, compile_network
+from repro.errors import RuntimeHostError
 from repro.ir import NetworkBuilder, zoo
 from repro.mapping import NetworkMapping
 from repro.runtime import HostRuntime, generate_parameters
@@ -49,6 +51,24 @@ class TestMemoryImage:
         back = runtime._read_fmap(runtime.compiled.input_spec)
         ft = cfg_pt4.feature_type
         np.testing.assert_allclose(back, ft.quantize(image))
+
+    def test_timing_only_moves_no_data(self, cfg_pt4, pynq, rng):
+        """Timing reads no DRAM: a timing-only runtime writes no weight,
+        bias or input image, but still checks the input's shape."""
+        runtime, net = make_runtime(cfg_pt4, pynq, quantize=True,
+                                    functional=False)
+        assert runtime.dram.total_written_elems == 0
+        with pytest.raises(RuntimeHostError):
+            runtime.load_input(np.zeros((1, 2, 3)))
+        result = runtime.infer(rng.normal(size=net.input_shape.as_tuple()))
+        assert runtime.dram.total_written_elems == 0
+        assert not runtime.dram.data.any()
+        assert result.sim.dram_read_elems == 0
+        assert result.sim.dram_written_elems == 0
+        functional, _ = make_runtime(cfg_pt4, pynq, quantize=True)
+        assert result.sim.cycles == functional.infer(
+            rng.normal(size=net.input_shape.as_tuple())
+        ).sim.cycles
 
     def test_dram_sized_with_margin(self, cfg_pt4, pynq):
         runtime, _ = make_runtime(cfg_pt4, pynq)

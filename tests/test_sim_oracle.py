@@ -1,17 +1,25 @@
-"""``AcceleratorSimulator.run`` against the FIFO replay it replaced.
+"""``AcceleratorSimulator.run`` against the implementations it replaced.
 
 :func:`oracle_run` below is the simulator's former main loop, kept
 verbatim as the oracle: one instruction at a time, popping and pushing
 timestamped tokens through six :class:`HandshakeFifo` queues, with the
 scalar duration formulas :func:`_xfer_cycles` and :func:`_comp_cycles`.
 The column simulator (durations as column math, tokens matched
-statically, one max-plus recurrence) must agree with it on cycles,
+statically, the max-plus recurrence) must agree with it on cycles,
 module stats, layer windows, trace records and DRAM counters, and on
 the output of a functional run.  On a corrupted program both must raise
 the same FIFO error.
 
-The zoo on the other catalog devices and both full Figure 6 sweeps are
-marked ``slow``; run them with
+:func:`_finish_times` is the fast oracle of the recurrence alone: the
+former one-pass loop over plain ints, kept verbatim.  The periodic
+recurrence (:func:`repro.sim.simulator._finish_column`, which fills
+each layer's periodic regime instead of stepping it) must give the
+same finish column on random single layers, on hand-built streams
+whose periods are wrong, missing, issue-bound or never settle, and on
+every design of two whole DSE spaces.
+
+The zoo on the other catalog devices, both full Figure 6 sweeps and the
+design spaces are marked ``slow``; run them with
 ``REPRO_FULL_ORACLE=1 pytest -m slow tests/test_sim_oracle.py``.
 """
 
@@ -19,11 +27,11 @@ import math
 import os
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import pe
@@ -31,16 +39,23 @@ from repro.arch.buffers import PingPongBuffer
 from repro.arch.fifo import HandshakeFifo
 from repro.arch.params import AcceleratorConfig
 from repro.compiler import CompilerOptions, compile_network
-from repro.dse.space import DseOptions
-from repro.errors import SimulationError
+from repro.dse.space import DseOptions, explore_hardware
+from repro.errors import ReproError, SimulationError
 from repro.experiments.figure6 import run_figure6
 from repro.fpga import get_device
-from repro.ir import zoo
+from repro.ir import NetworkBuilder, zoo
 from repro.isa.instructions import INSTRUCTION_CLASSES, Comp, DeptFlag, Opcode
-from repro.isa.program import DescriptorTable, LayerConstants, Program
-from repro.mapping import NetworkMapping
+from repro.isa.program import (
+    ROW_WIDTH,
+    DescriptorTable,
+    LayerConstants,
+    LayerMarker,
+    Program,
+)
+from repro.mapping import LayerMapping, NetworkMapping
 from repro.pipeline import PipelineSession
 from repro.runtime import HostRuntime, generate_parameters
+from repro.sim import simulator
 from repro.sim.simulator import (
     CTRL_ISSUE_CYCLES,
     DDR_FIXED_CYCLES,
@@ -303,6 +318,92 @@ def oracle_run(sim, program: Program) -> SimulationResult:
         dram_written_elems=sim.dram.total_written_elems - written0,
         trace=trace_records,
     )
+
+
+# -- the fast oracle: the one-pass recurrence, verbatim ----------------------
+
+
+def _finish_times(
+    previous: np.ndarray, waits: np.ndarray, durations: np.ndarray
+) -> List[int]:
+    """One pass of the max-plus recurrence, over plain ints.
+
+    ``previous[i]`` is the module's previous instruction and ``waits[:,
+    i]`` the matched pushes of ``i``'s tokens; -1 reads the trailing 0,
+    which stands for "no dependency".
+    """
+    n = len(durations)
+    finish = [0] * (n + 1)
+    first, second, third = waits.tolist()
+    for i, issue, before, a, b, c, duration in zip(
+        range(n),
+        range(0, CTRL_ISSUE_CYCLES * n, CTRL_ISSUE_CYCLES),
+        previous.tolist(),
+        first,
+        second,
+        third,
+        durations.tolist(),
+    ):
+        finish[i] = (
+            max(issue, finish[before], finish[a], finish[b], finish[c])
+            + duration
+        )
+    finish.pop()
+    return finish
+
+
+def loop_finish(back: np.ndarray, durations: np.ndarray) -> List[int]:
+    """:func:`_finish_times` over the dependency positions that
+    ``back``'s distances give (-1 where a distance is 0: none)."""
+    positions = np.arange(back.shape[1]) - back
+    previous, *waits = np.where(back > 0, positions, -1)
+    return _finish_times(previous, np.array(waits), durations)
+
+
+def recurrence_inputs(sim, program: Program):
+    """The durations and dependency distances ``sim.run`` times
+    ``program`` with."""
+    durations = sim._durations(
+        program.opcodes, program.metadata["descriptors"]
+    )
+    back, failure = simulator._dependencies(
+        program.opcodes, program.depts,
+        simulator._module_members(program.opcodes),
+    )
+    assert failure is None
+    return durations, back
+
+
+def assert_same_column(program: Program, durations, back) -> None:
+    got = simulator._finish_column(program, durations, back)
+    assert got.dtype == np.int64
+    assert got.tolist() == loop_finish(back, durations)
+
+
+def assert_same_columns(sim, programs) -> int:
+    """Equal finish columns on every program; returns the instructions."""
+    checked = 0
+    for program in programs:
+        assert_same_column(program, *recurrence_inputs(sim, program))
+        checked += len(program)
+    return checked
+
+
+def stepped_ranges(monkeypatch) -> list:
+    """Record the ``(lo, hi)`` of every stepped stretch."""
+    step = simulator._Recurrence.step
+    ranges = []
+
+    def recorded(self, lo, hi):
+        ranges.append((lo, hi))
+        step(self, lo, hi)
+
+    monkeypatch.setattr(simulator._Recurrence, "step", recorded)
+    return ranges
+
+
+def stepped(ranges) -> int:
+    return sum(max(0, hi - lo) for lo, hi in ranges)
 
 
 # -- harness -----------------------------------------------------------------
@@ -630,3 +731,203 @@ def test_first_error_within_one_comp(depts, message):
     for run in (AcceleratorSimulator.run, oracle_run):
         with pytest.raises(SimulationError, match=message):
             run(sim, program)
+
+
+# -- the periodic recurrence against the loop --------------------------------
+
+
+@st.composite
+def single_layers(draw):
+    """A ``zoo.single_conv`` shape, half the time with a fused ReLU and
+    2 x 2 max pool."""
+    channels = draw(st.integers(1, 300))
+    out_channels = draw(st.integers(1, 300))
+    kernel = draw(st.sampled_from((1, 3, 5)))
+    stride = draw(st.sampled_from((1, 2)))
+    padding = draw(st.integers(0, kernel // 2))
+    size = draw(st.integers(max(2, kernel - 2 * padding), 40))
+    if draw(st.booleans()):
+        return zoo.single_conv(
+            channels, out_channels, size, kernel, stride, padding
+        )
+    assume((size + 2 * padding - kernel) // stride + 1 >= 2)
+    return (
+        NetworkBuilder("layer_under_test", (channels, size, size))
+        .conv2d(out_channels, kernel_size=kernel, stride=stride,
+                padding=padding, relu=True, name="conv")
+        .maxpool2d(2, name="pool")
+        .build()
+    )
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+@given(
+    network=single_layers(),
+    pt=st.sampled_from((4, 6)),
+    parallel=st.sampled_from(((4, 4), (8, 4), (4, 2), (2, 1))),
+    buffers=st.sampled_from((
+        (32768, 16384, 16384), (8192, 4096, 4096), (1024, 512, 512),
+        (128, 128, 128),
+    )),
+    mode=st.sampled_from(("spat", "wino")),
+    dataflow=st.sampled_from(("is", "ws")),
+    device=st.sampled_from(PAPER_DEVICES),
+)
+def test_random_layers_periodic_matches_loop(network, pt, parallel, buffers,
+                                             mode, dataflow, device):
+    """Random single layers on random configurations, small buffers
+    forcing GC > 1 (an IS layer that then fails to compile is dropped):
+    the periodic recurrence's finish column equals the loop's."""
+    cfg = AcceleratorConfig(
+        pi=parallel[0], po=parallel[1], pt=pt,
+        input_buffer_vecs=buffers[0], weight_buffer_vecs=buffers[1],
+        output_buffer_vecs=buffers[2],
+    )
+    mapping = NetworkMapping(
+        network.name, [LayerMapping("conv", mode, dataflow)]
+    )
+    try:
+        compiled = compile_network(
+            network, cfg, mapping, generate_parameters(network, seed=0),
+            TIMING_ONLY,
+        )
+    except ReproError:
+        assume(False)
+    assume(compiled.total_instructions <= 5000)
+    sim = HostRuntime(compiled, get_device(device), functional=False).sim
+    assert assert_same_columns(sim, compiled.programs())
+
+
+def _layer(dataflow: str, buffers=(4096, 2048, 2048)):
+    """One compiled 3 x 3 layer on :data:`SMALL_CFG`'s parallelism:
+    its program and a timing-only simulator."""
+    net = zoo.single_conv(64, 96, 28, 3, padding=1)
+    cfg = replace(
+        SMALL_CFG, input_buffer_vecs=buffers[0],
+        weight_buffer_vecs=buffers[1], output_buffer_vecs=buffers[2],
+    )
+    compiled = compile_network(
+        net, cfg, NetworkMapping.uniform(net, "spat", dataflow),
+        generate_parameters(net, seed=0), TIMING_ONLY,
+    )
+    sim = HostRuntime(compiled, get_device("pynq-z1"), functional=False).sim
+    (program,) = compiled.programs()
+    return sim, program
+
+
+def _with_markers(program: Program, markers) -> Program:
+    return Program.from_columns(
+        program.opcodes, program.depts, program.rows, markers=markers,
+        metadata=program.metadata,
+    )
+
+
+@pytest.mark.parametrize("dataflow,buffers", [
+    ("is", (4096, 2048, 2048)),
+    ("ws", (4096, 2048, 2048)),
+    ("ws", (256, 256, 256)),  # GC > 1
+])
+def test_wrong_periods_cost_speed_only(monkeypatch, dataflow, buffers):
+    """Markers that misstate the loop nest (the other dataflow, a
+    shifted range, two markers over one layer, none) give wrong
+    candidate periods, which cost steps only: the column is the
+    loop's."""
+    sim, program = _layer(dataflow, buffers)
+    (marker,) = program.markers
+    other = "ws" if dataflow == "is" else "is"
+    half = (marker.start + marker.end) // 2
+    variants = {
+        "right": [marker],
+        "other dataflow": [replace(marker, dataflow=other)],
+        "shifted": [replace(marker, start=marker.start + 1)],
+        "split": [replace(marker, end=half), replace(marker, start=half)],
+        "none": [],
+    }
+    durations, back = recurrence_inputs(sim, program)
+    steps = {}
+    for name, markers in variants.items():
+        ranges = stepped_ranges(monkeypatch)
+        assert_same_column(_with_markers(program, markers), durations, back)
+        steps[name] = stepped(ranges)
+        monkeypatch.undo()
+    assert steps["right"] < len(program) // 4
+    assert steps["none"] == len(program)
+
+
+def _stream(durations, distance: int = 3):
+    """A hand-built WS layer: a LOAD_BIAS, then LOAD_WGT, COMP, SAVE
+    bodies whose instructions each wait on the one ``distance`` back;
+    the candidate period is 3.  Returns the program, its durations and
+    its dependency distances."""
+    bodies = len(durations) // 3
+    opcodes = np.array(
+        [Opcode.LOAD_BIAS]
+        + [Opcode.LOAD_WGT, Opcode.COMP, Opcode.SAVE] * bodies
+    )
+    n = len(opcodes)
+    program = Program.from_columns(
+        opcodes, np.zeros(n), np.zeros((n, ROW_WIDTH)),
+        markers=[LayerMarker("layer", 0, n, "spat", "ws")],
+        metadata={"descriptors": generic_descriptors(opcodes)},
+    )
+    back = np.zeros((4, n), dtype=np.int32)
+    back[0, 1 + distance:] = distance
+    return program, np.array([64] + list(durations)), back
+
+
+def test_no_markers_steps_everything(monkeypatch):
+    """Without markers there are no candidate periods: the loop runs
+    all the way."""
+    sim, program = _layer("is")
+    durations, back = recurrence_inputs(sim, program)
+    ranges = stepped_ranges(monkeypatch)
+    assert_same_column(_with_markers(program, []), durations, back)
+    assert stepped(ranges) == len(program)
+
+
+def test_issue_bound_stream_is_filled(monkeypatch):
+    """Instructions shorter than their issue slot: every finish is the
+    slot plus the duration, so a period moves by exactly
+    ``CTRL_ISSUE_CYCLES * 3``, and the regime is filled."""
+    program, durations, back = _stream([1, 2, 1] * 200)
+    ranges = stepped_ranges(monkeypatch)
+    assert_same_column(program, durations, back)
+    assert stepped(ranges) < len(program) // 10
+    column = simulator._finish_column(program, durations, back)
+    assert (column[4:] - column[1:-3] == CTRL_ISSUE_CYCLES * 3).all()
+
+
+def test_unsettled_stream_steps_everything(monkeypatch):
+    """Three independent chains growing 10, 20 and 30 cycles a period:
+    the keys repeat every 3 instructions, but no uniform shift ever
+    appears, so each check fails and the loop runs all the way."""
+    program, durations, back = _stream([10, 20, 30] * 200)
+    assert simulator._runs(program, durations, back)
+    ranges = stepped_ranges(monkeypatch)
+    assert_same_column(program, durations, back)
+    assert stepped(ranges) == len(program)
+
+
+#: The Step-1 spaces of the paper's two devices: every design is
+#: compiled timing-only with its ``map_network`` mapping.
+DESIGN_SPACES = [
+    pytest.param(device, designs, marks=FULL_MATRIX)
+    for device, designs in (("vu9p", 621), ("pynq-z1", 18))
+]
+
+
+@pytest.mark.parametrize("device,designs", DESIGN_SPACES)
+def test_design_space_periodic_matches_loop(device, designs):
+    """VGG16 on every design of a whole DSE space: equal columns."""
+    fpga = get_device(device)
+    space = explore_hardware(fpga, DseOptions())
+    assert len(space) == designs
+    for candidate in space:
+        compiled = PipelineSession(
+            "vgg16", fpga, cfg=candidate.cfg, compiler_options=TIMING_ONLY,
+        ).compiled()
+        sim = HostRuntime(compiled, fpga, functional=False).sim
+        assert assert_same_columns(sim, compiled.programs())

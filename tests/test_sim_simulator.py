@@ -11,6 +11,7 @@ from repro.mapping import NetworkMapping
 from repro.runtime import HostRuntime, generate_parameters
 from repro.sim.simulator import (
     AcceleratorSimulator,
+    ModuleStats,
     SimulationResult,
 )
 
@@ -119,6 +120,23 @@ class TestErrors:
         assert len(merged.layers) == 2 * len(a.layers)
         # Second copy's layer windows shifted by the first's makespan.
         assert merged.layers[len(a.layers)].start_cycle >= a.cycles
+        # Each module finishes where it last ran: in the second copy.
+        for name, stats in a.modules.items():
+            assert stats.instructions and stats.finish_time > 0
+            assert merged.modules[name].finish_time == (
+                a.cycles + stats.finish_time
+            )
+
+    def test_merge_keeps_the_last_segment_a_module_ran_in(self, cfg_pt4,
+                                                          pynq):
+        a, _ = run_tiny(cfg_pt4, pynq)
+        idle = SimulationResult(
+            cycles=10, frequency_hz=a.frequency_hz,
+            modules={name: ModuleStats(name) for name in a.modules},
+        )
+        merged = SimulationResult.merge([a, idle])
+        for name, stats in a.modules.items():
+            assert merged.modules[name].finish_time == stats.finish_time
 
     def test_layer_lookup(self, cfg_pt4, pynq):
         sim, _ = run_tiny(cfg_pt4, pynq)
