@@ -24,7 +24,7 @@ from repro.dse.space import DseOptions
 from repro.hls import HlsConfig, emit_project
 from repro.ir import network_from_dict
 from repro.isa import disassemble
-from repro.pipeline import EvaluationCache, PipelineSession
+from repro.pipeline import PipelineSession
 
 MODEL_JSON = {
     "name": "detector_backbone",
@@ -52,12 +52,11 @@ def main(out_dir=None):
     print(net.summary())
 
     # Step 2: DSE across catalog devices.  One PipelineSession per
-    # device, all sharing a single evaluation cache: the per-layer
-    # estimates and the DSE selection are computed lazily, once.
+    # device: the DSE selection and everything after it are computed
+    # lazily, once.
     print("\nDSE across devices:")
-    cache = EvaluationCache()
     sessions = {
-        name: PipelineSession(net, name, DseOptions(), cache=cache, seed=13)
+        name: PipelineSession(net, name, DseOptions(), seed=13)
         for name in ("vu9p", "zcu102", "pynq-z1")
     }
     for name, session in sessions.items():
@@ -66,7 +65,6 @@ def main(out_dir=None):
               f"x{r.cfg.instances}  {r.latency_ms:7.3f} ms/img  "
               f"{r.throughput_gops:8.1f} GOPS  "
               f"({r.candidates_pruned}/{r.candidates_considered} pruned)")
-    print(f"  shared cache: {cache.stats.describe()}")
 
     # Step 3: inspect the embedded mapping.
     choice_session = sessions["pynq-z1"]

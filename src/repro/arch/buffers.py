@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.arch.params import AcceleratorConfig
 
@@ -156,23 +158,25 @@ def output_buffer_banks(cfg: AcceleratorConfig, mode: str) -> BankGeometry:
     return BankGeometry("output", mode, banks, factors)
 
 
-def hybrid_bank_counts(cfg: AcceleratorConfig) -> dict:
+def hybrid_bank_counts(cfg) -> dict:
     """Worst-case bank count per buffer across the two modes.
 
     A hybrid design must satisfy both modes' parallel access patterns,
     so each physical buffer is partitioned by the maximum factor — these
-    are exactly the three terms inside Eq. 4.
+    are exactly the three terms inside Eq. 4.  ``cfg`` is one
+    :class:`AcceleratorConfig` or a
+    :class:`~repro.arch.params.ConfigColumns`, whose counts are columns.
     """
     return {
-        "input": max(
+        "input": np.maximum(
             input_buffer_banks(cfg, "wino").banks,
             input_buffer_banks(cfg, "spat").banks,
         ),
-        "weight": max(
+        "weight": np.maximum(
             weight_buffer_banks(cfg, "wino").banks,
             weight_buffer_banks(cfg, "spat").banks,
         ),
-        "output": max(
+        "output": np.maximum(
             output_buffer_banks(cfg, "wino").banks,
             output_buffer_banks(cfg, "spat").banks,
         ),

@@ -11,11 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ResourceError
 from repro.ir.tensor import DataType
 
 #: PT values allowed by Table 2 (F(2x2,3x3) -> 4, F(4x4,3x3) -> 6).
 SUPPORTED_PT = (4, 6)
+
+
+def output_tile(pt):
+    """Winograd output-tile edge ``m = PT - r + 1`` with r = 3, of one
+    ``PT`` or of a column of them."""
+    return pt - 2
 
 
 @dataclass(frozen=True)
@@ -95,7 +103,7 @@ class AcceleratorConfig:
     @property
     def m(self) -> int:
         """Winograd output-tile edge (``PT - r + 1`` with r = 3)."""
-        return self.pt - 2
+        return output_tile(self.pt)
 
     @property
     def macs_per_cycle(self) -> int:
@@ -138,3 +146,56 @@ class AcceleratorConfig:
             f"x{self.instances} inst @ {self.frequency_mhz:.0f} MHz, "
             f"{self.data_width}b act / {self.weight_width}b wgt"
         )
+
+
+class ConfigColumns:
+    """The fields of many configurations, ``instances`` excepted, as
+    ``(N,)`` columns: float64 ``frequency_mhz``, int64 the rest.
+
+    The column form the batch models read: Step 1's Eq. 3-5, the
+    Sec. 4.2.4 group counts and Eq. 6-15.  Rows are not validated here;
+    they come from validated configurations or from Step 1's own
+    enumeration, which builds a row's :class:`AcceleratorConfig` when a
+    candidate is read.
+    """
+
+    FIELDS = (
+        "pi", "po", "pt", "data_width", "weight_width",
+        "input_buffer_vecs", "weight_buffer_vecs", "output_buffer_vecs",
+        "frequency_mhz",
+    )
+    __slots__ = FIELDS
+
+    def __init__(self, pi, po, pt, data_width, weight_width,
+                 input_buffer_vecs, weight_buffer_vecs, output_buffer_vecs,
+                 frequency_mhz):
+        self.pi, self.po, self.pt = pi, po, pt
+        self.data_width, self.weight_width = data_width, weight_width
+        self.input_buffer_vecs = input_buffer_vecs
+        self.weight_buffer_vecs = weight_buffer_vecs
+        self.output_buffer_vecs = output_buffer_vecs
+        self.frequency_mhz = frequency_mhz
+
+    @classmethod
+    def of(cls, configs) -> "ConfigColumns":
+        """The columns of a sequence of configurations."""
+        rows = [
+            (cfg.pi, cfg.po, cfg.pt, cfg.data_width, cfg.weight_width,
+             cfg.input_buffer_vecs, cfg.weight_buffer_vecs,
+             cfg.output_buffer_vecs)
+            for cfg in configs
+        ]
+        ints = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+        freq = np.array([cfg.frequency_mhz for cfg in configs],
+                        dtype=np.float64)
+        return cls(*ints, freq)
+
+    @property
+    def m(self):
+        """Each row's Winograd output-tile edge."""
+        return output_tile(self.pt)
+
+    def take(self, rows) -> "ConfigColumns":
+        """The columns of ``rows`` (an index array)."""
+        return ConfigColumns(*(getattr(self, name)[rows]
+                               for name in self.FIELDS))

@@ -16,10 +16,10 @@ All model-evaluating commands share one
 :class:`~repro.pipeline.session.PipelineSession`, so the DSE result,
 compiled model and runtime are each computed once per invocation.
 With ``--cache-dir`` the session is backed by an on-disk
-:class:`~repro.pipeline.store.EvaluationStore`: layer estimates warm
-from disk at startup and the newly computed delta is flushed when the
-command finishes, so repeated invocations over the model zoo skip the
-analytical model almost entirely.
+:class:`~repro.pipeline.store.EvaluationStore`: the directory is created
+and the device's layer estimates warm from disk at startup, and the
+newly computed delta is flushed when the command finishes.  A DSE reads
+and writes nothing there; estimates come from runs of one design.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def _cmd_dse(args) -> int:
                 f"{result.candidates_pruned} of "
                 f"{result.candidates_considered} candidates"
             )
-            if result.cache_stats is not None:
-                print(f"cache: {result.cache_stats.describe()}")
             if session.store is not None:
                 session.close()  # flush before reporting the counters
                 print(session.store.describe())

@@ -37,9 +37,9 @@ exactly as the serial scalar best-first branch-and-bound does:
   replayed over the batch, so it admits and counts exactly as the
   one-candidate-at-a-time loop would;
 * **top-k only** — candidate, mapping and estimate objects are built
-  for the ``top_k`` designs returned: bounds, objectives and partition
-  projections read the space's columns.  Partition lookups go through
-  the cache; estimates are never stored in it.
+  for the ``top_k`` designs returned: bounds, objectives and the
+  Sec. 4.2.4 group counts read the space's columns.  The search makes
+  no cache lookup and stores nothing.
 
 Everything runs in the calling thread: there is no thread or process
 pool, because starting and feeding one costs more than a whole
@@ -94,7 +94,9 @@ class DseResult:
     runners_up: Tuple["DseResult", ...] = ()
     candidates_evaluated: int = 0
     candidates_pruned: int = 0
-    cache_stats: Optional[CacheStats] = None
+    #: Always empty: the search makes no cache lookup.  The field goes
+    #: with the evaluation store (ROADMAP item 2).
+    cache_stats: CacheStats = CacheStats()
 
     @property
     def throughput_gops(self) -> float:
@@ -192,7 +194,7 @@ def _candidate_bounds(
 #: columns busy, small enough that the bound still skips most of a
 #: sweep once the ``top_k`` fills.  The first batch holds ``top_k``
 #: (the fewest admissions that can end the search) and each later one
-#: twice the last, so partitions are looked up only for candidates the
+#: twice the last, so group counts are computed only for candidates the
 #: search is about to admit.
 BATCH = 64
 
@@ -202,7 +204,6 @@ def run_dse(
     network: Network,
     options: Optional[DseOptions] = None,
     cal: Optional[CalibrationProfile] = None,
-    cache: Optional[EvaluationCache] = None,
     candidates: Optional[HardwareSpace] = None,
 ) -> DseResult:
     """Full 3-step DSE; returns the best design point (with runners-up
@@ -214,18 +215,13 @@ def run_dse(
     ``top_k`` ranking are those of a brute-force sweep, and the
     evaluated/pruned counts those of the serial best-first
     branch-and-bound, bit for bit.  ``cal`` feeds the Step-1 resource
-    model.  Partition lookups go through ``cache`` (a fresh one if
-    omitted) and are counted in ``cache_stats``.  ``candidates`` may
-    carry a pre-enumerated Step-1 result; a space enumerated for
-    another device, other Step-1 options or another calibration raises
-    :class:`DseError`.
+    model.  ``candidates`` may carry a pre-enumerated Step-1 result; a
+    space enumerated for another device, other Step-1 options or
+    another calibration raises :class:`DseError`.
     """
     options = options or DseOptions()
     if cal is None:
         cal = get_calibration(device.name)
-    if cache is None:
-        cache = EvaluationCache()
-    stats_before = cache.stats
     if candidates is None:
         candidates = explore_hardware(device, options, cal)
     elif not isinstance(candidates, HardwareSpace):
@@ -235,7 +231,7 @@ def run_dse(
     else:
         candidates.check(device, options, cal)
 
-    estimator = BatchLayerEstimator(device, network, cache=cache)
+    estimator = BatchLayerEstimator(device, network)
     ops = sum(info.ops for info in network.compute_layers())
     bounds = _candidate_bounds(estimator, candidates, options.objective, ops)
     order = np.argsort(bounds, kind="stable")  # ties keep enumeration order
@@ -292,7 +288,6 @@ def run_dse(
     top_ids = [index for _, index in scored[:options.top_k]]
     mapped = estimator.map_candidates(candidates[top_ids])
     top = [candidates[index] for index in top_ids]
-    run_stats = cache.stats - stats_before
 
     def to_result(candidate, mapping, estimate, runners=()) -> DseResult:
         return DseResult(
@@ -306,7 +301,6 @@ def run_dse(
             runners_up=tuple(runners),
             candidates_evaluated=len(scored),
             candidates_pruned=pruned,
-            cache_stats=run_stats,
         )
 
     runners = [

@@ -7,23 +7,27 @@ instance count ``NI`` then ranges up to ``instances-per-die x dies``
 
 Resources are integers that scale linearly in ``NI``, so each
 (PT, PI, PO) *base* needs one per-instance estimate and has a
-closed-form ``NI`` range.  The result is a :class:`HardwareSpace`: the
-bases plus two int64 columns, which builds a :class:`HardwareCandidate`
-only when one is read.
+closed-form ``NI`` range.  Step 1 computes both as int64 columns over
+all bases at once (:func:`~repro.estimator.resources.resource_columns`,
+:func:`~repro.estimator.resources.fitting_columns`).  The result is a
+:class:`HardwareSpace`: the bases and their resources as columns, plus
+two int64 candidate columns; it builds an :class:`AcceleratorConfig`,
+a :class:`ResourceBudget` or a :class:`HardwareCandidate` only when one
+is read.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
+from repro.arch.params import SUPPORTED_PT, AcceleratorConfig, ConfigColumns
 from repro.errors import DseError
 from repro.estimator.calibration import CalibrationProfile, get_calibration
-from repro.estimator.resources import estimate_resources, instances_fitting
+from repro.estimator.resources import fitting_columns, resource_columns
 from repro.fpga.device import FpgaDevice
 from repro.fpga.resources import ResourceBudget
 
@@ -128,24 +132,28 @@ def _step1(device: FpgaDevice, options: DseOptions) -> Tuple:
 class HardwareSpace(Sequence):
     """Step 1's feasible candidates as columns over (PT, PI, PO) bases.
 
-    ``configs[b]`` and ``budgets[b]`` are base ``b``'s config with
-    ``instances=1`` and its per-instance resources.  Candidate ``i`` is
-    base ``base_ids[i]`` with ``instances[i]`` copies; both columns are
-    read-only int64 arrays in enumeration order.  The space is a
-    read-only sequence of :class:`HardwareCandidate`: an integer index
-    builds that candidate, a slice or an index array gives the sub-space
-    of those candidates, and a space equals the list of its candidates.
-    ``device``, ``calibration`` and ``step1`` record what it was
-    enumerated for, and :meth:`check` refuses any other run.
+    ``bases`` holds each base's configuration fields as
+    :class:`~repro.arch.params.ConfigColumns` and ``resources`` its
+    per-instance ``(LUTs, DSPs, BRAMs)`` as a ``(3, B)`` int64 array;
+    :meth:`config` and :meth:`budget` build one base's
+    :class:`AcceleratorConfig` (validated, with ``instances``) and
+    :class:`ResourceBudget`.  Candidate ``i`` is base ``base_ids[i]``
+    with ``instances[i]`` copies; both columns are read-only int64
+    arrays in enumeration order.  The space is a read-only sequence of
+    :class:`HardwareCandidate`: an integer index builds that candidate,
+    a slice or an index array gives the sub-space of those candidates,
+    and a space equals the list of its candidates.  ``device``,
+    ``calibration`` and ``step1`` record what it was enumerated for,
+    and :meth:`check` refuses any other run.
     """
 
-    def __init__(self, device, calibration, step1, configs, budgets,
+    def __init__(self, device, calibration, step1, bases, resources,
                  base_ids, instances):
         self.device = device
         self.calibration = calibration
         self.step1 = step1
-        self.configs = configs
-        self.budgets = budgets
+        self.bases = bases
+        self.resources = resources
         self.base_ids = base_ids
         self.instances = instances
         base_ids.flags.writeable = instances.flags.writeable = False
@@ -153,10 +161,32 @@ class HardwareSpace(Sequence):
     def __len__(self) -> int:
         return len(self.base_ids)
 
+    def config(self, base: int, instances: int = 1) -> AcceleratorConfig:
+        """Base ``base`` with ``instances`` copies, built from the
+        Step-1 values it was enumerated with."""
+        _, freq, data_width, weight_width, buffers = self.step1
+        bases = self.bases
+        return AcceleratorConfig(
+            pi=int(bases.pi[base]),
+            po=int(bases.po[base]),
+            pt=int(bases.pt[base]),
+            data_width=data_width,
+            weight_width=weight_width,
+            instances=instances,
+            input_buffer_vecs=buffers[0],
+            weight_buffer_vecs=buffers[1],
+            output_buffer_vecs=buffers[2],
+            frequency_mhz=freq,
+        )
+
+    def budget(self, base: int) -> ResourceBudget:
+        """Base ``base``'s per-instance resources."""
+        return ResourceBudget(*self.resources[:, base].tolist())
+
     def _candidate(self, base: int, count: int) -> HardwareCandidate:
-        one = self.budgets[base]
+        one = self.budget(base)
         return HardwareCandidate(
-            cfg=replace(self.configs[base], instances=count),
+            cfg=self.config(base, count),
             per_instance=one,
             total=one * count,
         )
@@ -166,8 +196,8 @@ class HardwareSpace(Sequence):
             return self._candidate(int(self.base_ids[key]),
                                    int(self.instances[key]))
         return HardwareSpace(
-            self.device, self.calibration, self.step1, self.configs,
-            self.budgets, self.base_ids[key], self.instances[key],
+            self.device, self.calibration, self.step1, self.bases,
+            self.resources, self.base_ids[key], self.instances[key],
         )
 
     def __iter__(self):
@@ -205,55 +235,55 @@ def explore_hardware(
     times the dies, ``max_instances``, and the copies that fit the
     whole device.  That is where adding one instance at a time would
     first break a Table-2 constraint, because resources are integers
-    linear in ``NI``.
+    linear in ``NI``.  Eq. 3-5 and that count are column operations
+    over every (PT, PI, PO) base with ``PI >= PO`` (Table 2).
     """
     options = options or DseOptions()
     if cal is None:
         cal = get_calibration(device.name)
     step1 = _step1(device, options)
     max_instances, freq, data_width, weight_width, buffers = step1
-    die = device.resources_per_die()
-    configs, budgets, counts = [], [], []
-    for pt in SUPPORTED_PT:
-        for pi in PARALLEL_FACTORS:
-            for po in PARALLEL_FACTORS:
-                if po > pi:
-                    continue  # Table-2: PI >= PO >= 1
-                base = AcceleratorConfig(
-                    pi=pi,
-                    po=po,
-                    pt=pt,
-                    data_width=data_width,
-                    weight_width=weight_width,
-                    instances=1,
-                    input_buffer_vecs=buffers[0],
-                    weight_buffer_vecs=buffers[1],
-                    output_buffer_vecs=buffers[2],
-                    frequency_mhz=freq,
-                )
-                # Per-instance resources do not depend on the instance
-                # count: one estimate serves every NI of this base.
-                one = estimate_resources(base, device, cal, per_instance=True)
-                count = min(
-                    instances_fitting(one, die) * device.dies,
-                    instances_fitting(one, device.resources),
-                )
-                if max_instances is not None:
-                    count = min(count, max_instances)
-                if count < 1:
-                    continue
-                configs.append(base)
-                budgets.append(one)
-                counts.append(count)
-    if not configs:
+    pt, pi, po = np.array([
+        (pt, pi, po)
+        for pt in SUPPORTED_PT
+        for pi in PARALLEL_FACTORS
+        for po in PARALLEL_FACTORS
+        if po <= pi
+    ], dtype=np.int64).T
+    bases = ConfigColumns(
+        pi, po, pt, *(
+            np.full(len(pt), value, dtype=np.int64)
+            for value in (data_width, weight_width) + tuple(buffers)
+        ),
+        np.full(len(pt), freq, dtype=np.float64),
+    )
+    resources = np.stack(
+        resource_columns(bases, cal, device.bram_width_bits)
+    )
+    negative = np.flatnonzero((resources < 0).any(axis=0))
+    if len(negative):
+        ResourceBudget(*resources[:, negative[0]].tolist())  # raises
+    counts = np.minimum(
+        fitting_columns(*resources, device.resources_per_die())
+        * device.dies,
+        fitting_columns(*resources, device.resources),
+    )
+    if max_instances is not None:
+        counts = np.minimum(counts, max_instances)
+    kept = np.flatnonzero(counts >= 1)
+    if not len(kept):
         raise DseError(
             f"no feasible accelerator configuration for {device.name}"
         )
-    counts = np.array(counts, dtype=np.int64)
+    counts = counts[kept]
     base_ids = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     instances = np.arange(1, len(base_ids) + 1, dtype=np.int64) - starts
+    bases, resources = bases.take(kept), resources[:, kept]
+    for column in (resources,) + tuple(
+        getattr(bases, name) for name in ConfigColumns.FIELDS
+    ):
+        column.flags.writeable = False
     return HardwareSpace(
-        device, cal, step1, tuple(configs), tuple(budgets), base_ids,
-        instances,
+        device, cal, step1, bases, resources, base_ids, instances,
     )

@@ -2,8 +2,9 @@
 
 Section 5.1: "alpha, beta, gamma, and delta can be pre-defined through
 profiling".  Having no synthesis tool in the loop, we fit the constants
-to the paper's own Table 3 utilisation numbers; the fitting derivation
-is recorded in EXPERIMENTS.md.  Constants:
+to the paper's own Table 3 utilisation numbers, so Table 3's agreement
+holds by construction; writing each constant's derivation down is
+ROADMAP item 6.  Constants:
 
 ``alpha``
     DSPs of the output-transform/accumulation path per output lane and
@@ -54,7 +55,7 @@ class CalibrationProfile:
 
 
 #: VU9P profile — fitted to Table 3's 706353 LUT / 5163 DSP / 3169 BRAM
-#: across 6 instances (see EXPERIMENTS.md for the arithmetic).
+#: across 6 instances (the arithmetic is ROADMAP item 6).
 VU9P_PROFILE = CalibrationProfile(
     name="vu9p",
     alpha=4.0,

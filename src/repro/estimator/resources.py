@@ -25,33 +25,71 @@ claim (26.4 % extra LUTs, zero extra DSPs).
 
 from __future__ import annotations
 
-import math
+from typing import Tuple
+
+import numpy as np
 
 from repro.arch.buffers import hybrid_bank_counts
-from repro.arch.params import AcceleratorConfig
+from repro.arch.params import AcceleratorConfig, ConfigColumns
 from repro.estimator.calibration import CalibrationProfile, get_calibration
 from repro.fpga.device import FpgaDevice
 from repro.fpga.resources import ResourceBudget
 
 
+def resource_columns(
+    cols: ConfigColumns,
+    cal: CalibrationProfile,
+    bram_width_bits: int = 18,
+    hybrid: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 3-5 for every row of ``cols``: one instance's LUTs, DSPs and
+    BRAMs as int64 columns.
+
+    Every entry point of this module is the one-row case of this
+    function.  Integer terms stay int64; float terms keep the equations'
+    operation order, and ``np.rint`` rounds half to even as Python's
+    ``round`` does, so a column entry equals the scalar arithmetic.
+    """
+    macs = cols.pi * cols.po * cols.pt * cols.pt
+    m = cols.m
+    # Eq. 5 (``hybrid=False`` drops the Winograd-transform term).
+    factor = 1.0 + (cal.delta * m * m if hybrid else 0.0)
+    luts = cal.gamma * macs * factor
+    # Eq. 3.
+    pe = macs / cal.dsp_packing
+    accum = cal.alpha * cols.po * m * m
+    dsps = pe + accum + cols.po + cal.beta
+    # Eq. 4.
+    banks = hybrid_bank_counts(cols)
+    width_ratio = cols.data_width / bram_width_bits
+    brams = width_ratio * (
+        banks["input"]
+        + banks["weight"] * cal.wgt_bram_depth
+        + (1.0 + cal.bram_alpha) * banks["output"]
+    )
+    return tuple(np.rint(column).astype(np.int64)
+                 for column in (luts, dsps, brams))
+
+
+def _one(cfg: AcceleratorConfig, cal: CalibrationProfile,
+         bram_width_bits: int = 18, hybrid: bool = True) -> Tuple[int, ...]:
+    """``(LUTs, DSPs, BRAMs)`` of one instance of ``cfg``."""
+    return tuple(
+        int(column[0]) for column in resource_columns(
+            ConfigColumns.of([cfg]), cal, bram_width_bits, hybrid
+        )
+    )
+
+
 def dsp_count(cfg: AcceleratorConfig, cal: CalibrationProfile) -> int:
     """Eq. 3 — DSPs of one instance."""
-    pe = cfg.pi * cfg.po * cfg.pt * cfg.pt / cal.dsp_packing
-    accum = cal.alpha * cfg.po * cfg.m * cfg.m
-    return int(round(pe + accum + cfg.po + cal.beta))
+    return _one(cfg, cal)[1]
 
 
 def bram_count(cfg: AcceleratorConfig, cal: CalibrationProfile,
                bram_width_bits: int = 18) -> int:
     """Eq. 4 — 18Kb BRAMs of one instance."""
-    banks = hybrid_bank_counts(cfg)
-    width_ratio = cfg.data_width / bram_width_bits
-    total = width_ratio * (
-        banks["input"]
-        + banks["weight"] * cal.wgt_bram_depth
-        + (1.0 + cal.bram_alpha) * banks["output"]
-    )
-    return int(round(total))
+    return _one(cfg, cal, bram_width_bits)[2]
 
 
 def lut_count(cfg: AcceleratorConfig, cal: CalibrationProfile,
@@ -61,9 +99,7 @@ def lut_count(cfg: AcceleratorConfig, cal: CalibrationProfile,
     ``hybrid=False`` drops the ``delta*m^2`` Winograd-transform term,
     giving the conventional spatial-only architecture.
     """
-    macs = cfg.pi * cfg.po * cfg.pt * cfg.pt
-    factor = 1.0 + (cal.delta * cfg.m * cfg.m if hybrid else 0.0)
-    return int(round(cal.gamma * macs * factor))
+    return _one(cfg, cal, hybrid=hybrid)[0]
 
 
 def estimate_resources(
@@ -75,11 +111,7 @@ def estimate_resources(
     """Whole-design (or single-instance) utilisation on ``device``."""
     if cal is None:
         cal = get_calibration(device.name)
-    one = ResourceBudget(
-        luts=lut_count(cfg, cal),
-        dsps=dsp_count(cfg, cal),
-        brams=bram_count(cfg, cal, device.bram_width_bits),
-    )
+    one = ResourceBudget(*_one(cfg, cal, device.bram_width_bits))
     if per_instance:
         return one
     return one * cfg.instances
@@ -95,11 +127,8 @@ def spatial_only_resources(
     layout machinery."""
     if cal is None:
         cal = get_calibration(device.name)
-    one = ResourceBudget(
-        luts=lut_count(cfg, cal, hybrid=False),
-        dsps=dsp_count(cfg, cal),
-        brams=bram_count(cfg, cal, device.bram_width_bits),
-    )
+    one = ResourceBudget(*_one(cfg, cal, device.bram_width_bits,
+                               hybrid=False))
     return one * cfg.instances
 
 
@@ -122,12 +151,32 @@ def instances_per_die(cfg: AcceleratorConfig, device: FpgaDevice,
     return instances_fitting(one, device.resources_per_die())
 
 
+#: What :func:`fitting_columns` reads for a resource a design never uses.
+_UNBOUNDED = np.iinfo(np.int64).max
+
+
+def fitting_columns(
+    luts: np.ndarray, dsps: np.ndarray, brams: np.ndarray,
+    capacity: ResourceBudget,
+) -> np.ndarray:
+    """How many copies of each row's per-instance ``(luts, dsps,
+    brams)`` fit ``capacity``, resource by resource; a resource a row
+    does not use never binds it."""
+    counts = [
+        np.where(used > 0, avail // np.maximum(used, 1), _UNBOUNDED)
+        for used, avail in (
+            (luts, capacity.luts),
+            (dsps, capacity.dsps),
+            (brams, capacity.brams),
+        )
+    ]
+    return np.minimum(np.minimum(counts[0], counts[1]), counts[2])
+
+
 def instances_fitting(one: ResourceBudget, capacity: ResourceBudget) -> int:
     """How many copies of the per-instance budget ``one`` fit
     ``capacity``, resource by resource."""
-    counts = []
-    for resource in ("luts", "dsps", "brams"):
-        used = getattr(one, resource)
-        avail = getattr(capacity, resource)
-        counts.append(avail // used if used else math.inf)
-    return int(min(counts))
+    return int(fitting_columns(
+        np.array([one.luts]), np.array([one.dsps]), np.array([one.brams]),
+        capacity,
+    )[0])

@@ -58,17 +58,13 @@ picks the *first* minimum, exactly matching the scalar strict-``<``
 update; a materialised row's ``bound`` label is chosen by the scalar
 path's own first-maximum rule.
 
-**Group geometry.**  The partition group counts are the only terms
-that cannot vectorise, but they depend only on the *partition
-projection* ``(PI, PO, PT, buffer sizes)``: within one space each
-(PT, PI, PO) base is one, and a batch spans a handful.  A mode's
-``(L, U)`` table over the batch's ``U`` distinct bases, one memoized
-partition per (projection, layer), is gathered to ``(L, C)``; in
-Winograd mode a layer without Winograd support is infeasible without
-a lookup.  Lookups go through the partition level of the
-:class:`~repro.pipeline.cache.EvaluationCache` when one is threaded,
-so partitions keep flowing into the on-disk store; estimates are
-never offered back.
+**Group geometry.**  The Sec. 4.2.4 group counts come from
+:meth:`~repro.mapping.partition.LayerColumns.group_counts`: one int64
+``(L, B)`` array per mode over the ``B`` bases a batch's candidates
+index (a space's, or a config list's), in integer arithmetic equal to
+:func:`~repro.mapping.partition.partition_layer`'s counts, gathered to
+``(L, C)`` by the batch's base ids.  No ``LayerPartition`` is built and
+nothing is looked up in a cache.
 """
 
 from __future__ import annotations
@@ -77,8 +73,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.params import SUPPORTED_PT, AcceleratorConfig
-from repro.errors import DseError, ReproError
+from repro.arch.params import SUPPORTED_PT, ConfigColumns
+from repro.errors import DseError
 from repro.estimator.latency import (
     GROUP_OVERHEAD_CYCLES,
     LayerEstimate,
@@ -86,8 +82,7 @@ from repro.estimator.latency import (
 )
 from repro.fpga.device import FpgaDevice
 from repro.ir.graph import LayerInfo, Network
-from repro.ir.layers import Dense
-from repro.mapping.partition import fused_pool_for, partition_layer
+from repro.mapping.partition import LayerColumns, fused_pool_for, layer_shape
 from repro.mapping.strategy import (
     DATAFLOWS,
     MODES,
@@ -112,25 +107,15 @@ class _LayerGeometry:
     """Per-layer constants of Eq. 6-11, precomputed once per network."""
 
     __slots__ = (
-        "info", "pool", "name", "ops", "wino_ok", "kcb", "chw",
+        "shape", "pool", "name", "ops", "wino_ok", "kcb", "chw",
         "sv_elems", "num_spat", "wgt_spat", "out_hw",
     )
 
     def __init__(self, network: Network, info: LayerInfo):
-        layer = info.layer
-        if isinstance(layer, Dense):
-            c, h, w = info.input_shape.size, 1, 1
-            r = s = 1
-            k = layer.out_features
-        else:
-            c = info.input_shape.channels
-            h, w = info.input_shape.height, info.input_shape.width
-            r, s = layer.kernel_size
-            k = layer.out_channels
-        out_h, out_w = info.output_shape.height, info.output_shape.width
-        self.info = info
+        self.shape = layer_shape(info)
+        c, k, r, s, _, _, h, w, out_h, out_w = self.shape
         self.pool = fused_pool_for(network, info.index)
-        self.name = layer.name
+        self.name = info.layer.name
         self.ops = info.ops
         self.wino_ok = winograd_supported(info)
         self.kcb = k * c * (-(-r // 3)) * (-(-s // 3))  # Winograd blocks
@@ -155,20 +140,19 @@ class BatchLayerEstimator:
 
     One instance serves one ``(device, network)`` pair for the lifetime
     of a DSE run: layer geometry is stacked into ``(L, 1)`` columns at
-    construction and partition lookups are memoized across batches.
-    ``cache`` is an optional :class:`~repro.pipeline.cache.EvaluationCache`
-    (duck-typed, like :func:`~repro.estimator.latency.estimate_network`
-    takes it) whose partition level serves every group-geometry lookup.
+    construction.  The per-base columns and group counts are computed
+    once for all bases of a :class:`~repro.dse.space.HardwareSpace` and
+    kept while its sub-spaces come back as batches (they share its
+    ``bases``); each batch gathers them by its ``base_ids``.
 
     Every entry point takes a column-backed
     :class:`~repro.dse.space.HardwareSpace` (or a slice of one) or a
     list of configs; both go through :func:`_batch` and one evaluation.
     """
 
-    def __init__(self, device: FpgaDevice, network: Network, cache=None):
+    def __init__(self, device: FpgaDevice, network: Network):
         self.device = device
         self.network = network
-        self.cache = cache
         self.layers = [
             _LayerGeometry(network, info)
             for info in network.compute_layers()
@@ -187,73 +171,47 @@ class BatchLayerEstimator:
         self._chw = column("chw")  # Eq. 10 numerator
         self._sv_elems = column("sv_elems")  # Eq. 11 numerator
         self._wino_ok = column("wino_ok") > 0.0
-        #: (mode, projection) -> the ``(5, L)`` group counts
-        #: ``(feasible, GK, rows, GC, groups)`` of every layer.
-        self._groups: Dict[Tuple, np.ndarray] = {}
-
-    # -- group geometry -----------------------------------------------------
-
-    def _groups_for(self, mode: str, cfg: AcceleratorConfig) -> np.ndarray:
-        """Every layer's group counts under ``mode`` for the partition
-        projection ``(PI, PO, PT, buffer sizes)`` of ``cfg``."""
-        key = (
-            mode, cfg.pi, cfg.po, cfg.pt,
-            cfg.input_buffer_vecs, cfg.weight_buffer_vecs,
-            cfg.output_buffer_vecs,
+        self._partition = LayerColumns(
+            [geom.shape for geom in self.layers],
+            [geom.pool for geom in self.layers],
         )
-        table = self._groups.get(key)
-        if table is not None:
-            return table
-        lookup = (
-            self.cache.partition if self.cache is not None
-            else partition_layer
-        )
-        rows = []
-        for geom in self.layers:
-            groups = _INFEASIBLE
-            if mode != "wino" or geom.wino_ok:
-                try:
-                    partition = lookup(cfg, geom.info, mode, geom.pool)
-                except ReproError:
-                    pass
-                else:
-                    groups = (
-                        1.0,
-                        partition.n_k_groups * partition.n_c_groups,
-                        partition.n_row_groups,
-                        partition.n_c_groups,
-                        partition.total_groups,
-                    )
-            rows.append(groups)
-        table = np.array(rows, dtype=np.float64).reshape(-1, 5).T
-        self._groups[key] = table
-        return table
+        #: ``(bases, per-base columns, {mode: group counts})`` of the
+        #: last bases seen.
+        self._table = None
 
     # -- Eq. 6-15 columns ---------------------------------------------------
 
+    def _base_table(self, bases):
+        """``(bases, per_base, counts)`` for a batch's
+        :class:`~repro.arch.params.ConfigColumns`: the ``(7, B)``
+        float64 columns ``(PI, PO, PT, m, freq, bw_f, bw_w)`` of every
+        base and a dict that :meth:`_group_counts` fills per mode."""
+        table = self._table
+        if table is None or table[0] is not bases:
+            per_base = np.stack([
+                bases.pi, bases.po, bases.pt, bases.m,
+                bases.frequency_mhz * 1e6,
+                _bandwidth(self.device, bases.data_width),
+                _bandwidth(self.device, bases.weight_width),
+            ]).astype(np.float64)
+            table = self._table = (bases, per_base, {})
+        return table
+
+    def _group_counts(self, bases, mode: str) -> np.ndarray:
+        """The ``(5, L, B)`` group counts of every base under ``mode``."""
+        _, _, counts = self._base_table(bases)
+        if mode not in counts:
+            counts[mode] = self._partition.group_counts(mode, bases)
+        return counts[mode]
+
     def _columns(self, batch):
-        """``(bases, inverse, cols)``: the batch's distinct bases, each
-        candidate's index among them, and the ``(1, C)`` columns
-        ``(PI, PO, PT, m, freq, bw_f, bw_w)``; a bandwidth is its base's
+        """The ``(1, C)`` columns ``(PI, PO, PT, m, freq, bw_f, bw_w)``
+        of a batch's candidates; a bandwidth is its base's
         ``bandwidth_elems`` over its instance count, in scalar order."""
-        configs, base_ids, instances = batch
-        uniq, inverse = np.unique(base_ids, return_inverse=True)
-        bases = [configs[base] for base in uniq.tolist()]
-        device = self.device
-        per_base = np.array(
-            [
-                (
-                    cfg.pi, cfg.po, cfg.pt, cfg.m, cfg.frequency_hz,
-                    device.bandwidth_elems(cfg.data_width),
-                    device.bandwidth_elems(cfg.weight_width),
-                )
-                for cfg in bases
-            ],
-            dtype=np.float64,
-        ).reshape(-1, 7)
-        pi, po, pt, m, freq, bw_f, bw_w = per_base[inverse].T[:, None, :]
-        cols = (pi, po, pt, m, freq, bw_f / instances, bw_w / instances)
-        return bases, inverse, cols
+        bases, base_ids, instances = batch
+        _, per_base, _ = self._base_table(bases)
+        pi, po, pt, m, freq, bw_f, bw_w = per_base[:, base_ids][:, None, :]
+        return (pi, po, pt, m, freq, bw_f / instances, bw_w / instances)
 
     def _mode_times(self, mode, cols):
         """``_module_times`` for every (layer, candidate): ``(L, C)``
@@ -284,7 +242,7 @@ class BatchLayerEstimator:
         layer order — bit-equal to the scalar loop
         ``tests/test_dse_oracle.py`` keeps.
         """
-        _, _, cols = self._columns(_batch(cfgs))
+        cols = self._columns(_batch(cfgs))
         spat = _largest(self._mode_times("spat", cols))
         wino = _largest(self._mode_times("wino", cols))
         return left_sums(
@@ -298,16 +256,16 @@ class BatchLayerEstimator:
         ``(feasible, t_comp, t_ldi, t_ldw, t_sv, t_penalty, latency,
         input_term, weight_term)``.
         """
-        bases, inverse, cols = self._columns(batch)
+        bases, base_ids, _ = batch
+        cols = self._columns(batch)
         freq = cols[4]
         overhead = float(GROUP_OVERHEAD_CYCLES)
         rows = []
         for mode in MODES:
-            table = np.stack(
-                [self._groups_for(mode, cfg) for cfg in bases], axis=-1
-            )
-            ok, gk, n_rows, gc, groups = table[:, :, inverse]
-            ok = ok > 0.0
+            ok, gk, n_rows, gc, groups = self._group_counts(
+                bases, mode
+            )[:, :, base_ids]
+            ok = ok > 0
             t_comp, t_ldi, t_ldw, t_sv = self._mode_times(mode, cols)
             t_penalty = (
                 t_ldi / np.maximum(n_rows, 1.0)
@@ -318,7 +276,7 @@ class BatchLayerEstimator:
             terms = {
                 # Eq. 12 / 14 — and the GC == 1 rule the scalar path
                 # enforces with UnsupportedLayerError.
-                "is": (ok & (gc == 1.0), t_ldi, n_rows * t_ldw),
+                "is": (ok & (gc == 1), t_ldi, n_rows * t_ldw),
                 # Eq. 13 / 15.
                 "ws": (ok, gk * t_ldi, t_ldw),
             }
@@ -444,20 +402,26 @@ class BatchLayerEstimator:
         return results
 
 
-#: The group counts of an infeasible (layer, mode): no partition fits.
-_INFEASIBLE = (0.0, 1.0, 1.0, 1.0, 1.0)
-
-
 def _batch(cfgs):
-    """``(configs, base_ids, instances)`` of a candidate batch: a
+    """``(bases, base_ids, instances)`` of a candidate batch: a
     :class:`~repro.dse.space.HardwareSpace` (duck-typed, as the DSE
     layer imports this one) as it is, a list with each config its own
-    base.  Bases give every field but the instance count."""
+    base.  Bases are :class:`~repro.arch.params.ConfigColumns`: every
+    field but the instance count."""
     if hasattr(cfgs, "base_ids"):
-        return cfgs.configs, cfgs.base_ids, cfgs.instances
+        return cfgs.bases, cfgs.base_ids, cfgs.instances
     configs = list(cfgs)
     instances = np.array([cfg.instances for cfg in configs], dtype=np.int64)
-    return configs, np.arange(len(configs)), instances
+    return ConfigColumns.of(configs), np.arange(len(configs)), instances
+
+
+def _bandwidth(device: FpgaDevice, widths: np.ndarray) -> np.ndarray:
+    """``device.bandwidth_elems`` of every entry of a width column."""
+    per_width = {
+        width: device.bandwidth_elems(width) for width in set(widths.tolist())
+    }
+    return np.array([per_width[width] for width in widths.tolist()],
+                    dtype=np.float64)
 
 
 def _select(rows):

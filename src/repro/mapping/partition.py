@@ -10,19 +10,31 @@ buffer carries partial sums across COMP instructions.
 
 The same :class:`LayerPartition` drives the analytical latency model,
 the compiler's instruction emission and the simulator's buffer checks,
-so there is a single source of truth for group geometry.
+so there is a single source of truth for group geometry.  The DSE asks
+a narrower question of many designs at once: only the group *counts*,
+for every (layer, design) of a batch.  :class:`LayerColumns` answers it
+with int64 arrays, sharing :func:`layer_shape` and
+:func:`row_geometry` with :func:`partition_layer`; its buffer
+arithmetic is the scalar one written over columns, and
+``tests/test_mapping_partition.py`` holds the two equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ResourceError, UnsupportedLayerError
-from repro.arch.params import AcceleratorConfig
+import numpy as np
+
+from repro.errors import DseError, ResourceError, UnsupportedLayerError
+from repro.arch.params import SUPPORTED_PT, AcceleratorConfig, output_tile
 from repro.ir.graph import LayerInfo
 from repro.ir.layers import Conv2D, Dense
 from repro.winograd.decompose import decomposition_blocks
+
+#: Most output rows one group may hold while growing to whole pool
+#: windows.
+MAX_GROUP_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -76,15 +88,53 @@ class LayerPartition:
         return self.weight_elems_group * self.n_k_groups * self.n_c_groups
 
 
-def _conv_geometry(info: LayerInfo):
+def layer_shape(info: LayerInfo) -> Tuple[int, ...]:
+    """``(C, K, R, S, stride, padding, H, W, out_H, out_W)`` of a CONV
+    layer, or of the 1x1 convolution a Dense layer executes as."""
     layer = info.layer
+    out = info.output_shape
     if isinstance(layer, Dense):
-        layer = layer.as_conv()
+        return (info.input_shape.size, layer.out_features, 1, 1, 1, 0,
+                1, 1, out.height, out.width)
     if not isinstance(layer, Conv2D):
         raise UnsupportedLayerError(
-            f"{info.layer.name}: only CONV/FC layers map onto the PE"
+            f"{layer.name}: only CONV/FC layers map onto the PE"
         )
-    return layer
+    shape = info.input_shape
+    r, s = layer.kernel_size
+    return (shape.channels, layer.out_channels, r, s, layer.stride,
+            layer.padding, shape.height, shape.width, out.height, out.width)
+
+
+def row_geometry(
+    mode: str, pt: int, kernel: Tuple[int, int], stride: int,
+    fused_pool: int,
+) -> Optional[Tuple[int, int, Tuple[Tuple[int, int], ...]]]:
+    """``(rows per group, strip rows, decomposition blocks)`` of one
+    (mode, PT, kernel, stride, pool), or ``None`` when no group of at
+    most :data:`MAX_GROUP_ROWS` rows holds whole pool windows.
+
+    The strip rows are those one group loads before clipping to the
+    padded input height.
+    """
+    r, s = kernel
+    if mode == "wino":
+        rows_per_group = output_tile(pt)
+        blocks = tuple(decomposition_blocks(r, s, 3))
+        strip_rows = pt + max(dr for dr, _ in blocks)
+    else:
+        rows_per_group = 1
+        blocks = ((0, 0),)
+        strip_rows = r
+    if fused_pool > 1:
+        # Fused pooling needs whole pool windows inside one SAVE group.
+        while rows_per_group % fused_pool:
+            rows_per_group += 1 if mode == "spat" else rows_per_group
+            if rows_per_group > MAX_GROUP_ROWS:
+                return None
+        if mode == "spat":
+            strip_rows = (rows_per_group - 1) * stride + r
+    return rows_per_group, strip_rows, blocks
 
 
 def partition_layer(
@@ -99,49 +149,23 @@ def partition_layer(
     configured on-chip buffers and
     :class:`UnsupportedLayerError` for Winograd with stride > 1.
     """
-    layer = _conv_geometry(info)
-    r, s = layer.kernel_size
-    c = (
-        info.input_shape.channels
-        if not isinstance(info.layer, Dense) else info.input_shape.size
-    )
-    in_h = info.input_shape.height if not isinstance(info.layer, Dense) else 1
-    in_w = info.input_shape.width if not isinstance(info.layer, Dense) else 1
-    k = layer.out_channels
-    out_h = info.output_shape.height
-    out_w = info.output_shape.width
-    stride = layer.stride
-    padding = layer.padding
+    name = info.layer.name
+    c, k, r, s, stride, padding, in_h, in_w, out_h, out_w = layer_shape(info)
 
     if mode == "wino" and stride != 1:
         raise UnsupportedLayerError(
-            f"{layer.name}: Winograd requires stride 1, got {stride}"
+            f"{name}: Winograd requires stride 1, got {stride}"
         )
     if mode not in ("spat", "wino"):
         raise UnsupportedLayerError(f"unknown mode {mode!r}")
 
     # -- row groups -----------------------------------------------------
-    if mode == "wino":
-        rows_per_group = cfg.m
-        blocks = tuple(decomposition_blocks(r, s, 3))
-        max_dr = max(dr for dr, _ in blocks)
-        strip_rows = cfg.pt + max_dr
-    else:
-        rows_per_group = 1
-        blocks = ((0, 0),)
-        strip_rows = r
-
-    if fused_pool > 1:
-        # Fused pooling needs whole pool windows inside one SAVE group.
-        while rows_per_group % fused_pool:
-            rows_per_group += 1 if mode == "spat" else rows_per_group
-            if rows_per_group > 16:
-                raise UnsupportedLayerError(
-                    f"{layer.name}: cannot align pool {fused_pool} with "
-                    f"mode {mode}"
-                )
-        if mode == "spat":
-            strip_rows = (rows_per_group - 1) * stride + r
+    rows = row_geometry(mode, cfg.pt, (r, s), stride, fused_pool)
+    if rows is None:
+        raise UnsupportedLayerError(
+            f"{name}: cannot align pool {fused_pool} with mode {mode}"
+        )
+    rows_per_group, strip_rows, blocks = rows
 
     # A strip never needs more rows than the padded input provides
     # (1x1 features executed as FC, small inputs).
@@ -173,7 +197,7 @@ def partition_layer(
         c_strip_allowed = _floor_multiple(c_strip_max, cfg.pi)
         if c_strip_allowed < cfg.pi:
             raise ResourceError(
-                f"{layer.name}: even {cfg.pi} channels of one input strip "
+                f"{name}: even {cfg.pi} channels of one input strip "
                 f"({cfg.pi * strip_footprint} elements) exceed the input "
                 f"buffer half ({input_capacity})"
             )
@@ -184,7 +208,7 @@ def partition_layer(
         c_wgt_allowed = _floor_multiple(c_wgt_max, cfg.pi)
         if c_wgt_allowed < cfg.pi:
             raise ResourceError(
-                f"{layer.name}: one weight granule with {cfg.pi} channels "
+                f"{name}: one weight granule with {cfg.pi} channels "
                 f"({granule * per_c_elems * cfg.pi} elements) exceeds the "
                 f"weight buffer half ({weight_capacity})"
             )
@@ -201,12 +225,12 @@ def partition_layer(
     if k_per_group < granule:
         if k_out_max < granule:
             raise ResourceError(
-                f"{layer.name}: one output group of {granule} channels "
+                f"{name}: one output group of {granule} channels "
                 f"({granule * rows_per_group * out_w} elements) exceeds "
                 f"the output buffer half ({output_capacity})"
             )
         raise ResourceError(
-            f"{layer.name}: one weight granule does not fit the weight "
+            f"{name}: one weight granule does not fit the weight "
             f"buffer half ({weight_capacity})"
         )
     k_per_group = min(k_per_group, k_padded)
@@ -217,7 +241,7 @@ def partition_layer(
 
     relu = bool(getattr(info.layer, "relu", False))
     return LayerPartition(
-        layer_name=layer.name,
+        layer_name=name,
         mode=mode,
         channels=c,
         out_channels=k,
@@ -242,6 +266,143 @@ def partition_layer(
         weight_elems_group=weight_elems_group,
         out_group_elems=out_group_elems,
     )
+
+
+#: Rows of :meth:`LayerColumns.group_counts`: feasibility, then the
+#: :class:`LayerPartition` counts ``n_k_groups * n_c_groups`` (GK·GC),
+#: ``n_row_groups``, ``n_c_groups`` (GC) and ``total_groups``.
+GROUP_COUNTS = ("feasible", "gk_gc", "row_groups", "gc", "groups")
+
+#: Buffer capacities (elements) at or above this could wrap the int64
+#: group arithmetic.
+_CAPACITY_LIMIT = 2**62
+
+
+class LayerColumns:
+    """The layer side of the Sec. 4.2.4 group counts, for a batch.
+
+    Each compute layer's :func:`layer_shape` and fused pool become
+    ``(L, 1)`` int64 columns; :meth:`group_counts` takes the designs as
+    ``(U,)`` columns (:class:`~repro.arch.params.ConfigColumns`) and
+    returns :func:`partition_layer`'s counts for every (layer, design)
+    at once.  Row geometry depends only on (mode, PT, kernel, stride,
+    pool), so each call runs :func:`row_geometry` once per distinct
+    combination, not once per layer.
+    """
+
+    def __init__(self, shapes: Sequence[Tuple[int, ...]],
+                 pools: Sequence[int]):
+        table = np.array(shapes, dtype=np.int64).reshape(-1, 10).T[:, :, None]
+        c, k, r, s, _, padding, in_h, in_w, out_h, out_w = table
+        self.c, self.k, self.out_h, self.out_w = c, k, out_h, out_w
+        self.rs = r * s
+        self.padded_h = in_h + 2 * padding
+        self.padded_w = in_w + 2 * padding
+        keys: dict = {}
+        self._key_ids = np.array(
+            [keys.setdefault((shape[2], shape[3], shape[4], pool), len(keys))
+             for shape, pool in zip(shapes, pools)],
+            dtype=np.intp,
+        )
+        self._keys = tuple(keys)
+
+    def _row_columns(self, mode: str) -> np.ndarray:
+        """``(P, 4, L)`` int64, per entry of ``SUPPORTED_PT``: feasible,
+        rows per group, strip rows and decomposition blocks of every
+        layer under ``mode``; an infeasible layer reads ``(0, 1, 1, 1)``."""
+        per_key = []
+        for pt in SUPPORTED_PT:
+            for r, s, stride, pool in self._keys:
+                rows = (
+                    None if mode == "wino" and stride != 1
+                    else row_geometry(mode, pt, (r, s), stride, pool)
+                )
+                per_key.append(
+                    (0, 1, 1, 1) if rows is None
+                    else (1, rows[0], rows[1], len(rows[2]))
+                )
+        table = np.array(per_key, dtype=np.int64).reshape(
+            len(SUPPORTED_PT), -1, 4
+        )
+        return table[:, self._key_ids].transpose(0, 2, 1)
+
+    def group_counts(self, mode: str, bases) -> np.ndarray:
+        """``(5, L, U)`` int64, the :data:`GROUP_COUNTS` of every layer
+        under ``mode`` on every design of ``bases``.
+
+        Feasibility is 1 exactly where :func:`partition_layer` returns
+        a partition, and the counts are its counts there; elsewhere they
+        are placeholders.  The arithmetic is the scalar function's, in
+        integers; an infeasible cell's divisors are clamped to 1 so that
+        nothing divides by zero.
+        """
+        pi, po, pt = bases.pi, bases.po, bases.pt
+        ok, rows, strip, blocks = self._row_columns(mode)[
+            np.searchsorted(SUPPORTED_PT, pt)
+        ].transpose(1, 2, 0)
+        strip = np.minimum(strip, self.padded_h)
+        n_rows = -(-self.out_h // rows)
+
+        input_capacity = _capacity(bases.input_buffer_vecs, pi)
+        weight_capacity = _capacity(bases.weight_buffer_vecs, pi, po)
+        output_capacity = _capacity(bases.output_buffer_vecs, po)
+        if mode == "wino":
+            granule = po
+            per_c_elems = blocks * pt * pt
+        else:
+            granule = po * pt
+            per_c_elems = self.rs
+        k_padded = -(-self.k // granule) * granule
+
+        c = self.c
+        c_strip_max = input_capacity // (strip * self.padded_w)
+        c_wgt_max = weight_capacity // (granule * per_c_elems)
+        ok = (
+            (ok > 0)
+            & ((c_strip_max >= c) | (c_strip_max >= pi))
+            & ((c_wgt_max >= c) | (c_wgt_max >= pi))
+        )
+        c_per_group = np.maximum(np.minimum(
+            c,
+            np.minimum(_allowed(c_strip_max, c, pi),
+                       _allowed(c_wgt_max, c, pi)),
+        ), 1)
+        n_c_groups = -(-c // c_per_group)
+
+        k_wgt_max = weight_capacity // (per_c_elems * c_per_group)
+        k_out_max = output_capacity // (rows * self.out_w)
+        k_per_group = np.minimum(k_wgt_max, k_out_max) // granule * granule
+        ok &= k_per_group >= granule
+        # partition_layer's clamp of k_per_group to k_padded changes no
+        # count: a group holding every padded channel is one group.
+        n_k_groups = -(-k_padded // np.maximum(k_per_group, 1))
+        return np.stack([
+            ok, n_k_groups * n_c_groups, n_rows, n_c_groups,
+            n_rows * n_k_groups * n_c_groups,
+        ])
+
+
+def _allowed(most: np.ndarray, c: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Channels one chunk may take when at most ``most`` fit: all
+    ``c``, or else a whole multiple of ``PI``."""
+    return np.where(most >= c, c, most // pi * pi)
+
+
+def _capacity(vecs: np.ndarray, *widths: np.ndarray) -> np.ndarray:
+    """A buffer half in elements, ``vecs`` times the vector widths, as
+    int64; :class:`DseError` where the product could wrap."""
+    largest = int(vecs.max())
+    for width in widths:
+        largest *= int(width.max())
+    if largest >= _CAPACITY_LIMIT:
+        raise DseError(
+            f"buffer capacity {largest} is too large for exact int64 "
+            f"group counts (>= 2**62)"
+        )
+    capacity = vecs
+    for width in widths:
+        capacity = capacity * width
+    return capacity
 
 
 def fused_pool_for(network, index: int) -> int:

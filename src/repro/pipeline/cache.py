@@ -14,9 +14,10 @@ cache memoizes it at two levels:
 * the **partition level** keys on the subset the group geometry depends
   on — shape, (PI, PO, PT), buffer sizes and mode.  A partition is
   therefore shared across both dataflows, all data widths, all clocks
-  and every instance count of the same PE geometry.  The DSE's
-  candidate-batch estimator reads the group geometry only through this
-  level, so it is all the traffic a DSE puts through the cache.
+  and every instance count of the same PE geometry.  It serves the
+  estimate level's misses.  The DSE does not use the cache at all: its
+  candidate-batch estimator computes the group counts as columns
+  (:class:`~repro.mapping.partition.LayerColumns`).
 
 Failures are memoized too: an infeasible combination raises an equal
 :class:`~repro.errors.ReproError` on every retry, so both levels store
@@ -137,7 +138,7 @@ class CacheStats:
 
     def describe(self) -> str:
         """Partition level first; the estimate clause only when there
-        were estimate lookups (a DSE makes partition lookups only)."""
+        were estimate lookups."""
         estimates = (
             f"{self.hits}/{self.lookups} estimate hits "
             f"({self.estimate_hit_rate * 100:.1f}%), "

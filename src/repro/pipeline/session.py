@@ -17,12 +17,13 @@ the DSE — that is how the paper-configuration experiments share the same
 code path as the DSE-driven ones.
 
 Sessions may share an :class:`~repro.pipeline.cache.EvaluationCache`,
-which is how device sweeps and multi-objective studies avoid
-re-evaluating identical (layer, config) points.  A session may also be
+which is how sessions pinned to designs avoid re-evaluating identical
+(layer, config) points; the DSE computes its group counts as columns and
+neither reads nor fills it.  A session may also be
 backed by an on-disk :class:`~repro.pipeline.store.EvaluationStore`
-(``store=`` path or store instance): the cache is warmed from the
-store's scope for the session's device at construction and the
-computed delta is flushed back by
+(``store=`` path or store instance): the store directory is created and
+the cache is warmed from the store's scope for the session's device at
+construction, and the computed delta is flushed back by
 :meth:`PipelineSession.close` — use the session as a context manager to
 get both ends for free.
 """
@@ -76,15 +77,17 @@ class PipelineSession:
     cache:
         Shared :class:`EvaluationCache`; a fresh one is created if
         omitted.  Pass one cache to several sessions to share layer
-        estimates across scenarios.
+        estimates across scenarios (the DSE makes no lookups).
     store:
-        An :class:`EvaluationStore` or a cache-directory path.  The
-        cache is warmed from it immediately with this device's scope
-        only — the partitions plus the estimates keyed on this device,
-        the only ones the session can hit — so opening costs one
-        unpickle of that scope, however many other devices the store
-        holds.  :meth:`close` (or leaving a ``with`` block) flushes
-        the entries this session computed, every scope included.
+        An :class:`EvaluationStore` or a cache-directory path.  Opening
+        it creates the directory — a path that cannot be one raises
+        :class:`~repro.errors.ReproError` here, before any stage runs —
+        and warms the cache with this device's scope only — the
+        partitions plus the estimates keyed on this device, the only
+        ones the session can hit — so opening costs one unpickle of
+        that scope, however many other devices the store holds.
+        :meth:`close` (or leaving a ``with`` block) flushes the entries
+        this session computed, every scope included.
     """
 
     def __init__(
@@ -161,7 +164,6 @@ class PipelineSession:
                 self.network,
                 self.options,
                 cal=self.calibration,
-                cache=self.cache,
                 candidates=self.candidates(),
             )
         return self._dse

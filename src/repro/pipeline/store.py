@@ -140,7 +140,9 @@ class EvaluationStore:
     Parameters
     ----------
     path:
-        The cache directory (created on first use).
+        The cache directory, created by :meth:`warm` (or by the first
+        flush); inspection (:meth:`segment_summaries`, :meth:`load`)
+        never creates it.
     version:
         Accepted segment version; defaults to :data:`STORE_VERSION`.
         Exposed for tests — production callers never pass it.
@@ -191,8 +193,18 @@ class EvaluationStore:
 
         ``device`` limits the estimates to that device's scope — the
         only ones a session on it can hit; ``None`` loads every scope.
-        Partitions are device-free and always loaded.
+        Partitions are device-free and always loaded.  Warming opens
+        the store for writing too: it creates the directory, and a path
+        that cannot be one raises :class:`ReproError` naming it, before
+        the caller computes anything to flush.
         """
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ReproError(
+                f"cache dir {self.path} cannot be created: "
+                f"{exc.strerror or exc}"
+            ) from None
         scoped, partitions = self._merge(device)
         return cache.warm(_flatten(scoped), partitions)
 

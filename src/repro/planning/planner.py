@@ -8,10 +8,7 @@
    :class:`~repro.pipeline.session.PipelineSession`, the analytical
    Eq. 12-15 latency (one vectorized
    :class:`~repro.estimator.vectorized.BatchLayerEstimator` call per
-   cfg, its partitions memoized through the shared
-   :class:`~repro.pipeline.cache.EvaluationCache` and any
-   :class:`~repro.pipeline.store.EvaluationStore` behind it) and the
-   simulated per-image probe the admissible bounds need;
+   cfg) and the simulated per-image probe the admissible bounds need;
 2. **Tier A** — the whole :class:`~repro.planning.grid.PlanGrid` goes
    through :class:`~repro.planning.scorer.AnalyticPlanScorer` in one
    vectorized call; pruned plans are out (provably infeasible), kept
@@ -153,12 +150,13 @@ def resolve_kinds(
     """Specs to :class:`DeviceKind` rows, sharing one evaluation cache.
 
     Paper devices (``vu9p``, ``pynq-z1``) pin the Table-4 config; any
-    other catalog device runs its DSE through the same cache.  Each
-    cfg's analytical latency comes from one vectorized
-    ``network_latencies`` call whose partitions come through the cache,
-    so a store-backed run never recomputes them.  With a ``store``, each
-    kind's device scope is warmed into the cache once, before its DSE;
-    flushing the cache back is the caller's job.
+    other catalog device runs its DSE.  Each cfg's analytical latency
+    comes from one vectorized ``network_latencies`` call, which reads
+    no cache.  The pinned sessions share ``cache`` for their estimates.
+    With a ``store``, each kind's device scope is warmed into the cache
+    once, before its DSE (creating the store directory, so a path that
+    cannot be one fails here); flushing the cache back is the caller's
+    job.
     """
     cache = cache if cache is not None else EvaluationCache()
     if isinstance(store, (str, Path)):
@@ -181,9 +179,9 @@ def resolve_kinds(
         kind = DeviceKind.build(
             network, device, cfg, spec.weight, seed, cache=cache
         )
-        (latency,) = BatchLayerEstimator(
-            device, network, cache=cache
-        ).network_latencies([cfg])
+        (latency,) = BatchLayerEstimator(device, network).network_latencies(
+            [cfg]
+        )
         if latency is None:
             raise PlanningError(
                 f"{device.name}: the resolved config maps no feasible "

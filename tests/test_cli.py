@@ -424,6 +424,10 @@ class TestCommands:
     def test_cache_info_empty_dir(self, tmp_path, capsys):
         assert main(["cache", "info", str(tmp_path / "nowhere")]) == 0
         assert "empty" in capsys.readouterr().out
+        # Inspection never creates the directory.
+        assert main(["cache", "compact", str(tmp_path / "nowhere")]) == 0
+        assert "nothing to compact" in capsys.readouterr().out
+        assert not (tmp_path / "nowhere").exists()
 
     def test_model_from_json(self, tmp_path, capsys):
         from repro.ir import save_network, zoo

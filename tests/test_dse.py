@@ -1,5 +1,6 @@
 """Tests for repro.dse — the 3-step design space exploration."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,17 @@ from repro.dse.space import (
     HardwareSpace,
     default_buffers,
 )
-from repro.errors import DseError
-from repro.estimator.calibration import get_calibration
-from repro.estimator.resources import estimate_resources, instances_per_die
+from repro.errors import DseError, ResourceError
+from repro.estimator.calibration import CalibrationProfile, get_calibration
+from repro.estimator.resources import (
+    bram_count,
+    dsp_count,
+    estimate_resources,
+    instances_per_die,
+    lut_count,
+)
 from repro.fpga import DEVICES, get_device
+from repro.fpga.resources import ResourceBudget
 from repro.ir import zoo
 from repro.pipeline import PipelineSession
 
@@ -64,6 +72,95 @@ def per_instance_enumeration(device, options):
     return candidates
 
 
+# -- the Step-1 oracle: the per-base loop and scalar Eq. 3-5 ---------------
+
+
+def scalar_resources(cfg, cal, bram_width_bits=18, hybrid=True):
+    """Eq. 3-5 in Python scalars, as ``repro.estimator.resources``
+    computed them before its column form: ``(LUTs, DSPs, BRAMs)``."""
+    macs = cfg.pi * cfg.po * cfg.pt * cfg.pt
+    factor = 1.0 + (cal.delta * cfg.m * cfg.m if hybrid else 0.0)
+    luts = int(round(cal.gamma * macs * factor))
+    pe = cfg.pi * cfg.po * cfg.pt * cfg.pt / cal.dsp_packing
+    accum = cal.alpha * cfg.po * cfg.m * cfg.m
+    dsps = int(round(pe + accum + cfg.po + cal.beta))
+    banks = {
+        "input": max(cfg.pi * cfg.pt * cfg.pt, cfg.pi * cfg.pt),
+        "weight": max(cfg.pi * cfg.po * cfg.pt * cfg.pt,
+                      cfg.pi * cfg.pt * cfg.po * cfg.pt),
+        "output": max(cfg.po * cfg.m * cfg.m, cfg.po * cfg.pt),
+    }
+    width_ratio = cfg.data_width / bram_width_bits
+    brams = int(round(width_ratio * (
+        banks["input"]
+        + banks["weight"] * cal.wgt_bram_depth
+        + (1.0 + cal.bram_alpha) * banks["output"]
+    )))
+    return luts, dsps, brams
+
+
+def scalar_fitting(one, capacity):
+    counts = []
+    for resource in ("luts", "dsps", "brams"):
+        used = getattr(one, resource)
+        avail = getattr(capacity, resource)
+        counts.append(avail // used if used else math.inf)
+    return int(min(counts))
+
+
+def per_base_enumeration(device, options, cal=None):
+    """Step 1 as a loop over (PT, PI, PO) bases with scalar Eq. 3-5:
+    ``(configs, budgets, counts)`` of the feasible bases, each config
+    with ``instances=1`` — the reference the column form must equal."""
+    cal = cal or get_calibration(device.name)
+    freq = options.frequency_mhz or device.frequency_mhz
+    buffers = tuple(options.buffer_presets or default_buffers(device))
+    die = device.resources_per_die()
+    configs, budgets, counts = [], [], []
+    for pt in SUPPORTED_PT:
+        for pi in PARALLEL_FACTORS:
+            for po in PARALLEL_FACTORS:
+                if po > pi:
+                    continue
+                base = AcceleratorConfig(
+                    pi=pi, po=po, pt=pt,
+                    data_width=options.data_width,
+                    weight_width=options.weight_width,
+                    instances=1,
+                    input_buffer_vecs=buffers[0],
+                    weight_buffer_vecs=buffers[1],
+                    output_buffer_vecs=buffers[2],
+                    frequency_mhz=freq,
+                )
+                one = ResourceBudget(
+                    *scalar_resources(base, cal, device.bram_width_bits)
+                )
+                count = min(
+                    scalar_fitting(one, die) * device.dies,
+                    scalar_fitting(one, device.resources),
+                )
+                if options.max_instances is not None:
+                    count = min(count, options.max_instances)
+                if count < 1:
+                    continue
+                configs.append(base)
+                budgets.append(one)
+                counts.append(count)
+    return configs, budgets, counts
+
+
+#: Step-1 option sets the column form is held to the oracle on.
+STEP1_OPTIONS = {
+    "default": DseOptions(),
+    "max_instances": DseOptions(max_instances=2),
+    "widths": DseOptions(data_width=16, weight_width=4),
+    "presets": DseOptions(buffer_presets=(4096, 2048, 2048)),
+    "frequency": DseOptions(frequency_mhz=250),
+    "all": DseOptions(max_instances=3, data_width=8, weight_width=16,
+                      buffer_presets=(1024, 512, 512), frequency_mhz=123.5),
+}
+
+
 class TestStep1Explore:
     def test_all_candidates_fit(self, vu9p):
         for cand in explore_hardware(vu9p):
@@ -94,6 +191,80 @@ class TestStep1Explore:
         assert [repr(c) for c in got] == [
             repr(c) for c in per_instance_enumeration(device, options)
         ]
+
+    @pytest.mark.parametrize("device_name", sorted(DEVICES))
+    @pytest.mark.parametrize("name", sorted(STEP1_OPTIONS))
+    def test_columns_equal_the_per_base_oracle(self, device_name, name):
+        """Configs, budgets, NI counts, candidate list and columns equal
+        the per-base scalar loop's, reprs (types) included."""
+        device = get_device(device_name)
+        options = STEP1_OPTIONS[name]
+        configs, budgets, counts = per_base_enumeration(device, options)
+        space = explore_hardware(device, options)
+        bases = range(len(space.bases.pi))
+        assert [repr(space.config(b)) for b in bases] == [
+            repr(cfg) for cfg in configs
+        ]
+        assert [space.budget(b) for b in bases] == budgets
+        assert space.resources.dtype == np.int64
+        assert space.resources.tolist() == [
+            [one.luts for one in budgets],
+            [one.dsps for one in budgets],
+            [one.brams for one in budgets],
+        ]
+        for column in ("pi", "po", "pt"):
+            assert getattr(space.bases, column).tolist() == [
+                getattr(cfg, column) for cfg in configs
+            ]
+        assert np.bincount(space.base_ids).tolist() == counts
+        expected = [
+            HardwareCandidate(cfg=replace(cfg, instances=ni),
+                              per_instance=one, total=one * ni)
+            for cfg, one, count in zip(configs, budgets, counts)
+            for ni in range(1, count + 1)
+        ]
+        assert [repr(c) for c in space] == [repr(c) for c in expected]
+        assert space == expected
+
+    @pytest.mark.parametrize("device_name", sorted(DEVICES))
+    def test_scalar_resources_are_the_one_row_case(self, device_name):
+        """The scalar entry points equal the scalar Eq. 3-5 arithmetic on
+        every base, under the device's own and the other profiles."""
+        device = get_device(device_name)
+        configs, _, _ = per_base_enumeration(device, DseOptions())
+        for cal_name in ("vu9p", "pynq-z1", "generic"):
+            cal = get_calibration(cal_name)
+            for cfg in configs:
+                luts, dsps, brams = scalar_resources(
+                    cfg, cal, device.bram_width_bits
+                )
+                assert estimate_resources(
+                    cfg, device, cal, per_instance=True
+                ) == ResourceBudget(luts, dsps, brams)
+                assert lut_count(cfg, cal, hybrid=False) == scalar_resources(
+                    cfg, cal, hybrid=False
+                )[0]
+                assert dsp_count(cfg, cal) == dsps
+                assert bram_count(cfg, cal, device.bram_width_bits) == brams
+
+    def test_integer_constants_and_negative_budgets(self, pynq):
+        """A profile with integer constants computes as the scalar loop
+        does; one that makes a budget negative raises its error."""
+        cal = CalibrationProfile(name="ints", alpha=3, beta=20, gamma=150,
+                                 delta=0, wgt_bram_depth=2)
+        configs, budgets, counts = per_base_enumeration(
+            pynq, DseOptions(), cal
+        )
+        space = explore_hardware(pynq, cal=cal)
+        assert [space.config(b) for b in range(len(configs))] == configs
+        assert [space.budget(b) for b in range(len(configs))] == budgets
+        assert np.bincount(space.base_ids).tolist() == counts
+        odd = CalibrationProfile(name="odd", bram_alpha=-50.0)
+        with pytest.raises(ResourceError, match="negative resource") as loop:
+            per_base_enumeration(pynq, DseOptions(), odd)
+        with pytest.raises(ResourceError) as columns:
+            explore_hardware(pynq, cal=odd)
+        assert str(columns.value) == str(loop.value)
 
     def test_buffer_presets(self, vu9p, pynq):
         assert default_buffers(vu9p)[0] > default_buffers(pynq)[0]

@@ -225,14 +225,14 @@ def scalar_run_dse(
 
 class SharedRuns:
     """What this module's cases share, by (device, network, cfg): the
-    candidates of each device, one cache per side and device, and
+    candidates of each device, one oracle cache per device, and
     memoized scalar results.  Every shared value is deterministic, so
     sharing changes what a repeated sweep costs, never what it returns.
     """
 
     def __init__(self):
         self._candidates: Dict[str, List[HardwareCandidate]] = {}
-        self._caches: Dict[Tuple[str, str], EvaluationCache] = {}
+        self._caches: Dict[str, EvaluationCache] = {}
         self._mapped: Dict[Tuple, object] = {}
         self._bounds: Dict[Tuple, float] = {}
 
@@ -272,15 +272,10 @@ class SharedRuns:
         network = zoo.get_model(model)
         candidates = self.candidates(device_name)
 
-        def cache(side):
-            return self._caches.setdefault(
-                (side, device_name), EvaluationCache()
-            )
-
+        cache = self._caches.setdefault(device_name, EvaluationCache())
         return (
-            run_dse(device, network, options, cache=cache("batch"),
-                    candidates=candidates),
-            scalar_run_dse(device, network, options, cache=cache("oracle"),
+            run_dse(device, network, options, candidates=candidates),
+            scalar_run_dse(device, network, options, cache=cache,
                            candidates=candidates, map_fn=self.map_network,
                            bound_fn=self.latency_lower_bound, **reference),
         )

@@ -26,7 +26,7 @@ from repro.fpga import get_device
 from repro.ir import zoo
 from repro.mapping.partition import fused_pool_for
 from repro.mapping.partition import partition_layer
-from repro.pipeline import EvaluationCache
+from repro.pipeline import CacheStats, EvaluationCache, PipelineSession
 from test_dse_oracle import scalar_run_dse
 
 DEVICE = get_device("vu9p")
@@ -159,9 +159,7 @@ def test_network_latencies_match_map_network(inputs):
     list, and on whole Step-1 spaces passed as ``run_dse`` passes its
     batches."""
     for device, network, candidates in _latency_inputs(inputs):
-        estimator = BatchLayerEstimator(
-            device, network, cache=EvaluationCache()
-        )
+        estimator = BatchLayerEstimator(device, network)
         latencies = estimator.network_latencies(candidates)
         assert len(latencies) == len(candidates)
         for candidate, latency in zip(candidates, latencies):
@@ -234,41 +232,37 @@ def test_run_dse_vectorized_identical(objective, knobs):
         ) == (scalar.candidates_evaluated, scalar.candidates_pruned)
 
 
-def test_vectorized_offers_populate_supplied_cache():
-    """A caller-supplied cache receives the partitions the DSE looked
-    up — dirty for the store flush, and bit-identical hits for later
-    scalar lookups — and no estimate at all."""
+def test_dse_leaves_session_cache_empty():
+    """A session's DSE reads its group counts from columns: the cache
+    the session holds gets no lookup and no entry, so a flush would
+    write nothing — and the selection, runners-up and counts are the
+    scalar best-first loop's."""
     network = zoo.tiny_cnn()
     cache = EvaluationCache()
-    result = run_dse(DEVICE, network, DseOptions(), cache=cache)
-    dirty_estimates, dirty_partitions = cache.take_dirty()
-    assert dirty_estimates == {}
-    assert len(dirty_partitions) == result.cache_stats.partition_misses > 0
-    # Re-reading the winner's partitions through the cache must hit and
-    # return exactly what partition_layer computes.
-    before = cache.stats
+    result = PipelineSession(network, DEVICE, cache=cache).dse()
+    assert cache.stats == CacheStats()
+    assert len(cache) == 0
+    assert cache.take_dirty() == ({}, {})
+    oracle = scalar_run_dse(DEVICE, network, best_first=True)
+    assert _ranking(result) == _ranking(oracle)
+    assert (result.candidates_evaluated, result.candidates_pruned) == (
+        oracle.candidates_evaluated, oracle.candidates_pruned
+    )
+
+
+def test_internal_cache_gets_no_offers():
+    """``run_dse`` has no cache: its ``cache_stats`` is always the empty
+    ``CacheStats()``, and the winner's mapping is still the one the
+    scalar partitions give (every layer's partition exists)."""
+    network = zoo.tiny_cnn()
+    result = run_dse(DEVICE, network, DseOptions())
+    assert result.cache_stats == CacheStats()
+    assert all(r.cache_stats == CacheStats() for r in result.runners_up)
     for info, layer_est in zip(
         network.compute_layers(), result.estimate.layers
     ):
         pool = fused_pool_for(network, info.index)
-        cached = cache.partition(result.cfg, info, layer_est.mode, pool)
-        assert cached == partition_layer(
-            result.cfg, info, layer_est.mode, pool
-        )
-    delta = cache.stats - before
-    assert delta.partition_hits == len(result.estimate.layers)
-    assert delta.partition_misses == 0
-
-
-def test_internal_cache_gets_no_offers():
-    """No estimate enters the cache: without a caller-supplied cache
-    the run's internal one sees partition traffic only — observable as
-    zero estimate-level activity in the result stats."""
-    result = run_dse(DEVICE, zoo.tiny_cnn(), DseOptions())
-    assert result.cache_stats is not None
-    assert result.cache_stats.hits == 0
-    assert result.cache_stats.misses == 0
-    assert result.cache_stats.partition_misses > 0
+        partition_layer(result.cfg, info, layer_est.mode, pool)
 
 
 def test_exact_limit_guard():

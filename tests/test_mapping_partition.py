@@ -1,17 +1,32 @@
 """Tests for repro.mapping.partition — the Section-4.2.4 partitioning."""
 
+import os
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.params import AcceleratorConfig
-from repro.errors import ResourceError, UnsupportedLayerError
-from repro.ir import zoo
+from repro.arch.params import AcceleratorConfig, ConfigColumns
+from repro.dse import explore_hardware
+from repro.dse.space import DseOptions
+from repro.errors import (
+    DseError,
+    ReproError,
+    ResourceError,
+    UnsupportedLayerError,
+)
+from repro.fpga import get_device
+from repro.ir import NetworkBuilder, zoo
 from repro.mapping.partition import (
+    GROUP_COUNTS,
+    LayerColumns,
     c_groups,
     fused_pool_for,
     k_groups,
+    layer_shape,
     partition_layer,
+    row_geometry,
     row_groups,
 )
 
@@ -190,3 +205,169 @@ def test_partition_invariants_property(c, k, h, kernel, mode, pt):
         assert part.rows_per_group == cfg.m
     else:
         assert part.rows_per_group == 1
+
+
+# -- the column form: group counts for every (layer, design) ---------------
+
+PAPER_DEVICES = ("vu9p", "pynq-z1")
+#: Presets small enough that some (layer, design, mode) cells fit no
+#: partition, besides each device's default.
+SMALL_PRESETS = ((512, 256, 256), (64, 32, 32))
+
+FULL_ORACLE = [
+    pytest.mark.slow,
+    pytest.mark.skipif(
+        os.environ.get("REPRO_FULL_ORACLE") != "1",
+        reason="full catalog matrix: set REPRO_FULL_ORACLE=1",
+    ),
+]
+
+
+def scalar_counts(cfg, info, mode, pool):
+    """partition_layer's :data:`GROUP_COUNTS`, or None where it raises."""
+    try:
+        part = partition_layer(cfg, info, mode, pool)
+    except ReproError:
+        return None
+    return (1, part.n_k_groups * part.n_c_groups, part.n_row_groups,
+            part.n_c_groups, part.total_groups)
+
+
+def assert_counts_match(network, cfgs):
+    """Every (layer, config, mode): the column counts are
+    partition_layer's, and feasible exactly where it returns.  Returns
+    the feasible and infeasible cell counts."""
+    infos = network.compute_layers()
+    pools = [fused_pool_for(network, info.index) for info in infos]
+    columns = LayerColumns([layer_shape(info) for info in infos], pools)
+    bases = ConfigColumns.of(cfgs)
+    cells = [0, 0]
+    for mode in ("spat", "wino"):
+        table = columns.group_counts(mode, bases)
+        assert table.dtype == np.int64
+        assert table.shape == (len(GROUP_COUNTS), len(infos), len(cfgs))
+        for li, (info, pool) in enumerate(zip(infos, pools)):
+            for u, cfg in enumerate(cfgs):
+                expected = scalar_counts(cfg, info, mode, pool)
+                got = table[:, li, u].tolist()
+                if expected is None:
+                    assert got[0] == 0, (info.layer.name, cfg, mode)
+                    cells[1] += 1
+                else:
+                    assert tuple(got) == expected, (info.layer.name, cfg,
+                                                    mode)
+                    cells[0] += 1
+    return cells
+
+
+def _space_configs(device_name, presets):
+    space = explore_hardware(
+        get_device(device_name), DseOptions(buffer_presets=presets)
+    )
+    return [space.config(base) for base in range(len(space.bases.pi))]
+
+
+def _count_cases():
+    cases = [(device, presets) for device in PAPER_DEVICES
+             for presets in (None,) + SMALL_PRESETS]
+    for device, presets in cases:
+        yield pytest.param(device, presets, id=f"{device}-{presets}")
+    for device in ("zcu102", "ku115"):
+        for presets in (None,) + SMALL_PRESETS:
+            yield pytest.param(device, presets, id=f"{device}-{presets}",
+                               marks=FULL_ORACLE)
+    for device in PAPER_DEVICES:
+        presets = (65536, 32768, 32768)
+        yield pytest.param(device, presets, id=f"{device}-{presets}",
+                           marks=FULL_ORACLE)
+
+
+@pytest.mark.parametrize("device_name, presets", list(_count_cases()))
+def test_group_counts_match_partition_layer_on_zoo(device_name, presets):
+    """Every zoo model over a device's whole Step-1 space, both modes."""
+    cfgs = _space_configs(device_name, presets)
+    cells = [0, 0]
+    for model in sorted(zoo.MODELS):
+        feasible, infeasible = assert_counts_match(
+            zoo.get_model(model), cfgs
+        )
+        cells[0] += feasible
+        cells[1] += infeasible
+    assert cells[0] > 0
+    if presets in SMALL_PRESETS:
+        assert cells[1] > 0  # the presets do reach infeasible cells
+
+
+def test_row_geometry_is_shared():
+    """Both forms read the same (mode, PT, pool) row geometry: a pool no
+    group of <= 16 rows aligns with is infeasible in both, and a
+    Winograd layer with stride > 1 is infeasible in the columns."""
+    assert row_geometry("wino", 4, (3, 3), 1, 3) is None
+    assert row_geometry("spat", 4, (3, 3), 2, 17) is None
+    assert row_geometry("wino", 6, (5, 5), 1, 2) == (
+        4, 9, ((0, 0), (0, 3), (3, 0), (3, 3))
+    )
+    network = (
+        NetworkBuilder("strided", input_shape=(8, 24, 24))
+        .conv2d(8, kernel_size=3, stride=2, padding=1)
+        .conv2d(8, kernel_size=3, padding=1)
+        .maxpool2d(3, stride=3)
+        .build()
+    )
+    cfg = AcceleratorConfig(pi=4, po=4, pt=4)
+    feasible, infeasible = assert_counts_match(network, [cfg])
+    assert infeasible == 2  # strided wino and pool-3 wino
+
+
+def test_group_counts_refuse_wrapping_capacities():
+    """A buffer so large its element capacity could wrap int64 is
+    refused rather than miscounted."""
+    network = zoo.tiny_cnn()
+    infos = network.compute_layers()
+    columns = LayerColumns(
+        [layer_shape(info) for info in infos],
+        [fused_pool_for(network, info.index) for info in infos],
+    )
+    cfg = AcceleratorConfig(pi=32, po=32, pt=4, weight_buffer_vecs=2**53)
+    with pytest.raises(DseError, match="2\\*\\*62"):
+        columns.group_counts("spat", ConfigColumns.of([cfg]))
+
+
+_PRESET_SIZES = st.sampled_from([16, 64, 256, 1024, 4096])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.integers(1, 64),
+    k=st.integers(1, 64),
+    h=st.integers(11, 40),
+    kernel=st.integers(1, 11),
+    stride=st.integers(1, 4),
+    pad=st.integers(0, 5),
+    pool=st.sampled_from([1, 2, 3, 4]),
+    dense=st.one_of(st.none(), st.integers(1, 128)),
+    presets=st.tuples(_PRESET_SIZES, _PRESET_SIZES, _PRESET_SIZES),
+    factors=st.sampled_from([(1, 1), (2, 1), (4, 2), (4, 4), (8, 2),
+                             (16, 8)]),
+)
+def test_group_counts_property(c, k, h, kernel, stride, pad, pool, dense,
+                               presets, factors):
+    """Random conv(+pool)(+dense) networks on small buffers: the column
+    counts equal partition_layer's, feasibility included."""
+    builder = NetworkBuilder("random", input_shape=(c, h, h)).conv2d(
+        k, kernel_size=kernel, stride=stride, padding=min(pad, kernel - 1)
+    )
+    out = (h + 2 * min(pad, kernel - 1) - kernel) // stride + 1
+    if pool > 1 and out >= pool:
+        builder = builder.maxpool2d(pool, stride=pool)
+    if dense is not None:
+        builder = builder.flatten().dense(dense)
+    network = builder.build()
+    pi, po = factors
+    cfgs = [
+        AcceleratorConfig(pi=pi, po=po, pt=pt, input_buffer_vecs=presets[0],
+                          weight_buffer_vecs=presets[1],
+                          output_buffer_vecs=presets[2])
+        for pt in (4, 6)
+    ]
+    assert_counts_match(network, cfgs)

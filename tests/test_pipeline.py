@@ -245,10 +245,8 @@ class TestDseEquivalence:
         assert [_design_point(r) for r in fast.runners_up] == [
             _design_point(r) for r in seed.runners_up
         ]
-        if model == "vgg16":
-            # Shape dedup: VGG16's repeated conv shapes share
-            # partitions even in a fresh run.
-            assert fast.cache_stats.partition_hits > 0
+        # The search reads group counts from columns: no lookups.
+        assert fast.cache_stats == CacheStats()
 
     def test_latency_objective_equivalence(self, pynq):
         network = zoo.tiny_cnn(input_size=32)
@@ -261,12 +259,20 @@ class TestDseEquivalence:
         ]
 
     def test_fresh_cache_without_explicit_cache(self, pynq):
-        # Partition lookups always go through a cache: a fresh one
-        # when the caller passes none, counted all the same.
-        result = run_dse(pynq, zoo.tiny_cnn(input_size=32))
-        stats = result.cache_stats
-        assert stats.partition_misses > 0
-        assert stats.misses == stats.hits == 0  # partitions only
+        # run_dse takes no cache and makes no lookup: its stats are
+        # empty, and it still ranks and counts as the scalar
+        # best-first loop does.
+        network = zoo.tiny_cnn(input_size=32)
+        result = run_dse(pynq, network)
+        assert result.cache_stats == CacheStats()
+        oracle = scalar_run_dse(pynq, network, best_first=True)
+        assert _design_point(result) == _design_point(oracle)
+        assert [_design_point(r) for r in result.runners_up] == [
+            _design_point(r) for r in oracle.runners_up
+        ]
+        assert (result.candidates_evaluated, result.candidates_pruned) == (
+            oracle.candidates_evaluated, oracle.candidates_pruned
+        )
 
     def test_precomputed_candidates(self, pynq):
         from repro.dse import explore_hardware
@@ -278,14 +284,22 @@ class TestDseEquivalence:
         assert _design_point(direct) == _design_point(seeded)
 
     def test_shared_cache_across_runs(self, pynq):
+        # Two sessions sharing one cache: neither DSE touches it, and
+        # both select, rank and count as the scalar loop does.
         network = zoo.tiny_cnn(input_size=32)
         cache = EvaluationCache()
-        first = run_dse(pynq, network, DseOptions(), cache=cache)
-        second = run_dse(pynq, network, DseOptions(), cache=cache)
-        assert _design_point(first) == _design_point(second)
-        # The second run re-reads every partition from the shared cache.
-        assert second.cache_stats.partition_misses == 0
-        assert second.cache_stats.partition_hits > 0
+        first = PipelineSession(network, pynq, cache=cache).dse()
+        second = PipelineSession(network, pynq, cache=cache).dse()
+        assert cache.stats == CacheStats() and len(cache) == 0
+        oracle = scalar_run_dse(pynq, network, best_first=True)
+        for result in (first, second):
+            assert _design_point(result) == _design_point(oracle)
+            assert [_design_point(r) for r in result.runners_up] == [
+                _design_point(r) for r in oracle.runners_up
+            ]
+            assert (
+                result.candidates_evaluated, result.candidates_pruned
+            ) == (oracle.candidates_evaluated, oracle.candidates_pruned)
 
     def test_map_network_cached_equivalence(self, cfg_pynq_paper, pynq):
         network = zoo.tiny_cnn()
@@ -432,19 +446,20 @@ class TestPipelineSession:
         assert "tiny_cnn" in text and "pynq-z1" in text
 
     def test_sessions_share_cache(self, pynq, vu9p):
+        # A DSE adds nothing to a shared cache; sessions pinned to its
+        # design share their estimates: the second one only hits.
         cache = EvaluationCache()
         net = zoo.tiny_cnn(input_size=32)
-        PipelineSession(net, pynq, cache=cache).dse()
+        cfg = PipelineSession(net, pynq, cache=cache).dse().cfg
+        assert cache.stats == CacheStats()
+        PipelineSession(net, pynq, cfg=cfg, cache=cache).estimate()
         first = cache.stats
-        lookups_after_first = first.partition_hits + first.partition_misses
-        PipelineSession(net, pynq, cache=cache).dse()
+        assert first.misses > 0 and first.partition_misses > 0
+        PipelineSession(net, pynq, cfg=cfg, cache=cache).estimate()
         stats = cache.stats
-        # Second session repeats the same lookups, all hits.
-        assert (
-            stats.partition_hits + stats.partition_misses
-            == 2 * lookups_after_first
-        )
+        assert stats.misses == first.misses
         assert stats.partition_misses == first.partition_misses
+        assert stats.hits == first.hits + first.lookups
 
 
 def _timing_compiler_options():

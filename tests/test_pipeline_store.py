@@ -9,13 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dse import explore_hardware, run_dse
+from repro.dse import explore_hardware
 from repro.dse.space import DseOptions
 from repro.errors import ReproError
 from repro.estimator.calibration import get_calibration
 from repro.fpga import get_device
 from repro.ir import zoo
-from repro.pipeline import EvaluationCache, EvaluationStore, PipelineSession
+from repro.pipeline import (
+    CacheStats,
+    EvaluationCache,
+    EvaluationStore,
+    PipelineSession,
+)
 from repro.pipeline.store import MAGIC, STORE_VERSION
 
 
@@ -467,35 +472,77 @@ class TestScopedWarm:
 
 class TestSessionStore:
     def test_session_close_flushes_and_warms_next(self, tmp_path, pynq):
-        # A DSE persists partitions, the only entries it looks up.
+        # A DSE looks nothing up, so its session flushes nothing; the
+        # estimates of a session pinned to its design persist, and the
+        # next such session is served from them alone.
         network = zoo.tiny_cnn(input_size=32)
         with PipelineSession(network, pynq, store=tmp_path) as session:
             cold = session.dse()
-        assert session.store.stats.partitions_flushed > 0
-        assert session.store.stats.estimates_flushed == 0
+        assert session.cache_stats == CacheStats()
+        assert session.close() == 0
+        assert list(tmp_path.iterdir()) == []
 
-        warm_session = PipelineSession(network, pynq, store=tmp_path)
-        warm = warm_session.dse()
+        with PipelineSession(network, pynq, cfg=cold.cfg,
+                             store=tmp_path) as pinned:
+            estimate = pinned.estimate()
+        assert pinned.store.stats.estimates_flushed > 0
+        assert pinned.store.stats.partitions_flushed > 0
+
+        warm_session = PipelineSession(network, pynq, cfg=cold.cfg,
+                                       store=tmp_path)
+        assert warm_session.estimate() == estimate == cold.estimate
         stats = warm_session.cache_stats
         assert stats.misses == stats.partition_misses == 0
         assert stats.hit_rate == 1.0
-        assert (warm.cfg, warm.mapping, warm.estimate) == (
-            cold.cfg, cold.mapping, cold.estimate
-        )
         assert warm_session.close() == 0  # nothing new to persist
 
     def test_sweep_computes_no_entry_twice(self, tmp_path, vu9p):
-        # A two-objective sweep over one shared cache: every miss
-        # computes a new entry, so the misses equal what the flush
-        # persists.
+        # A two-objective DSE sweep over one shared cache adds nothing
+        # to it; the pinned sessions of its selections do, and every
+        # miss computes a new entry, so the misses equal what the
+        # flush persists.
         cache = EvaluationCache()
-        for objective in ("throughput", "latency"):
-            run_dse(vu9p, zoo.alexnet(), DseOptions(objective=objective),
-                    cache=cache)
+        cfgs = [
+            PipelineSession(zoo.alexnet(), vu9p,
+                            DseOptions(objective=objective),
+                            cache=cache).cfg
+            for objective in ("throughput", "latency")
+        ]
+        assert cache.stats == CacheStats()
+        assert EvaluationStore(tmp_path).flush(cache) == 0
+        for cfg in cfgs:
+            PipelineSession(zoo.alexnet(), vu9p, cfg=cfg,
+                            cache=cache).estimate()
         stats = cache.stats
         misses = stats.misses + stats.partition_misses
         assert misses > 0
         assert EvaluationStore(tmp_path).flush(cache) == misses
+
+    def test_session_creates_the_store_dir(self, tmp_path, pynq):
+        # Opening a store creates its directory, even for a DSE that
+        # will flush nothing into it.
+        path = tmp_path / "new" / "cache"
+        with PipelineSession(zoo.tiny_cnn(input_size=32), pynq,
+                             store=path) as session:
+            session.dse()
+        assert path.is_dir() and list(path.iterdir()) == []
+
+    def test_store_dir_under_a_file_fails_before_the_dse(
+        self, tmp_path, pynq, monkeypatch
+    ):
+        from repro.pipeline import session as session_module
+
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+
+        def no_dse(*args, **kwargs):
+            raise AssertionError("the DSE ran before the store failed")
+
+        monkeypatch.setattr(session_module, "run_dse", no_dse)
+        with pytest.raises(ReproError, match=str(blocker / "cache")):
+            PipelineSession(zoo.tiny_cnn(input_size=32), pynq,
+                            store=blocker / "cache")
+        assert blocker.read_text() == "not a directory"
 
     def test_store_accepts_instance(self, tmp_path, pynq):
         store = EvaluationStore(tmp_path)
@@ -515,11 +562,31 @@ class TestCliCacheDir:
     def test_dse_cache_dir_round_trip(self, tmp_path, capsys):
         from repro.cli import main
 
+        cache_dir = tmp_path / "cache"
         argv = ["dse", "--model", "tiny_cnn", "--device", "pynq-z1",
-                "--cache-dir", str(tmp_path / "cache"), "-v"]
+                "--cache-dir", str(cache_dir), "-v"]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "store" in first and "flushed" in first
-        assert main(argv) == 0  # second invocation starts warm
+        # The DSE makes no lookups: no cache line, nothing flushed, but
+        # the store directory exists.
+        assert "\ncache:" not in first
+        assert (f"store {cache_dir}: 0 estimates + 0 partitions from 0 "
+                "segment(s) (0 skipped), 0 estimates + 0 partitions "
+                "flushed in 0 segment(s)") in first
+        assert cache_dir.is_dir()
+
+        # Estimates come from a session pinned to the selected design;
+        # the next DSE warms them from disk and flushes nothing new.
+        cfg = PipelineSession("tiny_cnn", "pynq-z1").dse().cfg
+        with PipelineSession("tiny_cnn", "pynq-z1", cfg=cfg,
+                             store=cache_dir) as pinned:
+            pinned.estimate()
+        stored = pinned.store.stats
+        assert stored.estimates_flushed > 0
+        assert main(argv) == 0
         second = capsys.readouterr().out
-        assert "100.0%" in second  # estimate hit rate served from disk
+        assert (f"store {cache_dir}: {stored.estimates_flushed} estimates + "
+                f"{stored.partitions_flushed} partitions from 1 segment(s) "
+                "(0 skipped), 0 estimates + 0 partitions flushed in 0 "
+                "segment(s)") in second
+        assert first.split("\nstore")[0] == second.split("\nstore")[0]

@@ -385,8 +385,9 @@ def test_plan_capacity_unsatisfiable_slo_raises():
 
 
 def test_plan_capacity_store_warms_each_kind(tmp_path):
-    # zcu102 has no paper config: its kind runs a DSE, which must come
-    # back warm from the store on the second plan.
+    # zcu102 has no paper config: its kind runs a DSE (which looks
+    # nothing up) and pins the selection, whose estimates must come back
+    # warm from the store on the second plan.
     from repro.pipeline import EvaluationCache
 
     options = small_options(rate=20_000.0, slo_p99_s=5e-3)
@@ -399,3 +400,22 @@ def test_plan_capacity_store_warms_each_kind(tmp_path):
     stats = cache.stats
     assert stats.hits > 0
     assert stats.misses == 0
+
+
+def test_plan_capacity_store_dir_under_a_file_fails_first(tmp_path,
+                                                          monkeypatch):
+    # Warming opens the store: a path that cannot be a directory fails
+    # with its name before any kind is resolved.
+    from repro.errors import ReproError
+    from repro.planning import planner
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a kind was built before the store failed")
+
+    monkeypatch.setattr(planner.DeviceKind, "build", no_build)
+    with pytest.raises(ReproError, match=str(blocker / "cache")):
+        plan_capacity("tiny_cnn", "zcu102:0..2", small_options(),
+                      store=blocker / "cache")
